@@ -14,10 +14,8 @@ from .hamiltonian import (
     hamiltonian_diagonal,
 )
 from .problem import CIProblem
-from .plans import LinkIndexTables, SigmaPlan, build_g_matrix, build_w_matrix
+from .plans import SigmaPlan, build_g_matrix, build_w_matrix
 from .kernels import (
-    HAVE_NUMBA,
-    CompiledKernel,
     DgemmKernel,
     MocKernel,
     SigmaKernel,
@@ -78,14 +76,11 @@ __all__ = [
     "hamiltonian_diagonal",
     "CIProblem",
     "SigmaPlan",
-    "LinkIndexTables",
     "build_w_matrix",
     "build_g_matrix",
     "SigmaKernel",
     "DgemmKernel",
-    "CompiledKernel",
     "MocKernel",
-    "HAVE_NUMBA",
     "kernel_names",
     "make_kernel",
     "HamiltonianOperator",

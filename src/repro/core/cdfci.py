@@ -54,7 +54,7 @@ def _by_source(half, n_strings: int):
     order = np.argsort(half.source, kind="stable")
     src = half.source[order]
     indptr = np.searchsorted(src, np.arange(n_strings + 1))
-    return half.target[order], half.pq[order], half.sign[order], indptr
+    return half.target[order], half.pair[order], half.sign[order], indptr
 
 
 class HamiltonianColumns:
@@ -69,7 +69,8 @@ class HamiltonianColumns:
     * beta part   (rows (ia, jb)): column ib of A_b = Tb + same-spin-beta,
     * mixed part  (rows (ja, jb)): for every alpha single ia->ja (pair pq,
       sign sa) and beta single ib->jb (pair rs, sign sb), the entry
-      sa * sb * G[pq, rs] - an outer product over the two singles lists.
+      sa * sb * G[{pq}, {rs}] of the plan's pair-packed integrals - an
+      outer product over the two singles lists.
 
     Duplicate row keys between the parts (the diagonal, p=q singles)
     accumulate, exactly as the kernels' additive pipeline does.
@@ -92,10 +93,10 @@ class HamiltonianColumns:
         self.A_alpha = _spin_matrix(plan.Ta, plan.same_a, na)
         self.A_beta = _spin_matrix(plan.Tb, plan.same_b, nb)
         self.G = plan.g_matrix
-        (self._a_tgt, self._a_pq, self._a_sgn, self._a_ptr) = _by_source(
+        (self._a_tgt, self._a_pair, self._a_sgn, self._a_ptr) = _by_source(
             plan.scatter_a, na
         )
-        (self._b_tgt, self._b_pq, self._b_sgn, self._b_ptr) = _by_source(
+        (self._b_tgt, self._b_pair, self._b_sgn, self._b_ptr) = _by_source(
             plan.gather_b, nb
         )
         mask = problem.symmetry_mask
@@ -121,7 +122,7 @@ class HamiltonianColumns:
         ja = self._a_tgt[fa:fb].astype(np.int64)
         jb = self._b_tgt[ea:eb].astype(np.int64)
         block = (self._a_sgn[fa:fb, None] * self._b_sgn[None, ea:eb]) * self.G[
-            np.ix_(self._a_pq[fa:fb], self._b_pq[ea:eb])
+            np.ix_(self._a_pair[fa:fb], self._b_pair[ea:eb])
         ]
         keys_m = (ja[:, None] * nb + jb[None, :]).ravel()
         vals_m = block.ravel()

@@ -35,16 +35,13 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..obs.accounting import account_sigma_dgemm, account_sigma_moc
-from . import compiled as _compiled
-from .compiled import HAVE_NUMBA
-from .plans import SameSpinLink, SameSpinPlan, SigmaPlan
+from .plans import MixedSpinHalfPlan, SameSpinPlan, SigmaPlan
 
 __all__ = [
     "SigmaCounters",
     "MOCCounters",
     "SigmaKernel",
     "DgemmKernel",
-    "CompiledKernel",
     "MocKernel",
     "register_kernel",
     "kernel_names",
@@ -52,12 +49,7 @@ __all__ = [
     "same_spin_sigma",
     "same_spin_sigma_stack",
     "mixed_spin_sigma_stack",
-    "compiled_same_spin_sigma",
-    "compiled_same_spin_sigma_stack",
-    "compiled_mixed_spin_sigma_stack",
-    "sigma_sweeps",
     "column_blocks",
-    "HAVE_NUMBA",
 ]
 
 
@@ -174,53 +166,6 @@ def _segment_sum(x: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def same_spin_sigma(
-    splan: SameSpinPlan,
-    W: np.ndarray,
-    C: np.ndarray,
-    block_columns: int,
-    counters: SigmaCounters | None,
-) -> np.ndarray:
-    """Same-spin contribution acting on the *row* strings of C (nstr, M).
-
-    The beta-beta term passes the transposed CI matrix here, like the
-    paper's Fig. 2a which works on transposed local C and sigma blocks.
-    Batched callers simply pass M = k * n_columns stacked columns.
-    """
-    NK = splan.n_reduced
-    npair = splan.n_pairs
-    nstr = splan.n_strings
-    kk2 = splan.pairs_per_string
-    key = splan.key
-    sgn = splan.sign
-    src = splan.source
-    M = C.shape[1]
-    out = np.zeros_like(C)
-    # scratch hoisted out of the sweep: reallocated only when the block
-    # width changes (at most once, for a ragged final block) so a full
-    # sweep costs O(1) allocations instead of one per block; refilling
-    # with zeros keeps the gathered operands - and the result - bitwise
-    # identical to a fresh buffer
-    D = None
-    for lo in range(0, M, block_columns):
-        hi = min(lo + block_columns, M)
-        m = hi - lo
-        if D is None or D.shape[1] != m:
-            D = np.zeros((npair * NK, m))
-        else:
-            D[...] = 0.0
-        D[key] = sgn[:, None] * C[src, lo:hi]
-        E = (W @ D.reshape(npair, NK * m)).reshape(npair * NK, m)
-        vals = sgn[:, None] * E[key]
-        out[:, lo:hi] = _segment_sum(vals.reshape(nstr, kk2, m), axis=1)
-        if counters is not None:
-            counters.dgemm_flops += 2 * npair * npair * NK * m
-            counters.dgemm_calls += 1
-            counters.gather_elements += splan.n_entries * m
-            counters.scatter_elements += splan.n_entries * m
-    return out
-
-
 def column_blocks(n_columns: int, block_columns: int) -> list[tuple[int, int]]:
     """The (lo, hi) column blocks a kernel sweeps for an n_columns space.
 
@@ -235,6 +180,25 @@ def column_blocks(n_columns: int, block_columns: int) -> list[tuple[int, int]]:
     ]
 
 
+class _Scratch:
+    """Flat float64 buffers of one sweep, handed out as C-contiguous views.
+
+    A sweep allocates its D, E and scatter buffers once, for its widest
+    column block; a narrower (ragged last) block takes a shorter prefix of
+    the same memory, so every block's DGEMM operands are contiguous
+    whatever its width and no block faults in fresh pages.
+    """
+
+    def __init__(self, *sizes: int):
+        self._flat = [np.empty(size) for size in sizes]
+
+    def views(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+        return [
+            flat[: int(np.prod(shape))].reshape(shape)
+            for flat, shape in zip(self._flat, shapes)
+        ]
+
+
 def same_spin_sigma_stack(
     splan: SameSpinPlan,
     W: np.ndarray,
@@ -247,10 +211,12 @@ def same_spin_sigma_stack(
 ) -> np.ndarray:
     """Same-spin term for a (k, nstr, M) stack of row-major CI matrices.
 
-    One batched DGEMM (broadcasted W @ D-stack) per column block; every
-    slice of the stack sees exactly the single-vector operands, so the
-    result is bitwise-identical to looping :func:`same_spin_sigma` over the
-    k vectors while issuing k-times fewer DGEMM invocations.
+    Acts on the *row* strings; the beta-beta term passes the transposed CI
+    matrices, like the paper's Fig. 2a which works on transposed local C
+    and sigma blocks.  One batched DGEMM (broadcasted W @ D-stack) per
+    column block; every slice of the stack sees exactly the single-vector
+    operands, so the result is bitwise-identical to sweeping the k vectors
+    one at a time while issuing k-times fewer DGEMM invocations.
 
     ``col_blocks`` restricts the sweep to a subset of the canonical
     :func:`column_blocks` (the shared-memory backend distributes whole
@@ -264,25 +230,31 @@ def same_spin_sigma_stack(
     nstr = splan.n_strings
     kk2 = splan.pairs_per_string
     key = splan.key
-    sgn = splan.sign
+    sgn = splan.sign[None, :, None]
     src = splan.source
     k, _, M = C_rows.shape
     if out is None:
         out = np.zeros_like(C_rows)
     if col_blocks is None:
         col_blocks = column_blocks(M, block_columns)
-    # per-sweep scratch, reallocated only when the block width changes
-    # (see same_spin_sigma); zero-refill keeps results bitwise identical
-    D = None
+    if not col_blocks:
+        return out
+    widest = max(hi - lo for lo, hi in col_blocks)
+    scratch = _Scratch(*[k * npair * NK * widest] * 2, k * key.size * widest)
     for lo, hi in col_blocks:
         m = hi - lo
-        if D is None or D.shape[2] != m:
-            D = np.zeros((k, npair * NK, m))
-        else:
-            D[...] = 0.0
-        D[:, key] = sgn[None, :, None] * C_rows[:, src, lo:hi]
-        E = np.matmul(W, D.reshape(k, npair, NK * m)).reshape(k, npair * NK, m)
-        vals = sgn[None, :, None] * E[:, key]
+        D, E, vals = scratch.views(
+            (k, npair * NK, m), (k, npair * NK, m), (k, key.size, m)
+        )
+        # refilling with zeros keeps the gathered operands - and the
+        # result - bitwise identical to a fresh buffer
+        D[...] = 0.0
+        D[:, key] = sgn * C_rows[:, src, lo:hi]
+        np.matmul(
+            W, D.reshape(k, npair, NK * m), out=E.reshape(k, npair, NK * m)
+        )
+        np.take(E, key, axis=1, out=vals, mode="clip")
+        vals *= sgn
         out[:, :, lo:hi] = _segment_sum(vals.reshape(k, nstr, kk2, m), axis=2)
         if counters is not None:
             counters.dgemm_flops += 2 * npair * npair * NK * m * k
@@ -290,6 +262,38 @@ def same_spin_sigma_stack(
             counters.gather_elements += splan.n_entries * m * k
             counters.scatter_elements += splan.n_entries * m * k
     return out
+
+
+def same_spin_sigma(
+    splan: SameSpinPlan,
+    W: np.ndarray,
+    C: np.ndarray,
+    block_columns: int,
+    counters: SigmaCounters | None,
+) -> np.ndarray:
+    """:func:`same_spin_sigma_stack` for one (nstr, M) matrix."""
+    return same_spin_sigma_stack(
+        splan, W, np.ascontiguousarray(C)[None], block_columns, counters
+    )[0]
+
+
+def _gather_groups(half: MixedSpinHalfPlan, lo: int, hi: int):
+    """The half's entries with target in [lo, hi), one tuple per ordered (p, q).
+
+    Yields ``(pair, columns, source, sign)``: within one ordered (p, q)
+    every target string occurs at most once, so ``columns`` (targets
+    relative to ``lo``) are distinct and the group is one column gather.
+    """
+    elo, ehi = lo * half.per, hi * half.per
+    pair = half.pair[elo:ehi]
+    ordered = 2 * pair + (half.p[elo:ehi] > half.q[elo:ehi])
+    order = np.argsort(ordered, kind="stable")
+    cuts = np.flatnonzero(np.diff(ordered[order])) + 1
+    columns = half.target[elo:ehi] - lo
+    source = half.source[elo:ehi]
+    sign = half.sign[elo:ehi]
+    for idx in np.split(order, cuts):
+        yield pair[idx[0]], columns[idx], source[idx], sign[idx]
 
 
 def mixed_spin_sigma_stack(
@@ -300,191 +304,67 @@ def mixed_spin_sigma_stack(
     *,
     col_blocks: list[tuple[int, int]] | None = None,
     out: np.ndarray | None = None,
+    scatter: MixedSpinHalfPlan | None = None,
 ) -> np.ndarray:
     """Mixed-spin (alpha-beta) term for a (k, na, nb) stack of CI vectors.
 
-    The k dense intermediates are stacked and E = G.D runs as one batched
-    DGEMM (broadcasted matrix product) per beta column block - one
-    invocation over a k-times-larger right-hand side.  Slice i of every
-    operand equals the single-vector case exactly, so the batch is
-    bitwise-identical to a vector-at-a-time loop.
+    Per block of beta columns the intermediates are held pair-packed as
+    D[vector, pair, J_alpha, k_beta] with the block column fastest:
+
+    * gather - for each ordered (r, s), D[{rs}, :, columns] = sign *
+      C[:, sources]: a column gather within contiguous rows;
+    * E = G.D, one batched DGEMM (broadcasted matrix product) over the
+      (n(n+1)/2)^2 packed integrals, written into reused scratch;
+    * scatter - entry (I, J, {pq}) of the alpha half reads the contiguous
+      row E[{pq}, J, :], and rows are summed left to right per target I.
+
+    Slice i of every operand equals the single-vector case exactly, so the
+    batch is bitwise-identical to a vector-at-a-time loop.
 
     ``col_blocks``/``out`` have the same contract as in
     :func:`same_spin_sigma_stack`: restrict the sweep to a subset of the
-    canonical blocks and/or scatter into a caller-provided buffer, with
-    per-block arithmetic unchanged.
+    canonical blocks and/or accumulate into a caller-provided buffer, with
+    per-block arithmetic unchanged.  ``scatter`` replaces the plan's alpha
+    half when ``C_stack`` holds only some alpha rows (a simulated rank's
+    task: the rows it fetched, and the targets it owns with sources
+    numbered into those rows); sigma then has one row per target of it.
     """
-    n = plan.n
-    na, nb = plan.shape
-    k = C_stack.shape[0]
+    k, n_rows, nb = C_stack.shape
     gb = plan.gather_b
-    sa = plan.scatter_a
+    sa = plan.scatter_a if scatter is None else scatter
     G = plan.g_matrix
-    per_b, per_a = gb.per, sa.per
-    sigma = np.zeros_like(C_stack) if out is None else out
-    if col_blocks is None:
-        col_blocks = column_blocks(nb, block_columns)
-    for lo, hi in col_blocks:
-        m = hi - lo
-        elo, ehi = lo * per_b, hi * per_b
-        src, tgt = gb.source[elo:ehi], gb.target[elo:ehi]
-        rs, sgn = gb.pq[elo:ehi], gb.sign[elo:ehi]
-        # D[vector, (rs), kb_local, Ma]
-        D = np.zeros((k, n * n, m, na))
-        D[:, rs, tgt - lo] = sgn[None, :, None] * C_stack[:, :, src].transpose(0, 2, 1)
-        E = np.matmul(G, D.reshape(k, n * n, m * na)).reshape(k, n * n, m, na)
-        # advanced axes 1 and 3 are separated by a slice: result (entries, k, m)
-        vals = sa.sign[:, None, None] * E[:, sa.pq, :, sa.source]
-        vals = vals.transpose(1, 0, 2).reshape(k, na, per_a, m)
-        sigma[:, :, lo:hi] += _segment_sum(vals, axis=2)
-        if counters is not None:
-            counters.dgemm_flops += 2 * (n * n) * (n * n) * m * na * k
-            counters.dgemm_calls += 1
-            counters.gather_elements += (ehi - elo) * na * k
-            counters.scatter_elements += sa.n_entries * m * k
-    return sigma
-
-
-# -- compiled (link-index) kernel pieces --------------------------------------
-
-
-def _same_link(splan: SameSpinPlan) -> SameSpinLink:
-    """The plan's cached per-string link view (reshapes, built once)."""
-    link = getattr(splan, "_link", None)
-    if link is None:
-        link = SameSpinLink.from_plan(splan)
-        splan._link = link
-    return link
-
-
-def compiled_same_spin_sigma_stack(
-    splan: SameSpinPlan,
-    W: np.ndarray,
-    C_rows: np.ndarray,
-    block_columns: int,
-    counters: SigmaCounters | None,
-    *,
-    col_blocks: list[tuple[int, int]] | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """:func:`same_spin_sigma_stack` with jitted gather/scatter loops.
-
-    The DGEMM is the same ``np.matmul`` over the same zero-padded D, and
-    the jitted scatter accumulates in ``_segment_sum``'s left-to-right
-    order, so the result is bitwise-identical to the NumPy sweep whether or
-    not numba is importable; without numba this *is* the NumPy sweep.
-    """
-    if not HAVE_NUMBA:
-        return same_spin_sigma_stack(
-            splan, W, C_rows, block_columns, counters,
-            col_blocks=col_blocks, out=out,
-        )
-    NK = splan.n_reduced
-    npair = splan.n_pairs
-    link = _same_link(splan)
-    k, _, M = C_rows.shape
+    npair = G.shape[0]
+    n_targets = sa.n_entries // sa.per if sa.per else n_rows
     if out is None:
-        out = np.zeros_like(C_rows)
-    if col_blocks is None:
-        col_blocks = column_blocks(M, block_columns)
-    D = None
-    for lo, hi in col_blocks:
-        m = hi - lo
-        if D is None or D.shape[2] != m:
-            D = np.zeros((k, npair * NK, m))
-        else:
-            D[...] = 0.0
-        _compiled.same_spin_gather(D, link.key, link.sign, C_rows, lo, m)
-        E = np.matmul(W, D.reshape(k, npair, NK * m)).reshape(k, npair * NK, m)
-        _compiled.same_spin_scatter(out, link.key, link.sign, E, lo, m)
-        if counters is not None:
-            counters.dgemm_flops += 2 * npair * npair * NK * m * k
-            counters.dgemm_calls += 1
-            counters.gather_elements += splan.n_entries * m * k
-            counters.scatter_elements += splan.n_entries * m * k
-    return out
-
-
-def compiled_same_spin_sigma(
-    splan: SameSpinPlan,
-    W: np.ndarray,
-    C: np.ndarray,
-    block_columns: int,
-    counters: SigmaCounters | None,
-) -> np.ndarray:
-    """:func:`same_spin_sigma` with jitted gather/scatter loops."""
-    if not HAVE_NUMBA:
-        return same_spin_sigma(splan, W, C, block_columns, counters)
-    return compiled_same_spin_sigma_stack(
-        splan, W, np.ascontiguousarray(C)[None], block_columns, counters
-    )[0]
-
-
-def compiled_mixed_spin_sigma_stack(
-    plan: SigmaPlan,
-    C_stack: np.ndarray,
-    block_columns: int,
-    counters: SigmaCounters | None,
-    *,
-    col_blocks: list[tuple[int, int]] | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """:func:`mixed_spin_sigma_stack` with jitted D-fill and E-drain loops.
-
-    Walks the plan's cached :class:`~repro.core.plans.LinkIndexTables`
-    (per-string views of the target-sorted halves); same bitwise contract
-    as :func:`compiled_same_spin_sigma_stack`.
-    """
-    if not HAVE_NUMBA:
-        return mixed_spin_sigma_stack(
-            plan, C_stack, block_columns, counters,
-            col_blocks=col_blocks, out=out,
-        )
-    n = plan.n
-    na, nb = plan.shape
-    k = C_stack.shape[0]
-    links = plan.link_tables
-    gb, sa = links.gather_b, links.scatter_a
-    per_b, per_a = gb.pq.shape[1], sa.pq.shape[1]
-    G = plan.g_matrix
-    sigma = np.zeros_like(C_stack) if out is None else out
+        out = np.zeros((k, n_targets, nb))
     if col_blocks is None:
         col_blocks = column_blocks(nb, block_columns)
-    D = None
+    if not col_blocks or not gb.per or not sa.per:
+        return out  # a spin without electrons has no single excitations
+    rows = sa.pair * n_rows + sa.source  # of E viewed (pair * J_alpha, k_beta)
+    sgn = sa.sign[None, :, None]
+    widest = max(hi - lo for lo, hi in col_blocks)
+    scratch = _Scratch(*[k * npair * n_rows * widest] * 2, k * rows.size * widest)
     for lo, hi in col_blocks:
         m = hi - lo
-        if D is None or D.shape[2] != m:
-            D = np.zeros((k, n * n, m, na))
-        else:
-            D[...] = 0.0
-        if per_b:
-            _compiled.mixed_spin_gather(D, gb.source, gb.pq, gb.sign, C_stack, lo, m)
-        E = np.matmul(G, D.reshape(k, n * n, m * na)).reshape(k, n * n, m, na)
-        if per_a:
-            _compiled.mixed_spin_scatter(sigma, sa.source, sa.pq, sa.sign, E, lo, m)
+        D, E, vals = scratch.views(
+            (k, npair, n_rows, m), (k, npair, n_rows, m), (k, rows.size, m)
+        )
+        D[...] = 0.0
+        for pair, columns, source, sign in _gather_groups(gb, lo, hi):
+            D[:, pair][:, :, columns] = C_stack[:, :, source] * sign
+        np.matmul(
+            G, D.reshape(k, npair, n_rows * m), out=E.reshape(k, npair, n_rows * m)
+        )
+        np.take(E.reshape(k, npair * n_rows, m), rows, axis=1, out=vals, mode="clip")
+        vals *= sgn
+        out[:, :, lo:hi] += _segment_sum(vals.reshape(k, n_targets, sa.per, m), axis=2)
         if counters is not None:
-            counters.dgemm_flops += 2 * (n * n) * (n * n) * m * na * k
+            counters.dgemm_flops += 2 * npair * npair * m * n_rows * k
             counters.dgemm_calls += 1
-            counters.gather_elements += m * per_b * na * k
-            counters.scatter_elements += plan.scatter_a.n_entries * m * k
-    return sigma
-
-
-def sigma_sweeps(kernel: str):
-    """(same_spin_stack, mixed_spin_stack) sweep pair for a kernel name.
-
-    How :mod:`repro.parallel.rankwork` dispatches per-rank work: the
-    ``"compiled"`` sweeps run operand-identical DGEMMs with order-identical
-    scatters, so any mix of compiled and NumPy ranks stays bitwise-equal to
-    the serial kernel.
-    """
-    if kernel == "compiled":
-        return compiled_same_spin_sigma_stack, compiled_mixed_spin_sigma_stack
-    if kernel == "dgemm":
-        return same_spin_sigma_stack, mixed_spin_sigma_stack
-    raise ValueError(
-        f"no sigma sweeps for kernel {kernel!r}; expected 'dgemm' or 'compiled'"
-    )
+            counters.gather_elements += (hi - lo) * gb.per * n_rows * k
+            counters.scatter_elements += sa.n_entries * m * k
+    return out
 
 
 def _check_stack(C_stack: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -512,13 +392,9 @@ def _beta_layout(C_stack: np.ndarray) -> np.ndarray:
 class DgemmKernel:
     """The paper's gather/DGEMM/scatter sigma, batched over CI vectors.
 
-    ``block_columns`` defaults to the plan's memory-budget heuristic
+    ``block_columns`` defaults to the plan's cache-sized block width
     (:meth:`SigmaPlan.default_block_columns`).
     """
-
-    # sweep hooks: subclasses swap in operand-identical compiled variants
-    _same_stack = staticmethod(same_spin_sigma_stack)
-    _mixed_stack = staticmethod(mixed_spin_sigma_stack)
 
     def __init__(self, plan: SigmaPlan, *, block_columns: int | None = None):
         self.plan = plan
@@ -556,42 +432,21 @@ class DgemmKernel:
             plan.Tb @ _beta_layout(C_stack)
         ).reshape(nb, k, na).transpose(1, 2, 0)
         if plan.same_a is not None:
-            sigma += self._same_stack(
+            sigma += same_spin_sigma_stack(
                 plan.same_a, plan.w_matrix, C_stack, bc, counters
             )
         if plan.same_b is not None:
-            sigma += self._same_stack(
+            sigma += same_spin_sigma_stack(
                 plan.same_b, plan.w_matrix, rows_stack, bc, counters
             ).transpose(0, 2, 1)
-        sigma += self._mixed_stack(plan, C_stack, bc, counters)
+        sigma += mixed_spin_sigma_stack(plan, C_stack, bc, counters)
         return sigma
 
 
-@register_kernel("compiled")
-class CompiledKernel(DgemmKernel):
-    """Link-index sigma: DgemmKernel's DGEMMs with compiled gather/scatter.
-
-    When numba is importable the gather/scatter loops run as jitted machine
-    code over the plan's cached :class:`~repro.core.plans.LinkIndexTables`;
-    the DGEMMs are the same ``np.matmul`` calls at the same
-    ``column_blocks``, and the jitted scatters accumulate in
-    ``_segment_sum``'s left-to-right order, so sigma is bitwise-identical
-    to :class:`DgemmKernel` either way.  Without numba the sweeps fall back
-    to the NumPy implementations - literally the DgemmKernel code path -
-    so the kernel is always safe to select (``jitted`` reports which mode
-    is active).
-    """
-
-    jitted = HAVE_NUMBA
-
-    _same_stack = staticmethod(compiled_same_spin_sigma_stack)
-    _mixed_stack = staticmethod(compiled_mixed_spin_sigma_stack)
-
-    def __init__(self, plan: SigmaPlan, *, block_columns: int | None = None):
-        super().__init__(plan, block_columns=block_columns)
-        # build (and cache on the plan) the per-string link views up front
-        # so first-iteration timing reflects the sweep, not table setup
-        self.links = plan.link_tables
+# The "compiled" lane (numba gather/scatter loops around these same DGEMMs)
+# only ever ran on its NumPy fallback and is retired; the name still resolves,
+# to the one DGEMM kernel, for callers and job specs that carry it.
+_REGISTRY["compiled"] = DgemmKernel
 
 
 # -- MOC kernel pieces --------------------------------------------------------

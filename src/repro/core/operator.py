@@ -46,13 +46,13 @@ class HamiltonianOperator:
     problem:
         The :class:`~repro.core.problem.CIProblem`.
     kernel:
-        A registered kernel name ("dgemm", "compiled", "moc") or a ready
+        A registered kernel name ("dgemm", "moc") or a ready
         :class:`~repro.core.kernels.SigmaKernel` instance.  Names are
         resolved through the kernel registry against the problem's cached
         :class:`~repro.core.plans.SigmaPlan`.
     block_columns:
         Column-block width for the kernel; None uses the plan's
-        memory-budget heuristic (:meth:`SigmaPlan.default_block_columns`).
+        cache-sized default (:meth:`SigmaPlan.default_block_columns`).
     spin_penalty, s2_target:
         When ``spin_penalty`` is non-zero, adds
         ``spin_penalty * (S^2 C - s2_target C)`` to shift states of the

@@ -11,8 +11,8 @@ explicit: for one :class:`~repro.core.problem.CIProblem` it compiles
   segment length, paper eqs. 4-6),
 * the same-spin ``key`` arrays (pair * NK + target) addressing the packed
   (pairs x N-2-strings) intermediate, with float signs (paper eqs. 7-9),
-* the W supermatrix W[(p>r),(q>s)] = (pq|rs) - (ps|rq) and the (n^2, n^2)
-  chemists-notation G matrix,
+* the W supermatrix W[(p>r),(q>s)] = (pq|rs) - (ps|rq) and the pair-packed
+  chemists-notation G matrix G[(p>=q),(r>=s)] = (pq|rs),
 
 and caches all of it on the problem (``SigmaPlan.for_problem``), so every
 solver iteration, every batch column, and every simulated MSP rank reuses
@@ -36,9 +36,7 @@ __all__ = [
     "SigmaPlan",
     "SameSpinPlan",
     "MixedSpinHalfPlan",
-    "LinkIndexTables",
-    "SameSpinLink",
-    "SinglesLink",
+    "pair_index",
     "build_w_matrix",
     "build_g_matrix",
     "one_electron_csr",
@@ -47,6 +45,9 @@ __all__ = [
 
 DEFAULT_BLOCK_BUDGET_MB = 256
 _MAX_BLOCK_COLUMNS = 1024
+# D + E of one column block: small enough to stay in the last-level cache
+# between the gather, the DGEMM and the scatter that each walk them once
+_SCRATCH_TARGET_BYTES = 32 * 2**20
 
 
 def build_w_matrix(g: np.ndarray) -> np.ndarray:
@@ -64,10 +65,25 @@ def build_w_matrix(g: np.ndarray) -> np.ndarray:
     )
 
 
+def pair_index(p, q):
+    """Packed index of the unordered orbital pair {p, q}: hi (hi + 1) / 2 + lo.
+
+    The ``np.tril_indices(n)`` enumeration (0,0), (1,0), (1,1), (2,0), ...
+    that :func:`build_g_matrix` lays its rows and columns out in.
+    """
+    hi, lo = np.maximum(p, q), np.minimum(p, q)
+    return hi * (hi + 1) // 2 + lo
+
+
 def build_g_matrix(g: np.ndarray) -> np.ndarray:
-    """Chemists' (pq|rs) reshaped to a contiguous (n^2, n^2) DGEMM operand."""
-    n = g.shape[0]
-    return np.ascontiguousarray(g.reshape(n * n, n * n))
+    """Pair-packed chemists' integrals G[(p>=q),(r>=s)] = (pq|rs).
+
+    (pq|rs) = (qp|rs) = (pq|sr) for real orbitals, so the mixed-spin DGEMM
+    needs one row and one column per *unordered* pair: n(n+1)/2 of them
+    instead of n^2 (pyscf's ``tril`` link index + packed ``h2``).
+    """
+    p, q = np.tril_indices(g.shape[0])
+    return np.ascontiguousarray(g[p[:, None], q[:, None], p[None, :], q[None, :]])
 
 
 def one_electron_csr(h: np.ndarray, table: SingleExcitationTable) -> sp.csr_matrix:
@@ -118,20 +134,25 @@ class MixedSpinHalfPlan:
     Every target string has the same number of entries (``per``), so sorted
     order lets the kernels slice whole blocks of targets: contiguous gather
     segments on the beta side, reshaped segment sums on the alpha side.
+
+    ``pair`` addresses the pair-packed intermediates.  For a fixed target
+    string at most one of E_pq / E_qp connects (p must be occupied in the
+    target and q empty, or the reverse), so (pair, target) is unique per
+    entry and folding D[pq] + D[qp] into one row is still a plain
+    assignment with unchanged signs.
     """
 
     source: np.ndarray
     target: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    pq: np.ndarray  # p * n + q, flat orbital-pair index
+    pair: np.ndarray  # pair_index(p, q), packed unordered orbital pair
     sign: np.ndarray  # float64 signs (pre-cast once)
     per: int  # entries per target string
     n_entries: int
 
     @classmethod
     def from_table(cls, table: SingleExcitationTable) -> "MixedSpinHalfPlan":
-        n = table.space.n
         order = np.argsort(table.target, kind="stable")
         p = table.p[order]
         q = table.q[order]
@@ -140,94 +161,10 @@ class MixedSpinHalfPlan:
             target=table.target[order],
             p=p,
             q=q,
-            pq=p * n + q,
+            pair=pair_index(p, q),
             sign=table.sign[order].astype(np.float64),
             per=table.n_entries // table.space.size,
             n_entries=table.n_entries,
-        )
-
-
-@dataclass
-class SameSpinLink:
-    """Per-string link-index view of a :class:`SameSpinPlan`.
-
-    pyscf ``gen_linkstr_index`` idiom: the flat entry arrays are source-major
-    with a constant k(k-1)/2 entries per string, so reshaping to
-    (n_strings, pairs_per_string) is free (views, no copy) and gives compiled
-    gather/scatter loops a rectangular table indexed by string.
-    """
-
-    key: np.ndarray  # (n_strings, pairs_per_string) int64, pair * NK + target
-    sign: np.ndarray  # (n_strings, pairs_per_string) float64
-
-    @classmethod
-    def from_plan(cls, splan: SameSpinPlan) -> "SameSpinLink":
-        nstr, kk2 = splan.n_strings, splan.pairs_per_string
-        return cls(
-            key=splan.key.reshape(nstr, kk2),
-            sign=splan.sign.reshape(nstr, kk2),
-        )
-
-
-@dataclass
-class SinglesLink:
-    """Per-target-string link-index view of a :class:`MixedSpinHalfPlan`.
-
-    The half plan is already target-sorted with a constant ``per`` entries
-    per target string, so the (n_strings, per) tables are reshape views of
-    the flat arrays.  Row ``t`` lists all (source, pq, sign) with
-    <t| E_pq |source> = sign - exactly what the compiled beta-gather and
-    alpha-scatter loops walk string-by-string.
-    """
-
-    source: np.ndarray  # (n_strings, per) int64
-    pq: np.ndarray  # (n_strings, per) int64, p * n + q
-    sign: np.ndarray  # (n_strings, per) float64
-
-    @classmethod
-    def from_half(cls, half: MixedSpinHalfPlan, n_strings: int) -> "SinglesLink":
-        per = half.per
-        return cls(
-            source=half.source.reshape(n_strings, per),
-            pq=half.pq.reshape(n_strings, per),
-            sign=half.sign.reshape(n_strings, per),
-        )
-
-
-@dataclass
-class LinkIndexTables:
-    """All per-string link tables of one plan, for compiled kernels.
-
-    Every array is a reshape *view* of the corresponding :class:`SigmaPlan`
-    array (zero copies, zero extra bytes), so building these is O(1); they
-    exist to give jitted loops rectangular per-string indexing instead of
-    flat segment arithmetic.  Cached on the plan via
-    :attr:`SigmaPlan.link_tables`.
-    """
-
-    same_a: SameSpinLink | None
-    same_b: SameSpinLink | None
-    scatter_a: SinglesLink
-    gather_b: SinglesLink
-
-    @classmethod
-    def from_plan(cls, plan: "SigmaPlan") -> "LinkIndexTables":
-        na, nb = plan.shape
-        same_a = SameSpinLink.from_plan(plan.same_a) if plan.same_a is not None else None
-        if plan.same_b is None:
-            same_b = None
-        elif plan.same_b is plan.same_a:
-            same_b = same_a
-        else:
-            same_b = SameSpinLink.from_plan(plan.same_b)
-        scatter_a = SinglesLink.from_half(plan.scatter_a, na)
-        gather_b = (
-            scatter_a
-            if plan.gather_b is plan.scatter_a
-            else SinglesLink.from_half(plan.gather_b, nb)
-        )
-        return cls(
-            same_a=same_a, same_b=same_b, scatter_a=scatter_a, gather_b=gather_b
         )
 
 
@@ -256,7 +193,6 @@ class SigmaPlan:
             doubles_a = problem.doubles_a if problem.n_alpha >= 2 else None
             doubles_b = problem.doubles_b if problem.n_beta >= 2 else None
             w = problem.w_matrix
-            gmat = problem.g_matrix
         else:
             singles_a = SingleExcitationTable(problem.space_a)
             singles_b = (
@@ -276,11 +212,10 @@ class SigmaPlan:
             else:
                 doubles_b = DoubleAnnihilationTable(problem.space_b)
             w = build_w_matrix(problem.mo.g)
-            gmat = build_g_matrix(problem.mo.g)
         self.singles_a = singles_a
         self.singles_b = singles_b
         self.w_matrix = w
-        self.g_matrix = gmat
+        self.g_matrix = build_g_matrix(problem.mo.g)
         h = problem.mo.h
         self.Ta = one_electron_csr(h, singles_a)
         self.Tb = self.Ta if singles_b is singles_a else one_electron_csr(h, singles_b)
@@ -314,19 +249,6 @@ class SigmaPlan:
         return plan
 
     @property
-    def link_tables(self) -> LinkIndexTables:
-        """pyscf ``link_index``-style per-string tables, built lazily, cached.
-
-        Pure reshape views of the plan's flat arrays, so the first access
-        costs O(1) and nothing is double counted in :attr:`nbytes`.
-        """
-        tables = getattr(self, "_link_tables", None)
-        if tables is None:
-            tables = LinkIndexTables.from_plan(self)
-            self._link_tables = tables
-        return tables
-
-    @property
     def nbytes(self) -> int:
         """Total bytes held by the plan's compiled arrays.
 
@@ -354,7 +276,7 @@ class SigmaPlan:
             add(csr.indptr)
         for half in {id(self.scatter_a): self.scatter_a,
                      id(self.gather_b): self.gather_b}.values():
-            for name in ("source", "target", "p", "q", "pq", "sign"):
+            for name in ("source", "target", "p", "q", "pair", "sign"):
                 add(getattr(half, name))
         for splan in (self.same_a, self.same_b):
             if splan is not None:
@@ -369,31 +291,34 @@ class SigmaPlan:
         batch: int = 1,
         resident_bytes: int | None = None,
     ) -> int:
-        """Column-block width sized so the D/E intermediates fit a budget.
+        """Column-block width sized so the D/E intermediates stay in cache.
 
         The dominant scratch is the mixed-spin pipeline's pair of dense
-        intermediates D and E, each (n^2, m, batch * n_alpha_strings)
+        intermediates D and E, each (n(n+1)/2, batch * n_alpha_strings, m)
         float64; the same-spin pipeline needs (n_pairs * NK, m) for each.
-        The returned ``m`` is the largest block for which both stay inside
-        ``memory_budget_mb``, clamped to [1, 1024].  This is the default
-        used by :class:`~repro.core.kernels.DgemmKernel`,
+        A block is gathered, multiplied and scattered in turn, so the
+        sweep runs fastest when D + E of one block stay cache-resident:
+        the returned ``m`` fits them in a fixed ~32 MiB, clamped to
+        [1, 1024] (measured on FCI(6+6,12), where it gives 29, seconds per
+        apply by ``m``: 8: 1.12, 16: 0.95, 29: 0.93, 48: 1.01, 64: 1.10,
+        126: 1.34, 232: 1.42).
+        This is the default used by
+        :class:`~repro.core.kernels.DgemmKernel`,
         :class:`~repro.core.solver.FCISolver`, and
         :class:`~repro.parallel.pfci.ParallelSigma` when ``block_columns``
         is not given explicitly.
 
-        ``resident_bytes`` charges the CI vectors themselves against the
-        budget - the solver passes the *resident* footprint its
+        ``memory_budget_mb`` is only an upper bound on that scratch, and
+        ``resident_bytes`` charges the CI vectors themselves against it -
+        the solver passes the *resident* footprint its
         :class:`~repro.core.vectors.CIVectorStore` reports
-        (``resident_nbytes``), not the logical vector size, so an
-        out-of-core ``MmapStore`` campaign keeps the full scratch budget
-        while a dense run leaves room for the vectors it actually pins in
-        RAM.  Changing the block width never changes results: every kernel
-        is bitwise-identical across ``block_columns`` (each output column
-        of a wider DGEMM is the same dot product).
+        (``resident_nbytes``), not the logical vector size.  Changing the
+        block width never changes what a kernel computes beyond the
+        rounding of a differently shaped DGEMM; every execution mode of one
+        problem uses the same width.
         """
         na, _ = self.shape
-        nn = self.n * self.n
-        per_col = 2 * 8 * nn * na * max(int(batch), 1)  # mixed-spin D + E
+        per_col = 2 * 8 * self.g_matrix.shape[0] * na * max(int(batch), 1)  # D + E
         for splan in (self.same_a, self.same_b):
             if splan is not None:
                 per_col = max(per_col, 2 * 8 * splan.n_pairs * splan.n_reduced)
@@ -402,7 +327,7 @@ class SigmaPlan:
             # never starve the kernel completely: keep at least 1 MiB of
             # scratch so pathological residencies degrade to m = small, not 0
             budget = max(budget - int(resident_bytes), 2**20)
-        m = budget // per_col if per_col else _MAX_BLOCK_COLUMNS
+        m = min(budget, _SCRATCH_TARGET_BYTES) // per_col
         return int(min(max(m, 1), _MAX_BLOCK_COLUMNS))
 
     def __repr__(self) -> str:

@@ -1,12 +1,8 @@
 """CIProblem: one FCI eigenproblem with lazily-built coupling tables.
 
 Bundles the MO integrals, the alpha/beta string spaces, the excitation
-tables, and the derived integral matrices that the sigma kernels share:
-
-* ``w_matrix`` - the packed antisymmetrized two-electron matrix
-  W[(p>r),(q>s)] = (pq|rs) - (ps|rq) of the same-spin routine (paper eq. 8),
-* ``g_matrix`` - the (n^2, n^2) chemists-notation integral matrix of the
-  mixed-spin routine (paper eq. 5).
+tables, and ``w_matrix``, the packed antisymmetrized two-electron matrix
+W[(p>r),(q>s)] = (pq|rs) - (ps|rq) of the same-spin routine (paper eq. 8).
 
 CI vectors are (n_alpha_strings, n_beta_strings) arrays; the paper's
 "coefficients matrix with rows and columns indexed by beta and alpha
@@ -57,7 +53,6 @@ class CIProblem:
         self._doubles_a: DoubleAnnihilationTable | None = None
         self._doubles_b: DoubleAnnihilationTable | None = None
         self._w: np.ndarray | None = None
-        self._gmat: np.ndarray | None = None
         self._diag: np.ndarray | None = None
         self._sym_mask: np.ndarray | None = None
 
@@ -111,15 +106,6 @@ class CIProblem:
 
             self._w = build_w_matrix(self.mo.g)
         return self._w
-
-    @property
-    def g_matrix(self) -> np.ndarray:
-        """Chemists' (pq|rs) reshaped to (n^2, n^2)."""
-        if self._gmat is None:
-            from .plans import build_g_matrix
-
-            self._gmat = build_g_matrix(self.mo.g)
-        return self._gmat
 
     @property
     def sigma_plan(self):

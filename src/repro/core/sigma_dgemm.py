@@ -27,7 +27,7 @@ gather/DGEMM/scatter sweeps - batched over CI vectors when driven through
 repeatedly therefore no longer rebuilds tables in the hot path.
 
 ``block_columns`` controls the column-block width of the dense
-intermediates; the default None uses the plan's memory-budget heuristic
+intermediates; the default None uses the plan's cache-sized width
 (:meth:`SigmaPlan.default_block_columns`).
 """
 

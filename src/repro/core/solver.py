@@ -151,15 +151,12 @@ class FCISolver:
         Target irrep name (requires point_group); default = irrep of the SCF
         determinant.
     algorithm:
-        Name of a registered sigma kernel: "dgemm" (the paper's algorithm),
-        "compiled" (link-index tables with numba-jitted gather/scatter,
-        falling back to the NumPy sweeps - bitwise-identical to "dgemm" -
-        when numba is not importable), or "moc" (baseline).  Validated
-        against the kernel registry
+        Name of a registered sigma kernel: "dgemm" (the paper's algorithm;
+        "compiled", the name of a retired lane, still resolves to it) or
+        "moc" (baseline).  Validated against the kernel registry
         (:func:`repro.core.kernels.kernel_names`) at construction time.
     kernel:
-        Alias for ``algorithm`` (the registry's own vocabulary);
-        ``FCISolver(kernel="compiled")`` is the documented spelling.  When
+        Alias for ``algorithm`` (the registry's own vocabulary).  When
         both are given, ``kernel`` wins.
     method:
         A registered eigensolver method (:func:`method_names`): "auto"
@@ -181,7 +178,7 @@ class FCISolver:
         :func:`repro.core.cdfci.cdfci_solve`.
     block_columns:
         Column-block width of the sigma kernel's dense intermediates; the
-        default None sizes it from a memory budget via
+        default None sizes it to keep them cache-resident via
         :meth:`repro.core.plans.SigmaPlan.default_block_columns`.
     parallel:
         Run sigma through :class:`repro.parallel.ParallelSigma` instead of
@@ -190,9 +187,9 @@ class FCISolver:
         shared memory, ``"sockets"`` for real worker processes behind a
         TCP coordinator) or an option dict passed to ``ParallelSigma``
         (e.g. ``{"backend": "sockets", "n_workers": 4}``).  Requires
-        ``algorithm="dgemm"`` or ``"compiled"`` (the parallel decomposition
-        is the paper's DGEMM sigma; the compiled sweeps run it
-        operand-identically); the default None keeps the serial kernel.
+        ``algorithm="dgemm"`` (or its alias ``"compiled"``): the parallel
+        decomposition is the paper's DGEMM sigma.  The default None keeps
+        the serial kernel.
         Worker pools are shut down when :meth:`run` returns.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  When given, per-iteration
@@ -284,8 +281,8 @@ class FCISolver:
             if algorithm not in ("dgemm", "compiled"):
                 raise ValueError(
                     "parallel execution runs the DGEMM sigma decomposition "
-                    "(kernel 'dgemm' or its operand-identical 'compiled' "
-                    f"variant); it cannot be combined with algorithm={algorithm!r}"
+                    "(kernel 'dgemm' or its alias 'compiled'); it cannot be "
+                    f"combined with algorithm={algorithm!r}"
                 )
             from ..parallel.backend import backend_names
 

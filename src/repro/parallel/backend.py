@@ -196,7 +196,7 @@ class ShmBackend(Backend):
     def n_ranks(self) -> int:
         return self.n_workers
 
-    def engine(self, plan, block_columns: int, kernel: str = "dgemm"):
+    def engine(self, plan, block_columns: int):
         if self._engine is None:
             from .shm.engine import ShmSigmaEngine
 
@@ -206,7 +206,6 @@ class ShmBackend(Backend):
                 block_columns=block_columns,
                 blas_threads=self.blas_threads,
                 timeout=self.timeout,
-                kernel=kernel,
             )
         return self._engine
 
@@ -218,9 +217,7 @@ class ShmBackend(Backend):
         }
 
     def run_sigma(self, owner, C: np.ndarray) -> SigmaRun:
-        engine = self.engine(
-            owner.plan, owner.block_columns, getattr(owner, "kernel_name", "dgemm")
-        )
+        engine = self.engine(owner.plan, owner.block_columns)
         try:
             return engine.sigma(C)
         except Exception:
@@ -271,7 +268,7 @@ class SocketsBackend(Backend):
     def n_ranks(self) -> int:
         return self.n_workers
 
-    def engine(self, plan, block_columns: int, kernel: str = "dgemm"):
+    def engine(self, plan, block_columns: int):
         if self._engine is None:
             from .sockets.engine import SocketSigmaEngine
 
@@ -281,7 +278,6 @@ class SocketsBackend(Backend):
                 block_columns=block_columns,
                 blas_threads=self.blas_threads,
                 timeout=self.timeout,
-                kernel=kernel,
                 **self.engine_options,
             )
         return self._engine
@@ -295,9 +291,7 @@ class SocketsBackend(Backend):
         }
 
     def run_sigma(self, owner, C: np.ndarray) -> SigmaRun:
-        engine = self.engine(
-            owner.plan, owner.block_columns, getattr(owner, "kernel_name", "dgemm")
-        )
+        engine = self.engine(owner.plan, owner.block_columns)
         try:
             return engine.sigma(C)
         except Exception:

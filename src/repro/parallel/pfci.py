@@ -58,12 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.kernels import (
-    SigmaCounters,
-    compiled_same_spin_sigma,
-    same_spin_sigma,
-)
-from ..core.plans import SigmaPlan
+from ..core.kernels import SigmaCounters, mixed_spin_sigma_stack, same_spin_sigma
+from ..core.plans import MixedSpinHalfPlan, SigmaPlan
 from ..core.problem import CIProblem
 from ..core.vectors import make_store, publish_store_metrics, store_kinds
 from ..obs.accounting import account_parallel_report, account_sigma_dgemm
@@ -118,13 +114,12 @@ class ParallelSigma:
     :class:`repro.core.plans.SigmaPlan` (one compile, replicated on every
     simulated rank), and the same-spin kernels are shared with the serial
     :class:`repro.core.kernels.DgemmKernel`.  ``block_columns=None`` (the
-    default) sizes the column blocks with the plan's memory-budget
-    heuristic, :meth:`SigmaPlan.default_block_columns`.
+    default) takes the plan's cache-sized column blocks,
+    :meth:`SigmaPlan.default_block_columns`.
 
-    ``kernel`` selects the sigma sweep implementation each rank runs
-    (``"dgemm"`` or ``"compiled"``); the compiled sweeps issue
-    operand-identical DGEMMs with order-identical scatters, so the
-    backend bitwise contracts are unchanged by the choice.
+    ``kernel`` names the sigma sweep every rank runs: ``"dgemm"``, or its
+    alias ``"compiled"`` (a retired lane's name); anything else is refused
+    because only the DGEMM decomposition is distributed.
 
     ``backend`` selects the execution substrate: ``"simulated"`` (the
     discrete-event X1, default), ``"shm"`` (real OS processes over shared
@@ -176,10 +171,6 @@ class ParallelSigma:
                 "parallel execution distributes the DGEMM sigma decomposition; "
                 f"kernel must be 'dgemm' or 'compiled', got {kernel!r}"
             )
-        self.kernel_name = kernel
-        self._same_spin = (
-            compiled_same_spin_sigma if kernel == "compiled" else same_spin_sigma
-        )
         # every rank replicates the problem's one precompiled plan
         # (paper section 3: replicated integrals + coupling tables per rank)
         self.plan = SigmaPlan.for_problem(problem)
@@ -262,7 +253,6 @@ class ParallelSigma:
         # per problem, not rebuilt per ParallelSigma (or per call)
         self.Ta, self.Tb = self.plan.Ta, self.plan.Tb
         self._per_a = self.plan.scatter_a.per
-        self._per_b = self.plan.gather_b.per
 
         # task pool over alpha rows for the mixed-spin phase; per-unit cost
         # estimated as the GEMM work of one target row (uniform without
@@ -283,20 +273,26 @@ class ParallelSigma:
         if self.telemetry:
             publish_pool_metrics(self.telemetry.registry, self.tasks, "taskpool.mixed")
         # per-task gather metadata, sliced from the plan's target-sorted
-        # alpha scatter half (constant entries per target string)
+        # alpha scatter half (constant entries per target string): the C rows
+        # the task fetches, and its own half with sources numbered into them
         sa = self.plan.scatter_a
         self._task_meta = []
         for t in self.tasks:
-            elo, ehi = t.start * self._per_a, t.stop * self._per_a
-            src = sa.source[elo:ehi]
-            rows_needed, src_local = np.unique(src, return_inverse=True)
+            entries = slice(t.start * self._per_a, t.stop * self._per_a)
+            rows_needed, src_local = np.unique(sa.source[entries], return_inverse=True)
             self._task_meta.append(
                 {
                     "rows": rows_needed,
-                    "src_local": src_local,
-                    "pq": sa.pq[elo:ehi],
-                    "sgn": sa.sign[elo:ehi],
-                    "m": t.stop - t.start,
+                    "half": MixedSpinHalfPlan(
+                        source=src_local,
+                        target=sa.target[entries] - t.start,
+                        p=sa.p[entries],
+                        q=sa.q[entries],
+                        pair=sa.pair[entries],
+                        sign=sa.sign[entries],
+                        per=self._per_a,
+                        n_entries=src_local.size,
+                    ),
                 }
             )
         # which sigma owners each mixed-spin task touches (for commit checks)
@@ -321,7 +317,7 @@ class ParallelSigma:
         sig_local = np.zeros((m, nb))
         sig_local += np.asarray(self.Tb @ Cblk.T).T
         if plan.same_b is not None:
-            sig_local += self._same_spin(
+            sig_local += same_spin_sigma(
                 plan.same_b,
                 plan.w_matrix,
                 np.ascontiguousarray(Cblk.T),
@@ -347,7 +343,7 @@ class ParallelSigma:
         npair = plan.w_matrix.shape[0]
         X = np.asarray(self.Ta @ colC)
         if plan.same_a is not None:
-            X += self._same_spin(
+            X += same_spin_sigma(
                 plan.same_a, plan.w_matrix, colC, self.block_columns, None
             )
         nka = plan.same_a.n_reduced if plan.same_a is not None else 0
@@ -357,30 +353,17 @@ class ParallelSigma:
 
     def _mixed_subset(self, Csub: np.ndarray, meta: dict) -> np.ndarray:
         """Mixed-spin sigma rows for one task from gathered source rows."""
-        plan = self.plan
-        n = plan.n
-        G = plan.g_matrix
-        gb = plan.gather_b
-        g_rows = Csub.shape[0]
-        nb = self.problem.space_b.size
-        m = meta["m"]
-        out = np.zeros((m, nb))
-        bc = self.block_columns
-        for lo in range(0, nb, bc):
-            hi = min(lo + bc, nb)
-            w = hi - lo
-            elo, ehi = lo * self._per_b, hi * self._per_b
-            src, tgt = gb.source[elo:ehi], gb.target[elo:ehi]
-            rs, sgn = gb.pq[elo:ehi], gb.sign[elo:ehi]
-            D = np.zeros((n * n, w, g_rows))
-            D[rs, tgt - lo] = sgn[:, None] * Csub[:, src].T
-            E = (G @ D.reshape(n * n, w * g_rows)).reshape(n * n, w, g_rows)
-            vals = meta["sgn"][:, None] * E[meta["pq"], :, meta["src_local"]]
-            out[:, lo:hi] += vals.reshape(m, self._per_a, w).sum(axis=1)
-        return out
+        return mixed_spin_sigma_stack(
+            self.plan, Csub[None], self.block_columns, None, scatter=meta["half"]
+        )[0]
 
     def _mixed_task_time(self, meta: dict) -> tuple[float, float]:
-        """(seconds, flops) cost-model charge for one mixed-spin task."""
+        """(seconds, flops) cost-model charge for one mixed-spin task.
+
+        The virtual clock is charged the paper's n^2 x n^2 DGEMM (its Table
+        1/3 are what the simulated X1 reproduces), not the pair-packed
+        product this box actually multiplies.
+        """
         cfg = self.config
         n = self.problem.n
         nb = self.problem.space_b.size
@@ -388,7 +371,7 @@ class ParallelSigma:
         flops = 2.0 * (n * n) * (n * n) * nb * g_rows
         t = cfg.dgemm_time(n * n, nb * g_rows, n * n)
         t += cfg.gather_time(self.plan.gather_b.n_entries / max(nb, 1) * nb * g_rows)
-        t += cfg.gather_time(meta["pq"].size * nb)
+        t += cfg.gather_time(meta["half"].n_entries * nb)
         return t, flops
 
     # -- main entry -----------------------------------------------------------

@@ -33,7 +33,8 @@ from ..core.kernels import (
     _alpha_layout,
     _beta_layout,
     column_blocks,
-    sigma_sweeps,
+    mixed_spin_sigma_stack,
+    same_spin_sigma_stack,
 )
 from ..core.plans import SigmaPlan
 from .taskpool import build_task_pool
@@ -106,7 +107,6 @@ def run_rank_sigma(
     counters: SigmaCounters,
     phase_times: dict[str, float],
     per_task_seconds: float = 0.0,
-    kernel: str = "dgemm",
 ) -> tuple[int, list[int]]:
     """Execute one rank's share of a sigma evaluation, in place.
 
@@ -118,15 +118,10 @@ def run_rank_sigma(
     sleep inside every claimed mixed-spin task that widens the span window
     so fault tests can reliably kill a worker *mid-span*.
 
-    ``kernel`` selects the sigma sweep implementation (``"dgemm"`` or
-    ``"compiled"``); both run operand-identical DGEMMs over the same
-    blocks, so the bitwise contract holds for either choice.
-
     Returns ``(n_tasks_done, claimed_task_ids)``.
     """
     bc = block_columns
     na, nb = plan.shape
-    same_spin_stack, mixed_spin_stack = sigma_sweeps(kernel)
 
     # one-electron alpha + beta: rank 0, exactly the serial prologue
     if rank == 0:
@@ -144,7 +139,7 @@ def run_rank_sigma(
     my_aa = aa_blocks[rank::n_workers]
     if plan.same_a is not None and my_aa:
         t0 = time.perf_counter()
-        same_spin_stack(
+        same_spin_sigma_stack(
             plan.same_a,
             plan.w_matrix,
             C_stack,
@@ -161,7 +156,7 @@ def run_rank_sigma(
     if plan.same_b is not None and my_bb:
         t0 = time.perf_counter()
         rows_stack = np.ascontiguousarray(C_stack.transpose(0, 2, 1))
-        same_spin_stack(
+        same_spin_sigma_stack(
             plan.same_b,
             plan.w_matrix,
             rows_stack,
@@ -183,7 +178,7 @@ def run_rank_sigma(
         blo, bhi = tasks[tid]
         if per_task_seconds > 0.0:
             time.sleep(per_task_seconds)
-        mixed_spin_stack(
+        mixed_spin_sigma_stack(
             plan,
             C_stack,
             bc,

@@ -67,12 +67,10 @@ class ShmSigmaEngine:
         blas_threads: int = 1,
         timeout: float = 300.0,
         straggle_seconds: float = 0.0,
-        kernel: str = "dgemm",
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.plan = plan
-        self.kernel = str(kernel)
         self.n_workers = int(n_workers)
         self.block_columns = int(block_columns)
         self.blas_threads = int(blas_threads)
@@ -110,7 +108,6 @@ class ShmSigmaEngine:
             "blas_threads": self.blas_threads,
             "timeout": self.timeout,
             "straggle_seconds": float(straggle_seconds),
-            "kernel": self.kernel,
         }
         self._procs: list = []
         self._conns: list = []

@@ -83,7 +83,6 @@ def _run_sigma(rank: int, comm: ShmComm, payload: dict) -> dict:
         counters=counters,
         phase_times=phase_times,
         per_task_seconds=payload.get("straggle_seconds", 0.0),
-        kernel=payload.get("kernel", "dgemm"),
     )
 
     comm.quiet()  # all owned-segment stores complete before we report done

@@ -79,7 +79,6 @@ class SocketSigmaEngine:
         heartbeat_interval: float = 0.25,
         heartbeat_misses: int = 40,
         straggle_seconds: float = 0.0,
-        kernel: str = "dgemm",
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -89,7 +88,6 @@ class SocketSigmaEngine:
                 f"(workers join by hand); got {spawn!r}"
             )
         self.plan = plan
-        self.kernel = str(kernel)
         self.n_workers = int(n_workers)
         self.block_columns = int(block_columns)
         self.blas_threads = int(blas_threads)
@@ -132,7 +130,6 @@ class SocketSigmaEngine:
             "timeout": self.timeout,
             "heartbeat_interval": self.heartbeat_interval,
             "straggle_seconds": float(straggle_seconds),
-            "kernel": self.kernel,
         }
         self._payload = payload
         self._procs: list = []

@@ -96,7 +96,6 @@ def _run_sigma(rank: int, comm: SocketComm, payload: dict) -> dict:
         counters=counters,
         phase_times=phase_times,
         per_task_seconds=payload.get("straggle_seconds", 0.0),
-        kernel=payload.get("kernel", "dgemm"),
     )
 
     # ship the owned windows: acc into segments the parent zeroed, which

@@ -112,9 +112,10 @@ class JobSpec:
     interchangeable, but a cdfci ``capacity`` changes the convergence path,
     so the safe canonical rule is "different storage config, different job
     key".  ``label`` is a display name only and is excluded from the
-    digests.  ``kernel`` is likewise answer-neutral: it chooses between the
-    bitwise-identical "dgemm"/"compiled" sigma sweeps, so two submissions
-    differing only in ``kernel`` share one job key (and one cached result).
+    digests.  ``kernel`` is likewise answer-neutral: "dgemm" and its alias
+    "compiled" (a retired lane's name) are one sigma sweep, so two
+    submissions differing only in ``kernel`` share one job key (and one
+    cached result).
     """
 
     atoms: tuple
@@ -140,9 +141,9 @@ class JobSpec:
     label: str = ""
 
     def __post_init__(self):
-        # only the bitwise-identical sweep pair may ride the answer-neutral
-        # field; anything else (e.g. "moc") must go through `algorithm`,
-        # which is part of the job key
+        # only names of the one bitwise-identical DGEMM sweep may ride the
+        # answer-neutral field; anything else (e.g. "moc") must go through
+        # `algorithm`, which is part of the job key
         if self.kernel not in (None, "dgemm", "compiled"):
             raise ValueError(
                 "kernel must be None, 'dgemm', or 'compiled' (bitwise-"

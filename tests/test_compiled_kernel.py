@@ -1,25 +1,16 @@
-"""The compiled (link-index) sigma kernel against the DGEMM reference.
+"""The retired ``compiled`` lane's name, which still resolves.
 
-``CompiledKernel`` promises bitwise identity with ``DgemmKernel`` in *both*
-modes: the pure-NumPy fallback literally runs the DGEMM sweeps, and the
-numba-jitted path runs operand-identical DGEMMs with scatters accumulated
-in ``_segment_sum``'s left-to-right order.  Everything here therefore
-asserts exact equality (``np.array_equal``), never closeness, regardless of
-whether numba is importable in this environment (``HAVE_NUMBA``).
+The numba gather/scatter lane is gone (it only ever ran its NumPy fallback,
+which was the DGEMM sweeps); ``"compiled"`` stays a registry alias of
+``DgemmKernel`` so solvers, ``ParallelSigma`` and job specs that carry the
+name keep working and keep producing the DGEMM kernel's sigma bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import FCISolver
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    CompiledKernel,
-    DgemmKernel,
-    kernel_names,
-    make_kernel,
-    sigma_sweeps,
-)
+from repro.core.kernels import DgemmKernel, kernel_names, make_kernel
 from repro.core.plans import SigmaPlan
 from repro.parallel import ParallelSigma
 from repro.service.jobs import JobSpec
@@ -38,15 +29,7 @@ class TestRegistry:
     def test_compiled_is_registered(self):
         assert "compiled" in kernel_names()
         plan = SigmaPlan.for_problem(make_random_problem(4, 2, 1, seed=3))
-        kern = make_kernel("compiled", plan)
-        assert isinstance(kern, CompiledKernel)
-        assert kern.name == "compiled"
-        assert kern.jitted is HAVE_NUMBA
-
-    def test_sigma_sweeps_dispatch(self):
-        assert sigma_sweeps("dgemm") != sigma_sweeps("compiled")
-        with pytest.raises(ValueError, match="moc"):
-            sigma_sweeps("moc")
+        assert type(make_kernel("compiled", plan)) is DgemmKernel
 
     def test_solver_accepts_kernel_alias(self, h2):
         solver = FCISolver(h2, "sto-3g", kernel="compiled")
@@ -68,7 +51,7 @@ class TestBitwiseAgainstDgemm:
     def test_batch_and_single_vector(self, problem):
         plan = SigmaPlan.for_problem(problem)
         ref = DgemmKernel(plan, block_columns=3)
-        compiled = CompiledKernel(plan, block_columns=3)
+        compiled = make_kernel("compiled", plan, block_columns=3)
         C_stack = stack_of_vectors(problem, 3, seed=101)
         assert np.array_equal(
             compiled.apply_batch(C_stack), ref.apply_batch(C_stack)
@@ -79,10 +62,10 @@ class TestBitwiseAgainstDgemm:
 
     @pytest.mark.parametrize("block_columns", [1, 2, 7])
     def test_every_block_width(self, problem, block_columns):
-        """Narrow and ragged blocks exercise the hoisted-scratch reallocation."""
+        """Narrow and ragged blocks exercise the reused scratch."""
         plan = SigmaPlan.for_problem(problem)
         ref = DgemmKernel(plan, block_columns=block_columns)
-        compiled = CompiledKernel(plan, block_columns=block_columns)
+        compiled = make_kernel("compiled", plan, block_columns=block_columns)
         C_stack = stack_of_vectors(problem, 2, seed=202)
         assert np.array_equal(
             compiled.apply_batch(C_stack), ref.apply_batch(C_stack)
@@ -91,7 +74,7 @@ class TestBitwiseAgainstDgemm:
     def test_counters_match_dgemm(self, problem):
         plan = SigmaPlan.for_problem(problem)
         ref = DgemmKernel(plan, block_columns=3)
-        compiled = CompiledKernel(plan, block_columns=3)
+        compiled = make_kernel("compiled", plan, block_columns=3)
         C_stack = stack_of_vectors(problem, 2, seed=303)
         c_ref, c_new = ref.make_counters(), compiled.make_counters()
         ref.apply_batch(C_stack, c_ref)
@@ -109,14 +92,13 @@ class TestSolverIntegration:
         assert np.array_equal(res.vector, ref.vector)
 
     def test_shm_backend_with_compiled_kernel_bitwise(self, problem):
-        """rankwork's compiled sweeps stay bitwise-equal to serial dgemm."""
+        """ParallelSigma accepts the name; its ranks run the one DGEMM sweep."""
         ref = DgemmKernel(SigmaPlan.for_problem(problem), block_columns=3)
         rng = np.random.default_rng(17)
         C = rng.standard_normal(problem.shape)
         with ParallelSigma(
             problem, backend="shm", kernel="compiled", n_workers=2, block_columns=3
         ) as par:
-            assert par.kernel_name == "compiled"
             assert np.array_equal(par(C), ref.apply(C))
 
 

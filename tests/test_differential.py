@@ -55,8 +55,8 @@ EVALUATORS = {
         lambda p: HamiltonianOperator(p, "dgemm", block_columns=BLOCK_COLUMNS),
         "bitwise",
     ),
-    # the compiled kernel's pure-NumPy fallback (and its jitted path, when
-    # numba is importable) must match sigma_dgemm bit for bit
+    # "compiled" is the retired lane's name, kept as an alias of "dgemm":
+    # selecting it, serially or on shm ranks, must give sigma_dgemm bit for bit
     "compiled": (
         lambda p: HamiltonianOperator(p, "compiled", block_columns=BLOCK_COLUMNS),
         "bitwise",

@@ -236,7 +236,11 @@ class TestVectorizedBuilders:
 
 
 class TestLinkIndexTables:
-    """The plan's per-string link views against dense-operator oracles."""
+    """The plan's per-string tables against dense-operator oracles.
+
+    The flat plan arrays hold a constant number of entries per string, so
+    reshaping them gives pyscf's (n_strings, entries) link-index view.
+    """
 
     def _plan(self, n, na, nb, seed=7):
         from tests.helpers import make_random_problem
@@ -244,24 +248,22 @@ class TestLinkIndexTables:
 
         return SigmaPlan.for_problem(make_random_problem(n, na, nb, seed=seed))
 
-    def test_cached_and_zero_copy(self):
-        plan = self._plan(5, 2, 2)
-        links = plan.link_tables
-        assert plan.link_tables is links  # cached
-        # reshape views share memory with the flat plan arrays
-        assert links.same_a.key.base is plan.same_a.key
-        assert links.gather_b.source.base is plan.gather_b.source
-
     @pytest.mark.parametrize("n,na,nb", [(3, 1, 1), (3, 2, 1), (4, 2, 2), (5, 3, 1)])
     def test_singles_link_against_dense_operator(self, n, na, nb):
-        """Row t of the scatter/gather link lists exactly the nonzeros of
-        column blocks of every E_pq with target t (p-shell-sized spaces)."""
+        """Row t of the scatter/gather halves lists exactly the nonzeros of
+        every E_pq with target t (p-shell-sized spaces), each under its
+        packed pair index, which is unique within the row."""
+        from repro.core.plans import pair_index
+
         plan = self._plan(n, na, nb)
-        for link, table in (
-            (plan.link_tables.scatter_a, plan.singles_a),
-            (plan.link_tables.gather_b, plan.singles_b),
+        for half, table in (
+            (plan.scatter_a, plan.singles_a),
+            (plan.gather_b, plan.singles_b),
         ):
             space = table.space
+            rows = (space.size, half.per)
+            assert np.array_equal(half.target.reshape(rows)[:, 0], np.arange(space.size))
+            assert np.array_equal(half.pair, pair_index(half.p, half.q))
             dense = {
                 (p, q): table.as_dense_operator(p, q)
                 for p in range(n)
@@ -269,9 +271,11 @@ class TestLinkIndexTables:
             }
             seen = 0
             for t in range(space.size):
-                for src, pq, sgn in zip(link.source[t], link.pq[t], link.sign[t]):
-                    p, q = int(pq) // n, int(pq) % n
-                    assert dense[(p, q)][t, int(src)] == sgn
+                entries = slice(t * half.per, (t + 1) * half.per)
+                assert np.unique(half.pair[entries]).size == half.per
+                for src, p, q, sgn in zip(half.source[entries], half.p[entries],
+                                          half.q[entries], half.sign[entries]):
+                    assert dense[(int(p), int(q))][t, int(src)] == sgn
                     seen += 1
             # completeness: every nonzero of every E_pq appears exactly once
             assert seen == sum(np.count_nonzero(M) for M in dense.values())
@@ -281,16 +285,18 @@ class TestLinkIndexTables:
         from repro.core.hamiltonian import apply_annihilation
 
         plan = self._plan(n, na, nb)
-        for link, space, splan in (
-            (plan.link_tables.same_a, plan.problem.space_a, plan.same_a),
-            (plan.link_tables.same_b, plan.problem.space_b, plan.same_b),
+        for space, splan in (
+            (plan.problem.space_a, plan.same_a),
+            (plan.problem.space_b, plan.same_b),
         ):
-            if link is None:
+            if splan is None:
                 continue
             NK = splan.n_reduced
             red = StringSpace(n, space.k - 2)
+            rows = (splan.n_strings, splan.pairs_per_string)
+            keys, signs = splan.key.reshape(rows), splan.sign.reshape(rows)
             for j in range(space.size):
-                for key, sgn in zip(link.key[j], link.sign[j]):
+                for key, sgn in zip(keys[j], signs[j]):
                     pair, tgt = int(key) // NK, int(key) % NK
                     # invert pair = q(q-1)/2 + s
                     q = 1

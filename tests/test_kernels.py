@@ -1,5 +1,7 @@
 """The plan/kernel/operator layer: batching, caching, registry, composition."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,19 @@ from repro.core import (
     MocKernel,
     SigmaPlan,
     SpinOperator,
+    build_dense_hamiltonian,
     davidson_multiroot,
     kernel_names,
     make_kernel,
     sigma_dgemm,
     sigma_moc,
 )
+from repro.core.kernels import (
+    column_blocks,
+    mixed_spin_sigma_stack,
+    same_spin_sigma_stack,
+)
+from repro.parallel import ParallelSigma
 from tests.helpers import (
     make_random_problem,
     make_symmetry_problem,
@@ -101,6 +110,124 @@ class TestBatchedCounters:
         assert op.counters.dgemm_calls > 0
 
 
+class TestScratchReuse:
+    """D, E and the scatter buffer are reused across blocks: nothing of one
+    block, vector or call may leak into the next."""
+
+    BLOCK = 4  # nb = 15 -> blocks of 4, 4, 4 and a ragged 3
+
+    def test_repeat_apply_is_bitwise_stable(self, problem):
+        kern = DgemmKernel(SigmaPlan.for_problem(problem), block_columns=self.BLOCK)
+        a, b = problem.random_vector(11), problem.random_vector(12)
+        first = kern.apply(a)
+        kern.apply(b)
+        assert np.array_equal(kern.apply(a), first)
+        # and the narrow sweep agrees with the one-block sweep to rounding
+        wide = DgemmKernel(SigmaPlan.for_problem(problem)).apply(a)
+        assert np.allclose(first, wide, rtol=1e-12, atol=1e-12 * np.abs(wide).max())
+
+    def test_block_subsets_into_out_equal_the_full_sweep(self, problem):
+        """What the shm ranks do: disjoint subsets of the canonical blocks,
+        in any order, written into a caller's buffer."""
+        plan = SigmaPlan.for_problem(problem)
+        stack = stack_of_vectors(problem, 2, seed=21)
+        na, nb = plan.shape
+        blocks = column_blocks(nb, self.BLOCK)
+        assert blocks[-1][1] - blocks[-1][0] < self.BLOCK  # ragged last block
+        # a ragged block ahead of full ones inside one sweep, then the rest
+        subsets = [[blocks[-1], blocks[0]], blocks[1:-1]]
+
+        full = mixed_spin_sigma_stack(plan, stack, self.BLOCK, None)
+        out = np.zeros_like(stack)
+        for subset in subsets:
+            mixed_spin_sigma_stack(
+                plan, stack, self.BLOCK, None, col_blocks=subset, out=out
+            )
+        assert np.array_equal(out, full)
+
+        full = same_spin_sigma_stack(plan.same_a, plan.w_matrix, stack, self.BLOCK, None)
+        out = np.zeros_like(stack)
+        for subset in subsets:
+            same_spin_sigma_stack(
+                plan.same_a, plan.w_matrix, stack, self.BLOCK, None,
+                col_blocks=subset, out=out,
+            )
+        assert np.array_equal(out, full)
+
+    def test_batch_of_three_on_ragged_blocks(self, problem):
+        kern = DgemmKernel(SigmaPlan.for_problem(problem), block_columns=self.BLOCK)
+        C = stack_of_vectors(problem, 3, seed=31)
+        batched, singles = kern.make_counters(), kern.make_counters()
+        batch = kern.apply_batch(C, batched)
+        for i in range(3):
+            assert np.array_equal(batch[i], kern.apply(C[i], singles))
+        assert batched.dgemm_calls * 3 == singles.dgemm_calls
+        assert batched.dgemm_flops == singles.dgemm_flops
+
+
+@contextmanager
+def _sigma_lane(lane, problem, block_columns=3):
+    """C -> sigma through the serial kernel or two shm worker processes."""
+    if lane == "serial":
+        yield DgemmKernel(SigmaPlan.for_problem(problem), block_columns=block_columns).apply
+    else:
+        with ParallelSigma(
+            problem, backend="shm", n_workers=2, block_columns=block_columns
+        ) as par:
+            yield par
+
+
+def _dense_sigma(problem, C):
+    H = build_dense_hamiltonian(problem.mo, problem.space_a, problem.space_b)
+    return (H @ C.ravel()).reshape(problem.shape)
+
+
+def _close(a, b):
+    scale = max(np.abs(b).max(), 1.0)
+    return np.allclose(a, b, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("lane", ["serial", "shm"])
+class TestPhysicalProperties:
+    """Properties of H itself that no single oracle states (ROADMAP 4c)."""
+
+    def test_adjoint(self, lane, problem):
+        x, y = problem.random_vector(41), problem.random_vector(42)
+        with _sigma_lane(lane, problem) as sigma:
+            hx, hy = sigma(x), sigma(y)
+        assert abs(np.vdot(x, hy) - np.vdot(hx, y)) <= 1e-12 * np.linalg.norm(hy)
+
+    def test_spin_exchange_symmetry(self, lane):
+        """n_alpha = n_beta: relabelling the spins transposes C and sigma."""
+        prob = make_random_problem(5, 2, 2, seed=2)
+        C = prob.random_vector(43)
+        with _sigma_lane(lane, prob) as sigma:
+            assert _close(sigma(np.ascontiguousarray(C.T)), sigma(C).T)
+
+    @pytest.mark.parametrize(
+        "space", [(5, 3, 1), (6, 3, 2), (6, 4, 1)], ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b"
+    )
+    def test_open_shell_matches_dense_operator(self, lane, space):
+        prob = make_random_problem(*space, seed=5)
+        C = prob.random_vector(44)
+        with _sigma_lane(lane, prob) as sigma:
+            assert _close(sigma(C), _dense_sigma(prob, C))
+
+    @pytest.mark.parametrize(
+        "space",
+        [(3, 0, 0), (4, 1, 0), (4, 2, 0), (4, 4, 0), (4, 1, 1), (4, 4, 1), (4, 4, 2),
+         (4, 4, 4)],
+        ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b",
+    )
+    def test_empty_single_and_full_spin_shells(self, lane, space):
+        """n_alpha or n_beta in {0, 1, n}: an empty gather half, no same-spin
+        term, one-string axes, the one-determinant space."""
+        prob = make_random_problem(*space, seed=6)
+        C = prob.random_vector(45)
+        with _sigma_lane(lane, prob) as sigma:
+            assert _close(sigma(C), _dense_sigma(prob, C))
+
+
 class TestPlanCaching:
     def test_for_problem_returns_same_object(self, problem):
         assert SigmaPlan.for_problem(problem) is SigmaPlan.for_problem(problem)
@@ -127,6 +254,18 @@ class TestPlanCaching:
         assert plan.default_block_columns(memory_budget_mb=10**6) == 1024
         # batching k vectors shrinks the per-column budget share
         assert plan.default_block_columns(batch=64) <= m
+
+    def test_default_block_is_cache_sized_not_budget_sized(self):
+        """D + E of one block fit ~32 MiB however large the memory budget;
+        the budget (less resident vectors) only ever narrows the block."""
+        plan = SigmaPlan.for_problem(make_random_problem(10, 5, 5, seed=1))
+        na, _ = plan.shape
+        per_column = 2 * 8 * plan.g_matrix.shape[0] * na
+        m = plan.default_block_columns()
+        assert m * per_column <= 32 * 2**20 < (m + 1) * per_column
+        assert plan.default_block_columns(memory_budget_mb=10**6) == m
+        assert plan.default_block_columns(memory_budget_mb=8) < m
+        assert plan.default_block_columns(resident_bytes=250 * 2**20) < m
 
 
 class TestKernelRegistry:

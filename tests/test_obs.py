@@ -250,6 +250,12 @@ class TestFlopAccounting:
             npair, problem.doubles_b.reduced_space.size, na
         )
         assert counters.dgemm_flops == expected
+        # gather/scatter traffic counts table entries x block width, whatever
+        # the layout of the intermediates: pair packing must not move them
+        plan = problem.sigma_plan
+        same = plan.same_a.n_entries * nb + plan.same_b.n_entries * na
+        assert counters.gather_elements == plan.gather_b.n_entries * na + same
+        assert counters.scatter_elements == plan.scatter_a.n_entries * nb + same
 
     def test_telemetry_routes_through_registry(self):
         mo = make_random_mo(5, seed=2)

@@ -466,7 +466,8 @@ class FCISolver:
 
     @staticmethod
     def _close_kernel(sigma_fn: HamiltonianOperator) -> None:
-        """Shut down kernel-owned resources (the shm worker pool)."""
+        """Shut down kernel-owned resources (a real-process parallel
+        backend's worker pool)."""
         close = getattr(sigma_fn.kernel, "close", None)
         if close is not None:
             close()

@@ -36,6 +36,10 @@ Three backends implement the protocol:
   Workers are spawned on loopback or join from other hosts; heartbeats
   make a dead worker a named ``RuntimeError``, not a hang.
 
+The two real-process backends are one :class:`ProcessBackend` around one
+:class:`repro.parallel.engine.RankEngine`; they differ only in the
+transport the engine is bound to.
+
 A :class:`Backend` instance owns whatever long-lived machinery its verbs
 need (the simulated heap/engine, or the worker process pool) and executes
 one parallel sigma evaluation per :meth:`run_sigma` call, returning the
@@ -46,6 +50,7 @@ accounting layer for every backend alike.
 from __future__ import annotations
 
 import abc
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +62,7 @@ __all__ = [
     "Backend",
     "SigmaRun",
     "SimulatedBackend",
+    "ProcessBackend",
     "ShmBackend",
     "SocketsBackend",
     "backend_names",
@@ -99,6 +105,11 @@ class Backend(abc.ABC):
     def close(self) -> None:
         """Release backend resources (processes, shared segments)."""
 
+    def segment_stores(self) -> list:
+        """Transient zero-copy store views of the substrate's live heap
+        arrays, for the residency gauges (none unless a pool is up)."""
+        return []
+
     def describe(self) -> dict:
         """JSON-friendly identity of this substrate (service/bench metadata)."""
         return {"backend": self.name, "n_ranks": self.n_ranks}
@@ -132,6 +143,15 @@ def backend_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def _reject_unknown_options(name: str, options, accepted) -> None:
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise TypeError(
+            f"{name} backend got unknown option(s) {', '.join(unknown)}; "
+            f"accepted options: {', '.join(sorted(accepted))}"
+        )
+
+
 def make_backend(name: str, **options) -> Backend:
     """Construct a registered backend by name, or raise listing the registry."""
     try:
@@ -154,7 +174,8 @@ class SimulatedBackend(Backend):
     attached), which is where the simulated decomposition lives.
     """
 
-    def __init__(self, config: X1Config | None = None, **_ignored):
+    def __init__(self, config: X1Config | None = None, **unknown):
+        _reject_unknown_options("simulated", unknown, ("config",))
         self.config = config if config is not None else X1Config()
 
     @property
@@ -165,85 +186,16 @@ class SimulatedBackend(Backend):
         return owner._run_simulated(C)
 
 
-@register_backend("shm")
-class ShmBackend(Backend):
-    """Real OS processes over POSIX shared memory.
+class ProcessBackend(Backend):
+    """Real OS processes: one :class:`~repro.parallel.engine.RankEngine`.
 
-    Lazily builds a :class:`repro.parallel.shm.ShmSigmaEngine` (spawned
-    worker pool, each loading the pickled plan once with BLAS threads
-    pinned) on first use and keeps it alive across sigma evaluations, so
-    eigensolver iterations pay the spawn cost once.
-    """
-
-    def __init__(
-        self,
-        *,
-        n_workers: int | None = None,
-        blas_threads: int = 1,
-        timeout: float = 300.0,
-        **_ignored,
-    ):
-        import os
-
-        self.n_workers = int(n_workers) if n_workers else min(4, os.cpu_count() or 1)
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.blas_threads = int(blas_threads)
-        self.timeout = float(timeout)
-        self._engine = None
-
-    @property
-    def n_ranks(self) -> int:
-        return self.n_workers
-
-    def engine(self, plan, block_columns: int):
-        if self._engine is None:
-            from .shm.engine import ShmSigmaEngine
-
-            self._engine = ShmSigmaEngine(
-                plan,
-                n_workers=self.n_workers,
-                block_columns=block_columns,
-                blas_threads=self.blas_threads,
-                timeout=self.timeout,
-            )
-        return self._engine
-
-    def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "n_ranks": self.n_ranks,
-            "blas_threads": self.blas_threads,
-        }
-
-    def run_sigma(self, owner, C: np.ndarray) -> SigmaRun:
-        engine = self.engine(owner.plan, owner.block_columns)
-        try:
-            return engine.sigma(C)
-        except Exception:
-            # a failed run closes the engine; drop it so the next call
-            # spins up a fresh pool instead of hitting the closed guard
-            if getattr(engine, "_closed", False):
-                self._engine = None
-            raise
-
-    def close(self) -> None:
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
-
-
-@register_backend("sockets")
-class SocketsBackend(Backend):
-    """Real OS processes behind a TCP coordinator (loopback or multi-node).
-
-    Lazily builds a :class:`repro.parallel.sockets.SocketSigmaEngine` — a
-    coordinator serving the symmetric heap over length-prefixed TCP plus
-    ``n_workers`` spawned (or, with ``spawn="external"``, hand-started)
-    worker processes — on first use and keeps it alive across sigma
-    evaluations.  Extra keyword options (``host``/``port``/``token``/
-    ``spawn``/``heartbeat_interval``/``heartbeat_misses``/
-    ``straggle_seconds``) pass straight through to the engine.
+    Lazily builds the substrate's engine (a spawned worker pool, each
+    worker loading the pickled plan once with BLAS threads pinned) on
+    first use and keeps it alive across sigma evaluations, so eigensolver
+    iterations pay the spawn cost once.  Keyword options beyond the pool
+    shape are the engine's (:meth:`RankEngine.option_names`) and pass
+    straight through to it; anything else is refused here, at
+    construction.
     """
 
     def __init__(
@@ -254,15 +206,23 @@ class SocketsBackend(Backend):
         timeout: float = 300.0,
         **engine_options,
     ):
-        import os
-
         self.n_workers = int(n_workers) if n_workers else min(4, os.cpu_count() or 1)
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.blas_threads = int(blas_threads)
         self.timeout = float(timeout)
+        _reject_unknown_options(
+            self.name,
+            engine_options,
+            ("n_workers", "blas_threads", "timeout", *self.engine_class().option_names()),
+        )
         self.engine_options = dict(engine_options)
         self._engine = None
+
+    @staticmethod
+    @abc.abstractmethod
+    def engine_class() -> type:
+        """The :class:`RankEngine` bound to this substrate's transport."""
 
     @property
     def n_ranks(self) -> int:
@@ -270,9 +230,7 @@ class SocketsBackend(Backend):
 
     def engine(self, plan, block_columns: int):
         if self._engine is None:
-            from .sockets.engine import SocketSigmaEngine
-
-            self._engine = SocketSigmaEngine(
+            self._engine = self.engine_class()(
                 plan,
                 n_workers=self.n_workers,
                 block_columns=block_columns,
@@ -283,23 +241,57 @@ class SocketsBackend(Backend):
         return self._engine
 
     def describe(self) -> dict:
-        return {
-            "backend": self.name,
-            "n_ranks": self.n_ranks,
-            "blas_threads": self.blas_threads,
-            "spawn": self.engine_options.get("spawn", "process"),
-        }
+        return {**super().describe(), "blas_threads": self.blas_threads}
 
     def run_sigma(self, owner, C: np.ndarray) -> SigmaRun:
         engine = self.engine(owner.plan, owner.block_columns)
         try:
             return engine.sigma(C)
         except Exception:
-            if getattr(engine, "_closed", False):
+            # a failed run closes the engine; drop it so the next call
+            # spins up a fresh pool instead of hitting the closed guard
+            if engine._closed:
                 self._engine = None
             raise
+
+    def segment_stores(self) -> list:
+        return self._engine.segment_stores() if self._engine is not None else []
 
     def close(self) -> None:
         if self._engine is not None:
             self._engine.close()
             self._engine = None
+
+
+@register_backend("shm")
+class ShmBackend(ProcessBackend):
+    """Real OS processes over POSIX shared memory
+    (:class:`repro.parallel.shm.ShmSigmaEngine`)."""
+
+    @staticmethod
+    def engine_class() -> type:
+        from .shm import ShmSigmaEngine
+
+        return ShmSigmaEngine
+
+
+@register_backend("sockets")
+class SocketsBackend(ProcessBackend):
+    """Real OS processes behind a TCP coordinator, loopback or multi-node
+    (:class:`repro.parallel.sockets.SocketSigmaEngine`): ``n_workers``
+    spawned or, with ``spawn="external"``, hand-started workers.  Options:
+    ``host``/``port``/``token``/``spawn``/``heartbeat_interval``/
+    ``heartbeat_misses``/``straggle_seconds``.
+    """
+
+    @staticmethod
+    def engine_class() -> type:
+        from .sockets import SocketSigmaEngine
+
+        return SocketSigmaEngine
+
+    def describe(self) -> dict:
+        return {
+            **super().describe(),
+            "spawn": self.engine_options.get("spawn", "process"),
+        }

@@ -187,7 +187,7 @@ class ParallelSigma:
             self.backend = backend
         elif backend == "simulated":
             self.backend = make_backend(
-                "simulated", config=config if config is not None else X1Config()
+                "simulated", config=config, **(backend_options or {})
             )
         else:
             self.backend = make_backend(
@@ -238,8 +238,9 @@ class ParallelSigma:
     ) -> None:
         """Rank ranges, task pool, and gather metadata of the simulated X1.
 
-        The shm backend builds its own (column-block based) decomposition
-        inside :class:`repro.parallel.shm.ShmSigmaEngine`; everything here
+        The real-process backends run the column-block decomposition of
+        :func:`repro.parallel.rankwork.build_sigma_decomposition` (built
+        inside :class:`repro.parallel.engine.RankEngine`); everything here
         belongs to the virtual machine's alpha-row distribution.
         """
         problem = self.problem
@@ -387,21 +388,20 @@ class ParallelSigma:
             account_parallel_report(
                 self.telemetry.registry, one, self.backend.n_ranks
             )
-            engine = getattr(self.backend, "_engine", None)
-            if engine is not None:
+            segments = self.backend.segment_stores()
+            if segments:
                 # real-process path: residency of the backend's segments
                 # (POSIX shm, or the TCP coordinator's heap), reported
                 # through transient DenseStore views (same gauge schema as
                 # the solvers' store metrics)
                 publish_store_metrics(
-                    self.telemetry.registry,
-                    engine.segment_stores(),
-                    prefix="parallel.segments",
+                    self.telemetry.registry, segments, prefix="parallel.segments"
                 )
         return run.sigma
 
     def close(self) -> None:
-        """Release backend resources (the shm worker pool; simulated: no-op)."""
+        """Release backend resources (a real-process backend's worker pool
+        and heap; simulated: no-op)."""
         self.backend.close()
 
     def __enter__(self):

@@ -13,17 +13,26 @@ it, and the parent's left-to-right reduction of the four owned outputs
 accumulation order — which together make the result bitwise-identical to
 ``sigma_dgemm`` for any worker count.
 
-This module is that shared decomposition and per-rank program in one
-place, so a new substrate (sockets today, MPI tomorrow) cannot drift from
-the bitwise contract by re-implementing it: the substrate only decides
-*where* the output arrays live (shared-memory segments for ``shm``, local
-buffers shipped over TCP for ``sockets``) and *how* tasks are claimed
-(the backend's ``fetch_add`` verb).
+This module is that shared decomposition, the per-rank program and the
+worker process that serves it (:func:`worker_main`) in one place, so a
+new substrate (sockets today, MPI tomorrow) cannot drift from the bitwise
+contract by re-implementing it: the substrate's comm only decides *where*
+the output arrays live (``live_windows``: shared-memory segments written
+in place for ``shm``; otherwise local buffers whose owned windows are
+shipped with ``acc`` and fenced with ``quiet`` for ``sockets``) and *how*
+tasks are claimed (its ``fetch_add`` verb).  The parent side of the same
+conversation is :class:`repro.parallel.engine.RankEngine`.
+
+BLAS threading is pinned per worker (env vars set by the engine before
+spawn; :mod:`threadpoolctl` tightened here when available) so P workers
+don't oversubscribe P*threads cores.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +46,16 @@ from ..core.kernels import (
     same_spin_sigma_stack,
 )
 from ..core.plans import SigmaPlan
+from ..x1.engine import RankStats
 from .taskpool import build_task_pool
 
-__all__ = ["SigmaDecomposition", "build_sigma_decomposition", "run_rank_sigma"]
+__all__ = [
+    "SigmaDecomposition",
+    "build_sigma_decomposition",
+    "heap_arrays",
+    "run_rank_sigma",
+    "worker_main",
+]
 
 
 @dataclass(frozen=True)
@@ -47,26 +63,37 @@ class SigmaDecomposition:
     """How one sigma evaluation is carved across worker ranks.
 
     ``aa_blocks``/``bb_blocks`` are the serial kernel's canonical column
-    blocks over the beta/alpha axes (round-robined across ranks);
-    ``tasks`` are (start, stop) spans of ``aa_blocks`` indices claimed
-    dynamically through ``fetch_add`` for the mixed-spin term.
+    blocks (``block_columns`` wide) over the beta/alpha axes, round-robined
+    across the ``n_workers`` ranks; ``tasks`` are (start, stop) spans of
+    ``aa_blocks`` indices claimed dynamically through ``fetch_add`` for the
+    mixed-spin term.
     """
 
+    n_workers: int
+    block_columns: int
     aa_blocks: list[tuple[int, int]]
     bb_blocks: list[tuple[int, int]]
     tasks: list[tuple[int, int]]
 
-    def owned_aa_blocks(self, rank: int, n_workers: int) -> list[tuple[int, int]]:
-        return self.aa_blocks[rank::n_workers]
+    def owned_aa_blocks(self, rank: int) -> list[tuple[int, int]]:
+        return self.aa_blocks[rank :: self.n_workers]
 
-    def owned_bb_blocks(self, rank: int, n_workers: int) -> list[tuple[int, int]]:
-        return self.bb_blocks[rank::n_workers]
+    def owned_bb_blocks(self, rank: int) -> list[tuple[int, int]]:
+        return self.bb_blocks[rank :: self.n_workers]
 
     def task_column_span(self, tid: int) -> tuple[int, int]:
         """The contiguous beta-column range task ``tid`` writes (its owned
         window of the ``mix`` output)."""
         blo, bhi = self.tasks[tid]
         return self.aa_blocks[blo][0], self.aa_blocks[bhi - 1][1]
+
+
+def heap_arrays(plan: SigmaPlan) -> dict[str, tuple[int, int]]:
+    """The symmetric heap of one sigma evaluation: ``C`` in, and one output
+    array per phase for the ranks' disjoint owned windows."""
+    na, nb = plan.shape
+    # beta-beta works on the transposed matrix
+    return {"C": (na, nb), "one": (na, nb), "aa": (na, nb), "bb": (nb, na), "mix": (na, nb)}
 
 
 def build_sigma_decomposition(
@@ -89,7 +116,9 @@ def build_sigma_decomposition(
         n_large_per_proc=1,
         n_small_per_proc=2,
     )
-    return SigmaDecomposition(aa_blocks, bb_blocks, [(t.start, t.stop) for t in tasks])
+    return SigmaDecomposition(
+        n_workers, block_columns, aa_blocks, bb_blocks, [(t.start, t.stop) for t in tasks]
+    )
 
 
 def run_rank_sigma(
@@ -98,17 +127,13 @@ def run_rank_sigma(
     C_stack: np.ndarray,
     outs: dict[str, np.ndarray],
     fetch_add,
+    decomposition: SigmaDecomposition,
     *,
-    block_columns: int,
-    n_workers: int,
-    aa_blocks: list[tuple[int, int]],
-    bb_blocks: list[tuple[int, int]],
-    tasks: list[tuple[int, int]],
     counters: SigmaCounters,
     phase_times: dict[str, float],
     per_task_seconds: float = 0.0,
-) -> tuple[int, list[int]]:
-    """Execute one rank's share of a sigma evaluation, in place.
+) -> list[int]:
+    """Execute one rank's share of ``decomposition``, in place.
 
     ``outs`` maps ``one``/``aa``/``mix`` to (na, nb) arrays and ``bb`` to
     an (nb, na) array (beta-beta works on the transposed matrix); each
@@ -118,9 +143,10 @@ def run_rank_sigma(
     sleep inside every claimed mixed-spin task that widens the span window
     so fault tests can reliably kill a worker *mid-span*.
 
-    Returns ``(n_tasks_done, claimed_task_ids)``.
+    Returns the ids of the mixed-spin tasks this rank claimed.
     """
-    bc = block_columns
+    bc = decomposition.block_columns
+    aa_blocks, tasks = decomposition.aa_blocks, decomposition.tasks
     na, nb = plan.shape
 
     # one-electron alpha + beta: rank 0, exactly the serial prologue
@@ -136,7 +162,7 @@ def run_rank_sigma(
 
     # alpha-alpha doubles: this rank's round-robin share of the beta-axis
     # column blocks, stored into disjoint owned windows of `aa`
-    my_aa = aa_blocks[rank::n_workers]
+    my_aa = decomposition.owned_aa_blocks(rank)
     if plan.same_a is not None and my_aa:
         t0 = time.perf_counter()
         same_spin_sigma_stack(
@@ -152,7 +178,7 @@ def run_rank_sigma(
 
     # beta-beta doubles on the transposed stack (paper Fig. 2a), blocks
     # over the alpha axis
-    my_bb = bb_blocks[rank::n_workers]
+    my_bb = decomposition.owned_bb_blocks(rank)
     if plan.same_b is not None and my_bb:
         t0 = time.perf_counter()
         rows_stack = np.ascontiguousarray(C_stack.transpose(0, 2, 1))
@@ -188,4 +214,165 @@ def run_rank_sigma(
         )
         claimed.append(tid)
     phase_times["alpha-beta"] = time.perf_counter() - t0
-    return len(claimed), claimed
+    return claimed
+
+
+# -- the worker process -------------------------------------------------------
+
+
+def _pin_blas_threads(n: int):
+    """Best-effort runtime cap on BLAS pool size (env vars already set).
+
+    Returns the threadpoolctl limiter (kept alive for the process
+    lifetime) or None when threadpoolctl isn't installed — the env-var
+    pinning the engine applied before spawn still holds either way.
+    """
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        return None
+    try:
+        return threadpool_limits(limits=n)
+    except Exception:
+        return None
+
+
+def _run_sigma(rank: int, comm, payload: dict) -> RankStats:
+    """One sigma evaluation on this rank; returns its wall-clock stats."""
+    plan = payload["plan"]
+    decomp: SigmaDecomposition = payload["decomposition"]
+
+    counters = SigmaCounters()
+    phase_times: dict[str, float] = {}
+    t_start = time.perf_counter()
+
+    # shm: a zero-copy (1, na, nb) window; sockets: one framed fetch of the
+    # whole coefficient matrix (the "replicated C" a remote rank cannot
+    # window into for free the way shared memory can)
+    C_stack = comm.get("C")[None]
+
+    shapes = {n: shape for n, shape in heap_arrays(plan).items() if n != "C"}
+    if comm.live_windows:
+        # outputs are the shared segments themselves: every phase writes
+        # only this rank's disjoint owned windows, in place
+        outs = {name: comm.get(name) for name in shapes}
+    else:
+        # local zeroed buffers standing in for the owned segments
+        outs = {name: np.zeros(shape) for name, shape in shapes.items()}
+
+    claimed = run_rank_sigma(
+        rank,
+        plan,
+        C_stack,
+        outs,
+        comm.fetch_add,
+        decomp,
+        counters=counters,
+        phase_times=phase_times,
+        per_task_seconds=payload["straggle_seconds"],
+    )
+
+    if comm.live_windows:
+        comm.quiet()  # all owned-segment stores complete before we report done
+        # no wire: the traffic is what the kernels moved through the windows
+        sent, received = 8 * counters.scatter_elements, 8 * counters.gather_elements
+    else:
+        # ship the owned windows: acc into segments the parent zeroed, which
+        # is a store (0.0 + x) element-for-element because the windows are
+        # disjoint — then fence with quiet before reporting done
+        t0 = time.perf_counter()
+        rows = slice(None)
+        if rank == 0:
+            comm.acc("one", (rows, rows), outs["one"])
+        if plan.same_a is not None:
+            for lo, hi in decomp.owned_aa_blocks(rank):
+                comm.acc("aa", (rows, slice(lo, hi)), outs["aa"][:, lo:hi])
+        if plan.same_b is not None:
+            for lo, hi in decomp.owned_bb_blocks(rank):
+                comm.acc("bb", (rows, slice(lo, hi)), outs["bb"][:, lo:hi])
+        for tid in claimed:
+            lo, hi = decomp.task_column_span(tid)
+            comm.acc("mix", (rows, slice(lo, hi)), outs["mix"][:, lo:hi])
+        comm.quiet()
+        phase_times["wire-ship"] = time.perf_counter() - t0
+        sent, received = comm.tx_bytes, comm.rx_bytes  # actual wire bytes
+
+    busy = time.perf_counter() - t_start
+    return RankStats(
+        compute=busy,
+        bytes_sent=float(sent),
+        bytes_received=float(received),
+        flops=float(counters.dgemm_flops),
+        finish_time=busy,
+        phase_times=phase_times,
+    )
+
+
+def worker_main(rank: int | None, link, payload: dict | None) -> None:
+    """Entry point of one worker rank: join, handshake, serve sigma requests.
+
+    ``link`` is the transport's picklable worker-side handle:
+    ``open_ctrl(rank)`` returns this rank's number (the coordinator assigns
+    one to an external joiner) and its control endpoint, ``open_comm(rank)``
+    its five-verb comm, and ``lost`` are the exceptions a vanished engine
+    raises on the endpoint.  ``payload`` is None for a worker started by
+    hand, which receives it over the control endpoint.
+
+    Control protocol (engine -> worker): ``("sigma", seq)`` evaluate one
+    sigma; ``("stop",)`` exit; ``("plan", payload)`` delivers the payload
+    to a worker that joined without one.  Worker -> engine: ``("ready",
+    rank, has_payload)`` once endpoint and comm are up, ``("hb", rank)``
+    heartbeats, then ``("done", seq, stats)`` or ``("error", seq,
+    traceback_text)``; ``("fatal", rank, traceback_text)`` before dying.
+    """
+    ctrl = comm = None
+    stop_hb = threading.Event()
+    try:
+        rank, ctrl = link.open_ctrl(rank)
+        comm = link.open_comm(rank)
+        ctrl.send(("ready", rank, payload is not None))
+        if payload is None:
+            msg = ctrl.recv()
+            if msg[0] != "plan":
+                raise RuntimeError(f"expected plan delivery, got {msg[0]!r}")
+            payload = msg[1]
+        limiter = _pin_blas_threads(payload["blas_threads"])  # noqa: F841
+
+        def _heartbeat():
+            # how the engine tells a long DGEMM from a dead process
+            while not stop_hb.wait(payload["heartbeat_interval"]):
+                try:
+                    ctrl.send(("hb", rank))
+                except link.lost:
+                    return
+
+        if payload["heartbeat_interval"] is not None:
+            threading.Thread(
+                target=_heartbeat, name="repro-rank-hb", daemon=True
+            ).start()
+        comm.barrier(payload["timeout"])
+        while True:
+            try:
+                msg = ctrl.recv()
+            except link.lost:
+                break
+            if msg[0] == "stop":
+                break
+            if msg[0] == "sigma":
+                seq = msg[1]
+                try:
+                    ctrl.send(("done", seq, _run_sigma(rank, comm, payload)))
+                except Exception:
+                    ctrl.send(("error", seq, traceback.format_exc()))
+    except Exception:
+        if ctrl is not None:
+            try:
+                ctrl.send(("fatal", rank, traceback.format_exc()))
+            except Exception:
+                pass
+    finally:
+        stop_hb.set()
+        if comm is not None:
+            comm.close()
+        if ctrl is not None:
+            ctrl.close()

@@ -56,73 +56,60 @@ class ShmCommSpec:
 class ShmComm:
     """The five one-sided verbs over named shared-memory float64 arrays."""
 
+    # get() hands out the parent's memory itself: a rank stores its owned
+    # windows in place and nothing has to be shipped
+    live_windows = True
+
     def __init__(self, ctx, arrays: dict[str, tuple[int, ...]], n_ranks: int):
         """Parent-side constructor: creates segments and sync primitives."""
-        self._owner = True
-        self.n_ranks = int(n_ranks)
         uid = f"{os.getpid():x}-{os.urandom(4).hex()}"
-        self._counter = ctx.Value("q", 0)
-        self._lock = ctx.Lock()
-        # all worker ranks + the parent rendezvous here
-        self._barrier = ctx.Barrier(self.n_ranks + 1)
-        self._shapes = dict(arrays)
-        self._names: dict[str, str] = {}
-        self._shms: dict[str, shared_memory.SharedMemory] = {}
-        self._views: dict[str, np.ndarray] = {}
-        try:
-            for name, shape in arrays.items():
-                os_name = f"repro-{uid}-{name}"
-                nbytes = int(np.prod(shape)) * 8
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(nbytes, 8), name=os_name
-                )
-                self._shms[name] = shm
-                self._names[name] = os_name
-                view = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
-                view[...] = 0.0
-                self._views[name] = view
-        except BaseException:
-            self.close()
-            raise
+        spec = ShmCommSpec(
+            segments=dict(arrays),
+            names={name: f"repro-{uid}-{name}" for name in arrays},
+            n_ranks=int(n_ranks),
+            counter=ctx.Value("q", 0),
+            lock=ctx.Lock(),
+            # all worker ranks + the parent rendezvous here
+            barrier=ctx.Barrier(int(n_ranks) + 1),
+        )
+        self._map(spec, owner=True)
 
     @classmethod
     def attach(cls, spec: ShmCommSpec) -> "ShmComm":
         """Worker-side constructor: map the parent's segments by name."""
         self = cls.__new__(cls)
-        self._owner = False
+        self._map(spec, owner=False)
+        return self
+
+    def _map(self, spec: ShmCommSpec, owner: bool) -> None:
+        self._spec = spec
+        self._owner = owner
         self.n_ranks = spec.n_ranks
         self._counter = spec.counter
         self._lock = spec.lock
         self._barrier = spec.barrier
-        self._shapes = dict(spec.segments)
-        self._names = dict(spec.names)
-        self._shms = {}
-        self._views = {}
+        self._shms: dict[str, shared_memory.SharedMemory] = {}
+        self._views: dict[str, np.ndarray] = {}
         try:
             for name, shape in spec.segments.items():
-                shm = shared_memory.SharedMemory(name=spec.names[name])
-                self._shms[name] = shm
-                self._views[name] = np.ndarray(
-                    shape, dtype=np.float64, buffer=shm.buf
+                nbytes = max(int(np.prod(shape)) * 8, 8)
+                shm = shared_memory.SharedMemory(
+                    name=spec.names[name], create=owner, size=nbytes if owner else 0
                 )
+                self._shms[name] = shm
+                self._views[name] = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
+                if owner:
+                    self._views[name][...] = 0.0
         except BaseException:
-            # a worker dying between attaching segment 1 and segment N must
-            # not leave the earlier mappings open (they pin /dev/shm space
-            # and, through the resource tracker, can outlive the parent)
+            # dying between mapping segment 1 and segment N must not leave
+            # the earlier mappings open (they pin /dev/shm space and,
+            # through the resource tracker, can outlive the parent)
             self.close()
             raise
-        return self
 
     def spec(self) -> ShmCommSpec:
         """The picklable attach handle to pass to spawned workers."""
-        return ShmCommSpec(
-            segments=dict(self._shapes),
-            names=dict(self._names),
-            n_ranks=self.n_ranks,
-            counter=self._counter,
-            lock=self._lock,
-            barrier=self._barrier,
-        )
+        return self._spec
 
     # -- the five verbs -------------------------------------------------------
     def get(self, name: str, window=None) -> np.ndarray:

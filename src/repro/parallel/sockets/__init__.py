@@ -8,17 +8,18 @@ commodity sockets.  A :class:`~repro.parallel.sockets.coordinator
 messages to workers that are spawned on loopback today and can join from
 other hosts tomorrow (``python -m repro.parallel.sockets.worker``).
 
-:class:`~repro.parallel.sockets.engine.SocketSigmaEngine` runs the same
-per-rank sigma program as the shm backend
+:class:`~repro.parallel.sockets.transport.SocketSigmaEngine` is the one
+:class:`~repro.parallel.engine.RankEngine` bound to this transport: the
+same per-rank sigma program as the shm backend
 (:mod:`repro.parallel.rankwork`), so sigma stays bitwise-identical to the
-serial kernel for any worker count; it adds heartbeat-based dead-worker
-detection so a killed worker yields a diagnostic ``RuntimeError`` naming
-the rank, never a hang.
+serial kernel for any worker count, with worker heartbeats feeding the
+engine's dead-rank detection so a killed worker yields a diagnostic
+``RuntimeError`` naming the rank, never a hang.
 """
 
 from .comm import SocketComm
 from .coordinator import LIVE_COORDINATORS, Coordinator, SocketCommSpec
-from .engine import SocketSigmaEngine
+from .transport import SocketSigmaEngine
 from .wire import Channel, WireClosed, WireError, WireTimeout, connect_with_retry
 
 __all__ = [

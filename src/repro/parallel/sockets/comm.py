@@ -22,11 +22,31 @@ import numpy as np
 from .coordinator import SocketCommSpec
 from .wire import Channel, WireError, connect_with_retry
 
-__all__ = ["SocketComm"]
+__all__ = ["SocketComm", "dial"]
+
+
+def dial(spec: SocketCommSpec, kind: str, rank: int | None) -> tuple[int, Channel]:
+    """Open one authenticated ``"data"`` or ``"ctrl"`` channel to the
+    coordinator; returns the rank it answered with (``rank=None`` takes
+    the next free one — external workers) and the channel."""
+    ch = connect_with_retry(spec.host, spec.port, timeout=spec.timeout)
+    try:
+        ch.send(("hello", kind, rank, spec.token))
+        reply = ch.recv(timeout=spec.timeout)
+        if reply[0] != "ok":
+            raise WireError(f"coordinator refused {kind} channel: {reply[1:]}")
+    except BaseException:
+        ch.close()
+        raise
+    return reply[1], ch
 
 
 class SocketComm:
     """The five one-sided verbs, spoken over a framed TCP channel."""
+
+    # get() returns a copy: a rank computes locally and ships its owned
+    # windows with acc + quiet
+    live_windows = False
 
     def __init__(self, channel: Channel, rank: int, spec: SocketCommSpec):
         self.channel = channel
@@ -36,15 +56,9 @@ class SocketComm:
 
     @classmethod
     def connect(cls, spec: SocketCommSpec, rank: int | None = None) -> "SocketComm":
-        """Dial the coordinator's data port; ``rank=None`` lets the
-        coordinator assign the next free rank (external workers)."""
-        ch = connect_with_retry(spec.host, spec.port, timeout=spec.timeout)
-        ch.send(("hello", "data", rank, spec.token))
-        reply = ch.recv(timeout=spec.timeout)
-        if reply[0] != "ok":
-            ch.close()
-            raise WireError(f"coordinator refused data channel: {reply[1:]}")
-        return cls(ch, reply[1], spec)
+        """Dial the coordinator's data channel (see :func:`dial`)."""
+        rank, ch = dial(spec, "data", rank)
+        return cls(ch, rank, spec)
 
     def _request(self, msg, timeout: float | None = None):
         self.channel.send(msg)

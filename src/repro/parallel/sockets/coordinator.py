@@ -56,7 +56,6 @@ class SocketCommSpec:
     token: str
     n_ranks: int
     timeout: float
-    heartbeat_interval: float = 0.25
 
 
 class Coordinator:
@@ -71,11 +70,9 @@ class Coordinator:
         port: int = 0,
         token: str | None = None,
         timeout: float = 300.0,
-        heartbeat_interval: float = 0.25,
     ):
         self.n_ranks = int(n_ranks)
         self.timeout = float(timeout)
-        self.heartbeat_interval = float(heartbeat_interval)
         self.token = token if token else os.urandom(8).hex()
         self._arrays = {
             name: np.zeros(shape, dtype=np.float64) for name, shape in arrays.items()
@@ -108,7 +105,6 @@ class Coordinator:
             token=self.token,
             n_ranks=self.n_ranks,
             timeout=self.timeout,
-            heartbeat_interval=self.heartbeat_interval,
         )
 
     def _accept_loop(self) -> None:
@@ -168,10 +164,6 @@ class Coordinator:
                 self._reg.wait(timeout=min(remaining, 0.2))
             return dict(self._ctrl)
 
-    def ctrl_channels(self) -> dict[int, Channel]:
-        with self._reg:
-            return dict(self._ctrl)
-
     # -- the verb server -------------------------------------------------------
     def _serve_data(self, rank: int, ch: Channel) -> None:
         try:
@@ -181,12 +173,7 @@ class Coordinator:
                 if op == "acc":
                     # one-sided: no reply; failures surface at the next quiet
                     try:
-                        _, name, window, values = msg
-                        with self._acc_lock:
-                            if window is None:
-                                self._arrays[name] += values
-                            else:
-                                self._arrays[name][window] += values
+                        self.acc(*msg[1:])
                     except Exception:
                         self._acc_errors.setdefault(rank, []).append(
                             traceback.format_exc()
@@ -200,13 +187,10 @@ class Coordinator:
                     except Exception as exc:
                         ch.send(("err", f"get({name!r}, {window!r}): {exc!r}"))
                 elif op == "fetch_add":
-                    with self._counter_lock:
-                        old = self._counter
-                        self._counter = old + msg[1]
-                    ch.send(("ok", old))
+                    ch.send(("ok", self.fetch_add(msg[1])))
                 elif op == "barrier":
                     try:
-                        self._barrier.wait(msg[1] if msg[1] else self.timeout)
+                        self.barrier(msg[1])
                         ch.send(("ok",))
                     except threading.BrokenBarrierError:
                         ch.send(("err", "barrier broken or timed out"))
@@ -233,10 +217,8 @@ class Coordinator:
 
     def acc(self, name: str, window, values) -> None:
         with self._acc_lock:
-            if window is None:
-                self._arrays[name] += values
-            else:
-                self._arrays[name][window] += values
+            # window=None indexes a (1, ...) view of the whole array
+            self._arrays[name][window] += values
 
     def fetch_add(self, n: int = 1) -> int:
         with self._counter_lock:

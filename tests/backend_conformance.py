@@ -15,6 +15,11 @@ surface) plus client endpoints opened from worker threads the way real
 worker processes would open them (``ShmComm.attach`` /
 ``SocketComm.connect``).
 
+The engine lanes drive a whole pool through ``ParallelSigma``: the stats
+schema, close/closed errors, option validation, and the fault lane
+(SIGKILL a worker mid-span, then respawn) — one lifecycle, so one set of
+tests, whatever the transport.
+
 Leak checking: :func:`leak_snapshot` / :func:`assert_no_new_leaks`
 capture the visible residue a backend can leave behind — ``/dev/shm``
 segments and live TCP coordinators — and are asserted around every
@@ -26,14 +31,17 @@ from __future__ import annotations
 import glob
 import multiprocessing as mp
 import os
+import signal
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.chaos import ChaosEnv, build_backend_plan
 from repro.core import sigma_dgemm
-from repro.parallel import ParallelSigma, build_sigma_decomposition
+from repro.parallel import ParallelSigma, build_sigma_decomposition, make_backend
 from repro.parallel.shm.comm import ShmComm
 from repro.parallel.sockets import Coordinator, SocketComm
 from repro.parallel.sockets.coordinator import LIVE_COORDINATORS
@@ -111,6 +119,8 @@ class ShmAdapter:
     """POSIX shared memory: clients attach the parent's named segments."""
 
     name = "shm"
+    kill_scenario = "shm_worker_kill"
+    extra_phases = ()
 
     def open_group(self, arrays: dict, n_clients: int = 0) -> VerbGroup:
         ctx = mp.get_context("spawn")
@@ -123,6 +133,8 @@ class SocketsAdapter:
     """TCP coordinator: clients dial the heap server's data port."""
 
     name = "sockets"
+    kill_scenario = "socket_worker_kill"
+    extra_phases = ("wire-ship",)  # owned windows travel: acc + quiet
 
     def open_group(self, arrays: dict, n_clients: int = 0) -> VerbGroup:
         co = Coordinator(arrays, n_ranks=n_clients)
@@ -311,3 +323,77 @@ class BackendConformanceSuite:
             )
             # and stable across repeated evaluations on the same pool
             assert np.array_equal(ps(C), ref)
+
+    # ---- the engine lanes: one lifecycle, every transport ---------------------
+    def test_stats_one_entry_per_rank_with_phase_keys(self, adapter):
+        problem = make_random_problem(5, 3, 2, seed=41)
+        with ParallelSigma(
+            problem, backend=adapter.name, n_workers=2, block_columns=BLOCK_COLUMNS
+        ) as ps:
+            run = ps.backend.run_sigma(ps, problem.random_vector(0))
+        assert len(run.stats) == 2
+        # rank 0 runs the serial prologue on top of its share of every phase
+        for phase in ("one-electron", "alpha-alpha", "beta-beta", "alpha-beta"):
+            assert phase in run.stats[0].phase_times
+        for stats in run.stats:
+            for phase in ("alpha-beta", *adapter.extra_phases):
+                assert phase in stats.phase_times
+            assert stats.bytes_sent > 0 and stats.bytes_received > 0
+            assert stats.flops > 0 and stats.finish_time > 0
+
+    def test_sigma_after_close_is_a_named_error(self, adapter):
+        problem = make_random_problem(5, 2, 2, seed=29)
+        ps = ParallelSigma(problem, backend=adapter.name, n_workers=1)
+        engine = ps.backend.engine(ps.plan, ps.block_columns)
+        ps.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.sigma(problem.random_vector(0))
+
+    def test_unknown_backend_option_rejected_at_construction(self, adapter):
+        # names the stray option and lists what it could have been
+        with pytest.raises(TypeError, match="hartbeat_interval.*straggle_seconds"):
+            make_backend(adapter.name, n_workers=1, hartbeat_interval=1)
+
+    def test_sigkill_mid_span_names_the_rank_within_deadline(self, adapter):
+        problem = make_random_problem(5, 3, 2, seed=41)
+        plan = build_backend_plan([adapter.kill_scenario], ChaosEnv(n_ranks=2), seed=11)
+        assert plan["backend"] == adapter.name
+        victim_rank = plan["kill_rank"] % 2
+        deadline = 30.0
+        with ParallelSigma(
+            problem,
+            backend=adapter.name,
+            n_workers=2,
+            block_columns=BLOCK_COLUMNS,
+            shm_timeout=60.0,
+            # straggle widens every claimed span so the kill lands mid-span
+            backend_options={"straggle_seconds": 0.3},
+        ) as ps:
+            ps(problem.random_vector(0))  # warm pool, workers proven healthy
+            procs = ps.backend._engine._procs
+            with ThreadPoolExecutor(1) as pool:
+                future = pool.submit(ps, problem.random_vector(1))
+                time.sleep(0.15)  # inside the first straggled span
+                os.kill(procs[victim_rank].pid, signal.SIGKILL)
+                t0 = time.monotonic()
+                with pytest.raises(RuntimeError, match=f"worker {victim_rank}"):
+                    future.result(timeout=deadline)
+                assert time.monotonic() - t0 < deadline, (
+                    "dead-worker detection exceeded the deadline"
+                )
+
+    def test_backend_respawns_after_a_kill_to_bitwise_equal_sigma(self, adapter):
+        problem = make_random_problem(5, 3, 2, seed=41)
+        C = problem.random_vector(2)
+        ref = sigma_dgemm(problem, C, block_columns=BLOCK_COLUMNS)
+        with ParallelSigma(
+            problem, backend=adapter.name, n_workers=2, block_columns=BLOCK_COLUMNS
+        ) as ps:
+            ps(C)
+            victim = ps.backend._engine._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+            with pytest.raises(RuntimeError, match="worker 1"):
+                ps(C)
+            assert ps.backend._engine is None  # the closed engine was dropped
+            assert np.array_equal(ps(C), ref)  # fresh pool, same bits

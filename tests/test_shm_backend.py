@@ -101,6 +101,10 @@ class TestBackendRegistry:
         with pytest.raises(ValueError, match="simulated"):
             make_backend("mpi")
 
+    def test_simulated_rejects_unknown_option(self):
+        with pytest.raises(TypeError, match="n_workers.*config"):
+            make_backend("simulated", n_workers=2)
+
     def test_shm_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="n_workers"):
             ShmBackend(n_workers=-1)

@@ -26,11 +26,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .checkpoint import Checkpointer, CheckpointState
-from .guards import DEFAULT_DIVERGENCE_THRESHOLD, IterateGuard
+from .checkpoint import Checkpointer
+from .guards import DEFAULT_DIVERGENCE_THRESHOLD
 from .model_space import DiagonalPreconditioner
-from .olsen import SolveResult, olsen_correction
+from .olsen import SolveResult, single_vector_solve
 from .operator import SigmaFn
+from .session import SolveSession
 
 __all__ = ["auto_adjusted_solve"]
 
@@ -69,6 +70,70 @@ def _optimal_step(
     return float(vec[1] / vec[0])
 
 
+class AutoStep:
+    """The eq. 14-15 step rule (see :class:`repro.core.olsen.ConstantStep`).
+
+    ``prev`` (the previous iteration's energy, <C|H|t>, <t|t>, lambda, S^2)
+    and ``lam`` are the method's whole restart state beside C.  Ill-conditioned
+    2x2 solves fall back to a plain Olsen step (lambda = 1), counted under
+    ``faults.recovered.lambda_fallback``.
+    """
+
+    label = "auto"
+
+    def __init__(self, max_step: float, telemetry=None):
+        self.max_step = max_step
+        self.telemetry = telemetry
+
+    def load(self, meta: dict) -> float:
+        self.prev: dict | None = meta.get("prev")
+        self.lam = meta.get("lambda", 1.0)
+        return np.inf if self.prev is None else self.prev["energy"]
+
+    def meta(self, energy: float) -> dict:
+        return {"prev": self.prev, "lambda": self.lam}
+
+    def _on_fallback(self, reason: str) -> None:
+        if self.telemetry:
+            self.telemetry.registry.counter("faults.recovered.lambda_fallback").inc()
+            self.telemetry.registry.counter(f"faults.detected.{reason}").inc()
+
+    def advance(self, C, sigma, t, energy: float, precond) -> np.ndarray:
+        prev = self.prev
+        t_norm2 = float(np.vdot(t, t))
+        e_ct = float(np.vdot(sigma, t))  # <C|H|t>
+        if prev is None:
+            # crude first-iteration estimate: <t|H|t> ~ <t|H0|t>
+            e_tt = float(np.vdot(t, precond.apply_h0(t)))
+            lam = _optimal_step(
+                energy, e_ct, e_tt, max(t_norm2, 1e-300), self._on_fallback
+            )
+        else:
+            # eq. 14: recover <t|H|t> of the *previous* iteration from the
+            # current energy, then eq. 15: lambda(n+1) = lambda_opt(n).
+            lp = prev["lambda"]
+            s2 = prev["s2"]  # S^2 of the previous normalization
+            e_tt_prev = (energy / s2 - prev["energy"] - 2.0 * lp * prev["e_ct"]) / (lp * lp)
+            lam = _optimal_step(
+                prev["energy"], prev["e_ct"], e_tt_prev, prev["t_norm2"], self._on_fallback
+            )
+        if not np.isfinite(lam) or lam == 0.0:
+            self._on_fallback("degenerate_step")
+            lam = 1.0
+        self.lam = lam = float(np.clip(lam, -self.max_step, self.max_step))
+
+        new = C + lam * t
+        nrm2 = 1.0 + lam * lam * t_norm2  # <C|t> = 0
+        self.prev = {
+            "energy": energy,
+            "e_ct": e_ct,
+            "t_norm2": t_norm2,
+            "lambda": lam,
+            "s2": 1.0 / nrm2,
+        }
+        return new / np.sqrt(nrm2)
+
+
 def auto_adjusted_solve(
     sigma_fn: SigmaFn,
     guess: np.ndarray,
@@ -85,172 +150,15 @@ def auto_adjusted_solve(
 ) -> SolveResult:
     """Automatically adjusted single-vector iteration (paper section 2.2).
 
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) records one
-    ``solver.iterations`` sample per iteration (energy, residual norm and
-    the step length lambda used to *reach* the current iterate); None
-    disables all instrumentation.
-
-    ``checkpoint`` (a :class:`Checkpointer`) persists the method's whole
-    restart state - the CI vector plus the eq. 14-15 scalars - after each
-    iteration, which is exactly the paper's selling point: one vector is
-    all a multi-week campaign needs to survive.  A resumed solve replays
-    the exact iteration sequence of an uninterrupted one.  Ill-conditioned
-    2x2 subspace solves fall back to a plain Olsen step (lambda = 1),
-    counted under ``faults.recovered.lambda_fallback``.
-
-    ``store`` (a :class:`repro.core.vectors.CIVectorStore` template) keeps
-    the current iterate in store-backed memory between iterations; values
-    are copied in bit-for-bit, so a ``DenseStore`` run is bitwise-identical
-    to ``store=None``.  Checkpoints written under a store carry its kind.
+    :func:`repro.core.olsen.single_vector_solve` with the :class:`AutoStep`
+    rule; ``max_step`` clips |lambda|.  The telemetry sample's ``lam`` is the
+    step length used to *reach* the current iterate.  The checkpoint is the
+    CI vector plus the eq. 14-15 scalars - the paper's selling point: one
+    vector is all a multi-week campaign needs to survive.  See
+    :mod:`repro.core.session` for the last four parameters.
     """
-    ck_kind = store.kind if store is not None else "dense"
-    C_buf = store.allocate() if store is not None else None
-
-    def _hold(x: np.ndarray) -> np.ndarray:
-        if C_buf is None:
-            return x
-        C_buf.write(x)
-        return C_buf.as_ndarray()
-
-    def _emit(x: np.ndarray) -> np.ndarray:
-        """Materialize the result and release the store buffer."""
-        if C_buf is None:
-            return x
-        out = np.array(x)
-        C_buf.close()
-        return out
-
-    C = guess / np.linalg.norm(guess)
-    energies: list[float] = []
-    rnorms: list[float] = []
-    n_sigma = 0
-
-    prev: dict | None = None  # state of the previous iteration
-    lam = 1.0
-    e = 0.0
-    start_it = 0
-    if checkpoint is not None:
-        state = checkpoint.restore("auto", store_kind=ck_kind)
-        if state is not None:
-            C = np.asarray(state.vector).reshape(guess.shape)
-            prev = state.meta.get("prev")
-            lam = state.meta.get("lambda", 1.0)
-            energies = list(state.energies)
-            rnorms = list(state.residual_norms)
-            n_sigma = state.n_sigma
-            start_it = state.iteration
-            if energies:
-                # seed the result energy so a resume whose iteration budget
-                # is already exhausted reports the checkpointed energy
-                # instead of a fresh 0.0
-                e = float(energies[-1])
-    C = _hold(C)
-
-    def on_fallback(reason: str) -> None:
-        if telemetry:
-            telemetry.registry.counter("faults.recovered.lambda_fallback").inc()
-            telemetry.registry.counter(f"faults.detected.{reason}").inc()
-
-    guard = IterateGuard(divergence_threshold, telemetry=telemetry)
-    last_state: CheckpointState | None = None
-    last_saved = True
-    for it in range(start_it + 1, max_iterations + 1):
-        sigma = sigma_fn(C)
-        n_sigma += 1
-        e = float(np.vdot(C, sigma))
-        rnorm = float(np.linalg.norm(sigma - e * C))
-        energies.append(e)
-        rnorms.append(rnorm)
-        if telemetry:
-            telemetry.solver_iteration("auto", it, e, rnorm, lam=lam)
-        guard.check(it, e, rnorm)
-        if (
-            prev is not None
-            and abs(e - prev["energy"]) < energy_tol
-            and rnorm < residual_tol
-        ):
-            if checkpoint is not None:
-                # converged states may fall off the ``every`` grid; force
-                # the save so the final answer is always durable
-                checkpoint.maybe_save(
-                    CheckpointState(
-                        method="auto",
-                        iteration=it,
-                        n_sigma=n_sigma,
-                        vector=C,
-                        meta={"prev": prev, "lambda": lam},
-                        energies=energies,
-                        residual_norms=rnorms,
-                        store_kind=ck_kind,
-                    ),
-                    force=True,
-                )
-            return SolveResult(
-                energy=e,
-                vector=_emit(C),
-                converged=True,
-                n_iterations=it,
-                n_sigma=n_sigma,
-                energies=energies,
-                residual_norms=rnorms,
-                method="auto",
-            )
-
-        t = olsen_correction(C, sigma, e, precond)
-        t_norm2 = float(np.vdot(t, t))
-        e_ct = float(np.vdot(sigma, t))  # <C|H|t>
-
-        if prev is None:
-            # crude first-iteration estimate: <t|H|t> ~ <t|H0|t>
-            e_tt = float(np.vdot(t, precond.apply_h0(t)))
-            lam = _optimal_step(e, e_ct, e_tt, max(t_norm2, 1e-300), on_fallback)
-        else:
-            # eq. 14: recover <t|H|t> of the *previous* iteration from the
-            # current energy, then eq. 15: lambda(n+1) = lambda_opt(n).
-            lp = prev["lambda"]
-            s2 = prev["s2"]  # S^2 of the previous normalization
-            e_tt_prev = (e / s2 - prev["energy"] - 2.0 * lp * prev["e_ct"]) / (lp * lp)
-            lam = _optimal_step(
-                prev["energy"], prev["e_ct"], e_tt_prev, prev["t_norm2"], on_fallback
-            )
-        if not np.isfinite(lam) or lam == 0.0:
-            on_fallback("degenerate_step")
-            lam = 1.0
-        lam = float(np.clip(lam, -max_step, max_step))
-
-        new = C + lam * t
-        nrm2 = 1.0 + lam * lam * t_norm2  # <C|t> = 0
-        prev = {
-            "energy": e,
-            "e_ct": e_ct,
-            "t_norm2": t_norm2,
-            "lambda": lam,
-            "s2": 1.0 / nrm2,
-        }
-        C = _hold(new / np.sqrt(nrm2))
-        if checkpoint is not None:
-            last_state = CheckpointState(
-                method="auto",
-                iteration=it,
-                n_sigma=n_sigma,
-                vector=C,
-                meta={"prev": prev, "lambda": lam},
-                energies=energies,
-                residual_norms=rnorms,
-                store_kind=ck_kind,
-            )
-            last_saved = checkpoint.maybe_save(last_state)
-
-    if checkpoint is not None and last_state is not None and not last_saved:
-        # the budget ran out on an off-grid iteration: keep the final state
-        checkpoint.maybe_save(last_state, force=True)
-    return SolveResult(
-        energy=e,
-        vector=_emit(C),
-        converged=False,
-        n_iterations=max_iterations,
-        n_sigma=n_sigma,
-        energies=energies,
-        residual_norms=rnorms,
-        method="auto",
+    session = SolveSession("auto", telemetry, checkpoint, divergence_threshold, store)
+    return single_vector_solve(
+        session, AutoStep(max_step, telemetry), sigma_fn, guess, precond,
+        energy_tol, residual_tol, max_iterations,
     )

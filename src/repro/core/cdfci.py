@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .checkpoint import Checkpointer, CheckpointState
+from .checkpoint import Checkpointer, CheckpointState, FinalStateSaver
 from .olsen import SolveResult
 from .plans import SigmaPlan
 from .vectors import SparseStore
@@ -261,6 +261,7 @@ def cdfci_solve(
     e = chc / cc
     converged = False
     it = start_it
+    saver = FinalStateSaver(checkpoint)
     for it in range(start_it + 1, max_iterations + 1):
         for _ in range(updates_per_iteration):
             rho = chc / cc
@@ -298,7 +299,7 @@ def cdfci_solve(
         converged = abs(e - prev_e) < energy_tol and rnorm < residual_tol
         prev_e = e
         if checkpoint is not None:
-            checkpoint.maybe_save(
+            saver.save(
                 CheckpointState(
                     method="cdfci",
                     iteration=it,
@@ -314,13 +315,14 @@ def cdfci_solve(
                         "b": b.values.copy(),
                     },
                 ),
-                force=converged,
+                converged=converged,
             )
         if on_iteration is not None:
             on_iteration(it, e)
         if converged:
             break
 
+    saver.finish()
     vector = (c.as_ndarray() / np.sqrt(cc)).reshape(na, nb)
     c.close()
     b.close()

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CheckpointState", "Checkpointer", "CheckpointError"]
+__all__ = ["CheckpointState", "Checkpointer", "CheckpointError", "FinalStateSaver"]
 
 logger = logging.getLogger(__name__)
 
@@ -334,3 +334,27 @@ class Checkpointer:
         if self.telemetry:
             self.telemetry.registry.counter("faults.recovered.checkpoint_restart").inc()
         return state
+
+
+class FinalStateSaver:
+    """The solvers' save policy: every iteration on the ``every`` grid, the
+    final one always.  ``checkpoint`` is offered each state exactly once per
+    iteration (:meth:`save`) - the contract interrupting checkpointers rely
+    on - and once more, forced, if the solve ends off the grid
+    (:meth:`finish`)."""
+
+    def __init__(self, checkpoint: Checkpointer | None):
+        self.checkpoint = checkpoint
+        self._unsaved: CheckpointState | None = None
+
+    def save(self, state: CheckpointState, *, converged: bool = False) -> None:
+        """The per-iteration save; a converged state bypasses the grid."""
+        if self.checkpoint is not None:
+            saved = self.checkpoint.maybe_save(state, force=converged)
+            self._unsaved = None if saved else state
+
+    def finish(self) -> None:
+        """The solve ended on an iteration the grid skipped: keep it."""
+        if self._unsaved is not None:
+            self.checkpoint.maybe_save(self._unsaved, force=True)
+            self._unsaved = None

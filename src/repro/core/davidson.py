@@ -7,20 +7,68 @@ iteration by diagonalization of the [...] subspace."
 
 This is the reference method the automatically adjusted single-vector scheme
 is measured against.  It stores up to ``max_subspace`` basis and sigma
-vectors (the memory cost the paper's single-vector method eliminates).
+vectors (the memory cost the paper's single-vector method eliminates);
+:class:`Subspace` is that storage and the dense algebra on it, shared with
+the block solver in :mod:`repro.core.multiroot`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import Checkpointer, CheckpointState
-from .guards import DEFAULT_DIVERGENCE_THRESHOLD, IterateGuard
+from .checkpoint import Checkpointer
+from .guards import DEFAULT_DIVERGENCE_THRESHOLD
 from .model_space import DiagonalPreconditioner
 from .olsen import SolveResult, olsen_correction
 from .operator import SigmaFn
+from .session import SolveSession
 
-__all__ = ["davidson_solve"]
+__all__ = ["davidson_solve", "Subspace", "orthogonalize"]
+
+
+def orthogonalize(t: np.ndarray, basis: list[np.ndarray]) -> float:
+    """Project ``basis`` out of ``t`` in place (twice, for numerical
+    safety) and return the norm of what is left."""
+    for _ in range(2):
+        for b in basis:
+            t -= (b @ t) * b
+    return float(np.linalg.norm(t))
+
+
+class Subspace:
+    """The raveled basis and sigma vectors a Davidson iteration holds in its
+    session's store: with an ``MmapStore`` the O(2m vectors) live on disk and
+    only the O(1) working pair plus kernel block intermediates stay resident."""
+
+    def __init__(self, session: SolveSession):
+        self.session = session
+        self.basis: list[np.ndarray] = []
+        self.sigmas: list[np.ndarray] = []
+
+    def extend(self, basis=(), sigmas=()) -> None:
+        """Hold more basis vectors and/or sigma vectors of held ones."""
+        self.basis.extend(self.session.hold(b) for b in basis)
+        self.sigmas.extend(self.session.hold(s) for s in sigmas)
+
+    def ritz_pairs(self, n_roots: int) -> tuple[np.ndarray, list[tuple]]:
+        """Rayleigh-Ritz: the ``n_roots`` lowest Ritz values and, for each,
+        the (Ritz vector, its Hamiltonian product) pair."""
+        Hs = np.array([[b @ s for s in self.sigmas] for b in self.basis])
+        evals, evecs = np.linalg.eigh(0.5 * (Hs + Hs.T))
+
+        def combine(vectors, coeff):
+            return sum(c * v for c, v in zip(coeff, vectors))
+
+        coeffs = evecs[:, :n_roots].T
+        return evals[:n_roots], [(combine(self.basis, c), combine(self.sigmas, c)) for c in coeffs]
+
+    def collapse(self, basis, sigmas=()) -> None:
+        """Restart from ``basis`` (and its ``sigmas``, when known) - fresh
+        arrays, not views of the abandoned vectors, whose buffers are reclaimed
+        (on-disk blocks for ``MmapStore``, a no-op for ``DenseStore``)."""
+        self.session.close_held()
+        self.basis, self.sigmas = [], []
+        self.extend(basis, sigmas)
 
 
 def davidson_solve(
@@ -44,173 +92,46 @@ def davidson_solve(
     reuse, kernel counters, and telemetry accounting with it.
 
     Counts one "iteration" per sigma evaluation so iteration numbers are
-    directly comparable with the single-vector methods (paper Table 2).
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) records one
-    ``solver.iterations`` sample per iteration (energy, residual norm,
-    subspace size); None disables all instrumentation.
-
-    ``checkpoint`` (a :class:`Checkpointer`) saves the current Ritz vector
-    each iteration; a restart collapses the subspace to that vector (the
-    same state a ``max_subspace`` collapse would keep), so resumption costs
-    at most the usual post-collapse re-expansion.  Iterates are watched by
-    :class:`repro.core.guards.IterateGuard`.
-
-    ``store`` (a :class:`repro.core.vectors.CIVectorStore` template) holds
-    the subspace basis and sigma vectors - Davidson's O(2m vectors) memory
-    hog, the cost the paper's single-vector method exists to avoid.  With an
-    ``MmapStore`` template the subspace lives on disk and only the O(1)
-    working pair plus kernel block intermediates stay resident; values are
-    copied in by full-content assignment, so a ``DenseStore`` run is
-    bitwise-identical to ``store=None``.  Checkpoints written under a store
-    are typed with its kind (a mismatched restart starts fresh instead of
-    loading the wrong representation).
+    directly comparable with the single-vector methods (paper Table 2); the
+    telemetry sample carries the subspace size.  The checkpoint is the
+    current Ritz vector: a restart collapses the subspace to that vector
+    (the same state a ``max_subspace`` collapse would keep), so resumption
+    costs at most the usual post-collapse re-expansion.  See
+    :mod:`repro.core.session` for the last four parameters.
     """
     shape = guess.shape
-    ck_kind = store.kind if store is not None else "dense"
-    held: list = []  # store-backed buffers keeping subspace payloads alive
-
-    def _hold(x: np.ndarray) -> np.ndarray:
-        """Move a raveled vector into store-backed memory (no-op storeless)."""
-        if store is None:
-            return x
-        buf = store.allocate()
-        buf.write(x)
-        held.append(buf)
-        return buf.as_ndarray().ravel()
-
-    def _release() -> list:
-        drop, held[:] = held[:], []
-        return drop
-
-    v = (guess / np.linalg.norm(guess)).ravel()
-    energies: list[float] = []
-    rnorms: list[float] = []
-    prev_e = np.inf
-    n_sigma = 0
-    e = 0.0
-    start_it = 0
-    if checkpoint is not None:
-        state = checkpoint.restore("davidson", store_kind=ck_kind)
-        if state is not None:
-            v = np.asarray(state.vector).ravel()
-            v = v / np.linalg.norm(v)
-            prev_e = state.meta.get("prev_e", np.inf)
-            energies = list(state.energies)
-            rnorms = list(state.residual_norms)
-            n_sigma = state.n_sigma
-            start_it = state.iteration
-            if energies:
-                # seed the result energy so a resume whose iteration budget
-                # is already exhausted reports the checkpointed energy
-                e = float(energies[-1])
-    basis: list[np.ndarray] = [_hold(v)]
-    sigmas: list[np.ndarray] = []
-    ritz = v
-    guard = IterateGuard(divergence_threshold, telemetry=telemetry)
-    last_state: CheckpointState | None = None
-    last_saved = True
-    for it in range(start_it + 1, max_iterations + 1):
-        # evaluate sigma of the newest basis vector
-        sigmas.append(_hold(sigma_fn(basis[-1].reshape(shape)).ravel()))
-        n_sigma += 1
-        k = len(basis)
-        Hs = np.empty((k, k))
-        for i in range(k):
-            for j in range(k):
-                Hs[i, j] = float(basis[i] @ sigmas[j])
-        Hs = 0.5 * (Hs + Hs.T)
-        evals, evecs = np.linalg.eigh(Hs)
-        e = float(evals[0])
-        coeff = evecs[:, 0]
-        ritz = sum(c * b for c, b in zip(coeff, basis))
-        hritz = sum(c * s for c, s in zip(coeff, sigmas))
-        residual = hritz - e * ritz
-        rnorm = float(np.linalg.norm(residual))
-        energies.append(e)
-        rnorms.append(rnorm)
-        if telemetry:
-            telemetry.solver_iteration("davidson", it, e, rnorm, subspace=k)
-        guard.check(it, e, rnorm)
-        converged = abs(e - prev_e) < energy_tol and rnorm < residual_tol
-        if checkpoint is not None:
-            nrm = float(np.linalg.norm(ritz))
-            last_state = CheckpointState(
-                method="davidson",
-                iteration=it,
-                n_sigma=n_sigma,
-                vector=(ritz / nrm).reshape(shape) if nrm else ritz.reshape(shape),
-                meta={"prev_e": e},
-                energies=energies,
-                residual_norms=rnorms,
-                store_kind=ck_kind,
-            )
-            # converged states may fall off the ``every`` grid; force the
-            # save so the final answer is always durable
-            last_saved = checkpoint.maybe_save(last_state, force=converged)
-        if converged:
-            for buf in _release():
-                buf.close()
-            return SolveResult(
-                energy=e,
-                vector=ritz.reshape(shape),
-                converged=True,
-                n_iterations=it,
-                n_sigma=n_sigma,
-                energies=energies,
-                residual_norms=rnorms,
-                method="davidson",
-            )
-        prev_e = e
-
-        t = olsen_correction(
-            ritz.reshape(shape), hritz.reshape(shape), e, precond
-        ).ravel()
-
-        if k >= max_subspace:
-            # collapse to the current Ritz vector; store-backed subspace
-            # buffers of the abandoned basis are reclaimed (on-disk blocks
-            # for MmapStore, a no-op for DenseStore)
-            old = _release()
-            basis = [_hold(ritz / np.linalg.norm(ritz))]
-            sigmas = [_hold(hritz / np.linalg.norm(ritz))]
-            for buf in old:
-                buf.close()
-        # orthogonalize the correction against the basis (twice, for
-        # numerical safety)
-        for _ in range(2):
-            for b in basis:
-                t -= (b @ t) * b
-        tnorm = np.linalg.norm(t)
-        if tnorm < 1e-14:
-            # subspace is numerically exhausted: converged as far as possible
-            if checkpoint is not None and last_state is not None and not last_saved:
-                checkpoint.maybe_save(last_state, force=True)
-            for buf in _release():
-                buf.close()
-            return SolveResult(
-                energy=e,
-                vector=ritz.reshape(shape),
-                converged=rnorm < residual_tol,
-                n_iterations=it,
-                n_sigma=n_sigma,
-                energies=energies,
-                residual_norms=rnorms,
-                method="davidson",
-            )
-        basis.append(_hold(t / tnorm))
-    if checkpoint is not None and last_state is not None and not last_saved:
-        # the budget ran out on an off-grid iteration: keep the final state
-        checkpoint.maybe_save(last_state, force=True)
-    for buf in _release():
-        buf.close()
-    return SolveResult(
-        energy=e,
-        vector=ritz.reshape(shape),
-        converged=False,
-        n_iterations=max_iterations,
-        n_sigma=n_sigma,
-        energies=energies,
-        residual_norms=rnorms,
-        method="davidson",
-    )
+    session = SolveSession("davidson", telemetry, checkpoint, divergence_threshold, store)
+    with session:
+        ritz, meta = session.restore(guess)
+        ritz = (ritz / np.linalg.norm(ritz)).ravel()
+        prev_e = meta.get("prev_e", np.inf)
+        sub = Subspace(session)
+        sub.extend([ritz])
+        converged = False
+        for it in range(session.state.iteration + 1, max_iterations + 1):
+            # evaluate sigma of the newest basis vector
+            sub.extend(sigmas=[sigma_fn(sub.basis[-1].reshape(shape)).ravel()])
+            session.state.n_sigma += 1
+            k = len(sub.basis)
+            evals, [(ritz, hritz)] = sub.ritz_pairs(1)
+            e = float(evals[0])
+            rnorm = float(np.linalg.norm(hritz - e * ritz))
+            session.record(it, e, rnorm, subspace=k)
+            converged = abs(e - prev_e) < energy_tol and rnorm < residual_tol
+            if checkpoint is not None:
+                unit = ritz / np.linalg.norm(ritz)
+                session.save(unit.reshape(shape), {"prev_e": e}, converged=converged)
+            if converged:
+                break
+            prev_e = e
+            t = olsen_correction(ritz.reshape(shape), hritz.reshape(shape), e, precond).ravel()
+            if k >= max_subspace:
+                nrm = np.linalg.norm(ritz)
+                sub.collapse([ritz / nrm], [hritz / nrm])
+            tnorm = orthogonalize(t, sub.basis)
+            if tnorm < 1e-14:
+                # subspace is numerically exhausted: converged as far as possible
+                converged = rnorm < residual_tol
+                break
+            sub.extend([t / tnorm])
+        return session.result(ritz.reshape(shape), converged, "davidson")

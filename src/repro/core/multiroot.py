@@ -20,7 +20,9 @@ from typing import Callable
 
 import numpy as np
 
+from .davidson import Subspace, orthogonalize
 from .model_space import DiagonalPreconditioner
+from .session import SolveSession
 
 __all__ = ["MultiRootResult", "davidson_multiroot"]
 
@@ -39,18 +41,13 @@ class MultiRootResult:
 
 
 def _orthonormalize(vecs: list[np.ndarray], against: list[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    basis = list(against)
+    out: list[np.ndarray] = []
     for v in vecs:
         w = v.copy()
-        for _ in range(2):
-            for b in basis:
-                w -= (b @ w) * b
-        nrm = np.linalg.norm(w)
+        nrm = orthogonalize(w, against + out)
         if nrm > 1e-10:
             w /= nrm
             out.append(w)
-            basis.append(w)
     return out
 
 
@@ -70,11 +67,8 @@ def davidson_multiroot(
 
     ``guesses`` seed the subspace (at least n_roots of them); preconditioned
     residuals of all unconverged roots are appended every iteration.
-
-    ``store`` (a :class:`repro.core.vectors.CIVectorStore` template) holds
-    the block subspace - the k-times-larger version of Davidson's memory
-    hog; values are copied in bit-for-bit so a ``DenseStore`` run matches
-    ``store=None`` exactly.
+    ``store`` holds the block subspace - the k-times-larger version of
+    Davidson's memory hog - as described in :mod:`repro.core.session`.
     """
     if not guesses:
         raise ValueError("need at least one guess vector")
@@ -83,104 +77,52 @@ def davidson_multiroot(
     if len(guesses) < k:
         raise ValueError("need at least n_roots guess vectors")
     max_subspace = max_subspace or max(8 * k, 24)
-    held: list = []  # store-backed buffers keeping subspace payloads alive
-
-    def _hold(x: np.ndarray) -> np.ndarray:
-        if store is None:
-            return x
-        buf = store.allocate()
-        buf.write(x)
-        held.append(buf)
-        return buf.as_ndarray().ravel()
-
-    def _release() -> list:
-        drop, held[:] = held[:], []
-        return drop
-
-    basis: list[np.ndarray] = [
-        _hold(b) for b in _orthonormalize([g.ravel() for g in guesses], [])
-    ]
-    if len(basis) < k:
-        raise ValueError("guess vectors are linearly dependent")
-    sigmas: list[np.ndarray] = []
-    prev = np.full(k, np.inf)
-    n_sigma = 0
-    history: list[np.ndarray] = []
-    theta = np.zeros(k)
-    ritz = [basis[i] for i in range(k)]
-    rnorms = np.full(k, np.inf)
-
     apply_batch = getattr(sigma_fn, "apply_batch", None)
 
-    for it in range(1, max_iterations + 1):
-        if apply_batch is not None and len(basis) - len(sigmas) > 1:
-            pending = np.stack(
-                [b.reshape(shape) for b in basis[len(sigmas):]]
-            )
-            batch = apply_batch(pending)
-            sigmas.extend(_hold(row) for row in batch.reshape(batch.shape[0], -1))
-            n_sigma += batch.shape[0]
-        while len(sigmas) < len(basis):
-            sigmas.append(_hold(sigma_fn(basis[len(sigmas)].reshape(shape)).ravel()))
-            n_sigma += 1
-        m = len(basis)
-        Hs = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                Hs[i, j] = basis[i] @ sigmas[j]
-        Hs = 0.5 * (Hs + Hs.T)
-        evals, evecs = np.linalg.eigh(Hs)
-        theta = evals[:k]
-        history.append(theta.copy())
-        ritz = []
-        h_ritz = []
-        for r in range(k):
-            c = evecs[:, r]
-            ritz.append(sum(ci * b for ci, b in zip(c, basis)))
-            h_ritz.append(sum(ci * s for ci, s in zip(c, sigmas)))
-        residuals = [h_ritz[r] - theta[r] * ritz[r] for r in range(k)]
-        rnorms = np.array([np.linalg.norm(r) for r in residuals])
-        if np.all(np.abs(theta - prev) < energy_tol) and np.all(rnorms < residual_tol):
-            for buf in _release():
-                buf.close()
-            return MultiRootResult(
-                energies=theta,
-                vectors=[v.reshape(shape) for v in ritz],
-                converged=True,
-                n_iterations=it,
-                n_sigma=n_sigma,
-                residual_norms=rnorms,
-                history=history,
-            )
-        prev = theta.copy()
-
-        new = []
-        for r in range(k):
-            if rnorms[r] < residual_tol:
-                continue
-            t = precond.solve(residuals[r].reshape(shape), float(theta[r])).ravel()
-            new.append(t)
-        if m + len(new) > max_subspace:
-            # collapse to the Ritz vectors, keeping the new directions;
-            # store-backed buffers of the abandoned subspace are reclaimed
-            old = _release()
-            basis = [_hold(b) for b in _orthonormalize(ritz, [])]
-            sigmas = []
-            for buf in old:
-                buf.close()
-        added = _orthonormalize(new, basis)
-        if not added:
-            break
-        basis.extend(_hold(a) for a in added)
-
-    for buf in _release():
-        buf.close()
-    return MultiRootResult(
-        energies=theta,
-        vectors=[v.reshape(shape) for v in ritz],
-        converged=bool(np.all(rnorms < residual_tol)),
-        n_iterations=max_iterations,
-        n_sigma=n_sigma,
-        residual_norms=rnorms,
-        history=history,
-    )
+    with SolveSession("multiroot", store=store) as session:
+        sub = Subspace(session)
+        sub.extend(_orthonormalize([g.ravel() for g in guesses], []))
+        if len(sub.basis) < k:
+            raise ValueError("guess vectors are linearly dependent")
+        prev = np.full(k, np.inf)
+        history: list[np.ndarray] = []
+        theta = np.zeros(k)
+        ritz = sub.basis[:k]
+        rnorms = np.full(k, np.inf)
+        for _ in range(max_iterations):
+            pending = [b.reshape(shape) for b in sub.basis[len(sub.sigmas):]]
+            if apply_batch is not None and len(pending) > 1:
+                new = apply_batch(np.stack(pending))
+            else:
+                new = (sigma_fn(b) for b in pending)  # each held before the next
+            sub.extend(sigmas=(s.ravel() for s in new))
+            session.state.n_sigma += len(pending)
+            theta, pairs = sub.ritz_pairs(k)
+            history.append(theta.copy())
+            ritz = [r for r, _ in pairs]
+            residuals = [hr - theta[i] * r for i, (r, hr) in enumerate(pairs)]
+            rnorms = np.array([np.linalg.norm(r) for r in residuals])
+            if np.all(np.abs(theta - prev) < energy_tol) and np.all(rnorms < residual_tol):
+                break
+            prev = theta.copy()
+            fresh = [
+                precond.solve(residuals[r].reshape(shape), float(theta[r])).ravel()
+                for r in range(k)
+                if not rnorms[r] < residual_tol
+            ]
+            if len(sub.basis) + len(fresh) > max_subspace:
+                # collapse to the Ritz vectors, keeping the new directions
+                sub.collapse(_orthonormalize(ritz, []))
+            added = _orthonormalize(fresh, sub.basis)
+            if not added:
+                break  # subspace is numerically exhausted
+            sub.extend(added)
+        return MultiRootResult(
+            energies=theta,
+            vectors=[v.reshape(shape) for v in ritz],
+            converged=bool(np.all(rnorms < residual_tol)),
+            n_iterations=len(history),
+            n_sigma=session.state.n_sigma,
+            residual_norms=rnorms,
+            history=history,
+        )

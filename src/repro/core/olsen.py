@@ -1,4 +1,4 @@
-"""Olsen's single-vector correction and iteration (paper eqs. 11-12).
+"""Olsen's single-vector correction and iteration (paper eqs. 11-13).
 
 The correction vector for approximate eigenpair (E, C) is
 
@@ -9,24 +9,25 @@ so that <C|t> = 0:
 
     Delta = <C| (H0-E)^-1 (H-E) |C> / <C| (H0-E)^-1 |C>.
 
-``olsen_solve`` implements the plain single-vector iteration
-C <- normalize(C + lambda t); the original scheme uses lambda = 1 and, as the
-paper's Table 2 shows, frequently fails to converge tightly; the "modified"
-scheme damps with a fixed lambda (0.7 in the paper).
+``single_vector_solve`` is the one iteration the paper's Table 2 varies,
+C <- S (C + lambda t), with a *step rule* saying where lambda comes from.
+``olsen_solve`` runs it with a constant - the original scheme uses lambda = 1
+and, as Table 2 shows, frequently fails to converge tightly; the "modified"
+scheme damps with a fixed lambda (0.7 in the paper) - and
+:mod:`repro.core.auto_single` with the retroactive 2x2 rule of eqs. 14-15.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .checkpoint import Checkpointer, CheckpointState
-from .guards import DEFAULT_DIVERGENCE_THRESHOLD, IterateGuard
+from .checkpoint import Checkpointer
+from .guards import DEFAULT_DIVERGENCE_THRESHOLD
 from .model_space import DiagonalPreconditioner
 from .operator import SigmaFn
+from .session import SolveResult, SolveSession
 
-__all__ = ["olsen_correction", "olsen_solve", "SolveResult"]
+__all__ = ["olsen_correction", "olsen_solve", "single_vector_solve", "SolveResult"]
 
 
 def olsen_correction(
@@ -46,25 +47,61 @@ def olsen_correction(
     return -x_r + delta * x_c
 
 
-@dataclass
-class SolveResult:
-    """Outcome of an iterative eigensolve."""
+class ConstantStep:
+    """The step rule of the original and the damped Olsen scheme.  A step
+    rule names the result (``label``), exposes ``lam`` (the step that reached
+    the current iterate), takes its restart scalars from a checkpoint's meta
+    and returns the previous energy (``load``), hands them back (``meta``),
+    and makes the next normalized iterate (``advance``)."""
 
-    energy: float
-    vector: np.ndarray
-    converged: bool
-    n_iterations: int
-    n_sigma: int
-    energies: list[float] = field(default_factory=list)
-    residual_norms: list[float] = field(default_factory=list)
-    method: str = ""
+    def __init__(self, step: float):
+        self.lam = step
+        self.label = f"olsen(step={step})"
 
-    def __repr__(self) -> str:
-        tag = "converged" if self.converged else "NOT converged"
-        return (
-            f"SolveResult({self.method}: E={self.energy:.10f}, "
-            f"{self.n_iterations} iterations, {tag})"
-        )
+    def load(self, meta: dict) -> float:
+        return meta.get("prev_e", np.inf)
+
+    def meta(self, energy: float) -> dict:
+        return {"prev_e": energy, "step": self.lam}
+
+    def advance(self, C, sigma, t, energy: float, precond) -> np.ndarray:
+        C = C + self.lam * t
+        C /= np.linalg.norm(C)
+        return C
+
+
+def single_vector_solve(
+    session: SolveSession, rule, sigma_fn: SigmaFn, guess: np.ndarray,
+    precond: DiagonalPreconditioner, energy_tol: float, residual_tol: float, max_iterations: int,
+) -> SolveResult:
+    """C <- S (C + lambda t) with lambda from ``rule``, inside ``session``.
+
+    Only C, sigma and scratch the size of one CI vector are alive at any
+    time.  Convergence requires *both* the energy change below ``energy_tol``
+    and the residual norm below ``residual_tol`` (the paper's tight
+    criterion).  The checkpoint carries C and the rule's scalars, so an
+    interrupted-plus-resumed solve replays the uninterrupted sequence exactly.
+    """
+    with session:
+        C, meta = session.restore(guess / np.linalg.norm(guess))
+        prev_e = rule.load(meta)
+        C = session.hold(C, reuse=True)
+        converged = False
+        for it in range(session.state.iteration + 1, max_iterations + 1):
+            sigma = sigma_fn(C)
+            session.state.n_sigma += 1
+            e = float(np.vdot(C, sigma))
+            rnorm = float(np.linalg.norm(sigma - e * C))
+            session.record(it, e, rnorm, lam=rule.lam)
+            converged = abs(e - prev_e) < energy_tol and rnorm < residual_tol
+            if not converged:
+                t = olsen_correction(C, sigma, e, precond)
+                C = session.hold(rule.advance(C, sigma, t, e, precond), reuse=True)
+            session.save(C, rule.meta(e), converged=converged)
+            if converged:
+                break
+            prev_e = e
+        return session.result(C, converged, rule.label)
 
 
 def olsen_solve(
@@ -84,125 +121,11 @@ def olsen_solve(
     """Single-vector Olsen iteration with fixed mixing step ``step``.
 
     step=1.0 reproduces the original Olsen scheme; step=0.7 the paper's
-    "modified" damped variant.  Convergence requires *both* the energy change
-    below ``energy_tol`` and the residual norm below ``residual_tol``
-    (matching the paper's tightly-converged criterion).
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) records one
-    ``solver.iterations`` sample per iteration; None disables all
-    instrumentation.  ``checkpoint`` (a :class:`Checkpointer`) persists the
-    full restart state (C, previous energy, histories) each iteration and
-    resumes from it when present - an interrupted-plus-resumed solve
-    replays the exact iteration sequence of an uninterrupted one.  Iterates
-    are watched by :class:`repro.core.guards.IterateGuard`.
-
-    ``store`` (a :class:`repro.core.vectors.CIVectorStore` template) keeps
-    the current iterate in store-backed memory between iterations; values
-    are copied in bit-for-bit, so a ``DenseStore`` run is bitwise-identical
-    to ``store=None``.  Checkpoints written under a store carry its kind.
+    "modified" damped variant.  See :func:`single_vector_solve` for the
+    iteration and :mod:`repro.core.session` for the last four parameters.
     """
-    ck_kind = store.kind if store is not None else "dense"
-    C_buf = store.allocate() if store is not None else None
-
-    def _hold(x: np.ndarray) -> np.ndarray:
-        if C_buf is None:
-            return x
-        C_buf.write(x)
-        return C_buf.as_ndarray()
-
-    def _emit(x: np.ndarray) -> np.ndarray:
-        """Materialize the result and release the store buffer."""
-        if C_buf is None:
-            return x
-        out = np.array(x)
-        C_buf.close()
-        return out
-
-    C = guess / np.linalg.norm(guess)
-    energies: list[float] = []
-    rnorms: list[float] = []
-    prev_e = np.inf
-    n_sigma = 0
-    start_it = 0
-    if checkpoint is not None:
-        state = checkpoint.restore("olsen", store_kind=ck_kind)
-        if state is not None:
-            C = np.asarray(state.vector).reshape(guess.shape)
-            prev_e = state.meta.get("prev_e", np.inf)
-            energies = list(state.energies)
-            rnorms = list(state.residual_norms)
-            n_sigma = state.n_sigma
-            start_it = state.iteration
-    C = _hold(C)
-    guard = IterateGuard(divergence_threshold, telemetry=telemetry)
-    last_state: CheckpointState | None = None
-    last_saved = True
-    for it in range(start_it + 1, max_iterations + 1):
-        sigma = sigma_fn(C)
-        n_sigma += 1
-        e = float(np.vdot(C, sigma))
-        rnorm = float(np.linalg.norm(sigma - e * C))
-        energies.append(e)
-        rnorms.append(rnorm)
-        if telemetry:
-            telemetry.solver_iteration("olsen", it, e, rnorm, lam=step)
-        guard.check(it, e, rnorm)
-        if abs(e - prev_e) < energy_tol and rnorm < residual_tol:
-            if checkpoint is not None:
-                # converged states may fall off the ``every`` grid; force
-                # the save so the final answer is always durable
-                checkpoint.maybe_save(
-                    CheckpointState(
-                        method="olsen",
-                        iteration=it,
-                        n_sigma=n_sigma,
-                        vector=C,
-                        meta={"prev_e": e, "step": step},
-                        energies=energies,
-                        residual_norms=rnorms,
-                        store_kind=ck_kind,
-                    ),
-                    force=True,
-                )
-            return SolveResult(
-                energy=e,
-                vector=_emit(C),
-                converged=True,
-                n_iterations=it,
-                n_sigma=n_sigma,
-                energies=energies,
-                residual_norms=rnorms,
-                method=f"olsen(step={step})",
-            )
-        prev_e = e
-        t = olsen_correction(C, sigma, e, precond)
-        C = C + step * t
-        C /= np.linalg.norm(C)
-        C = _hold(C)
-        if checkpoint is not None:
-            last_state = CheckpointState(
-                method="olsen",
-                iteration=it,
-                n_sigma=n_sigma,
-                vector=C,
-                meta={"prev_e": prev_e, "step": step},
-                energies=energies,
-                residual_norms=rnorms,
-                store_kind=ck_kind,
-            )
-            last_saved = checkpoint.maybe_save(last_state)
-    if checkpoint is not None and last_state is not None and not last_saved:
-        # the budget ran out on an off-grid iteration: keep the final state
-        checkpoint.maybe_save(last_state, force=True)
-    return SolveResult(
-        # a resume whose iteration budget is already exhausted must report
-        # the checkpointed energy, not crash on an empty history
-        energy=energies[-1] if energies else 0.0,
-        vector=_emit(C),
-        converged=False,
-        n_iterations=max_iterations,
-        n_sigma=n_sigma,
-        energies=energies,
-        residual_norms=rnorms,
-        method=f"olsen(step={step})",
+    session = SolveSession("olsen", telemetry, checkpoint, divergence_threshold, store)
+    return single_vector_solve(
+        session, ConstantStep(step), sigma_fn, guess, precond,
+        energy_tol, residual_tol, max_iterations,
     )

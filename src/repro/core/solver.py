@@ -11,6 +11,7 @@ This is the main user-facing entry point of the library:
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,17 +398,26 @@ class FCISolver:
         )
         return problem, scf, mo
 
-    def _make_store(self, problem: CIProblem):
+    @contextmanager
+    def _open_store(self, problem: CIProblem):
         """The run's CI-vector store template, or None for plain arrays.
 
         ``None`` (the default backend) deliberately bypasses the store layer
         entirely so the solvers execute the exact pre-refactor code path;
-        cdfci manages its own sparse stores.
+        cdfci manages its own sparse stores.  On exit the store's footprint
+        is published and the template closed.
         """
         if self.vector_store is None or self.method == "cdfci":
-            return None
+            yield None
+            return
         opts = {k: v for k, v in self.vector_store.items() if k != "kind"}
-        return make_store(self.vector_store["kind"], problem.shape, **opts)
+        store = make_store(self.vector_store["kind"], problem.shape, **opts)
+        try:
+            yield store
+        finally:
+            if self.telemetry:
+                publish_store_metrics(self.telemetry.registry, [store])
+            store.close()
 
     def _store_block_columns(self, problem: CIProblem) -> int | None:
         """Kernel block width, recomputed from the store's resident footprint.
@@ -514,16 +524,10 @@ class FCISolver:
             telemetry=self.telemetry,
             checkpoint=self.checkpoint,
         )
-        store = self._make_store(problem)
-        try:
+        with self._open_store(problem) as store:
             solve = _METHODS[self.method](
                 self, problem, sigma_fn, guess, precond, store, kwargs
             )
-        finally:
-            if store is not None:
-                if self.telemetry:
-                    publish_store_metrics(self.telemetry.registry, [store])
-                store.close()
 
         total = solve.energy + mo.e_core
         if self.telemetry:
@@ -583,15 +587,17 @@ class FCISolver:
             g[precond.selection] = evecs[:, i]
             guesses.append(g.reshape(problem.shape))
         try:
-            res = davidson_multiroot(
-                sigma_fn,
-                guesses,
-                precond,
-                n_roots=n_roots,
-                energy_tol=self.energy_tol,
-                residual_tol=self.residual_tol,
-                max_iterations=self.max_iterations,
-            )
+            with self._open_store(problem) as store:
+                res = davidson_multiroot(
+                    sigma_fn,
+                    guesses,
+                    precond,
+                    n_roots=n_roots,
+                    energy_tol=self.energy_tol,
+                    residual_tol=self.residual_tol,
+                    max_iterations=self.max_iterations,
+                    store=store,
+                )
         finally:
             self._close_kernel(sigma_fn)
         return MultiRootFCIResult(

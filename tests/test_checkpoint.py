@@ -28,14 +28,19 @@ from repro.core import (
     IterateGuard,
     ModelSpacePreconditioner,
     NonFiniteIterateError,
+    DenseStore,
     auto_adjusted_solve,
+    cdfci_solve,
+    davidson_multiroot,
     davidson_solve,
+    make_store,
     olsen_solve,
     sigma_dgemm,
 )
 from repro.obs import Telemetry
 
 from tests.conftest import make_random_mo
+from tests.helpers import model_space_guesses
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +152,7 @@ class TestKillAndRestart:
             ("olsen", olsen_solve, dict(step=0.7, max_iterations=250)),
             ("auto", auto_adjusted_solve, {}),
             ("davidson", davidson_solve, {}),
+            ("olsen", olsen_solve, dict(step=1.0)),
         ],
     )
     def test_resume_matches_uninterrupted(self, ci, tmp_path, name, solve, kw):
@@ -238,6 +244,124 @@ class TestFinalStateDurability:
         assert res.n_sigma == 7
 
 
+    @pytest.mark.parametrize("name,solve,kw", _SOLVERS + [("cdfci", None, {})])
+    def test_exhausted_budget_saved_off_grid(self, ci, tmp_path, name, solve, kw):
+        # the other half of the final-state rule: a budget that runs out on
+        # an iteration the ``every`` grid skips still leaves its last state
+        problem, precond, guess = ci
+        cp = Checkpointer(tmp_path / f"{name}.npz", every=10**6)
+        if name == "cdfci":
+            res = cdfci_solve(problem, max_iterations=3, checkpoint=cp)
+        else:
+            kw = {**kw, "max_iterations": 3}
+            res = solve(lambda C: sigma_dgemm(problem, C), guess, precond, checkpoint=cp, **kw)
+        assert not res.converged and res.n_iterations == 3
+        header = cp.peek()
+        assert header["iteration"] == 3
+        assert header["energies"][-1] == res.energy
+
+
+class _Recording(Checkpointer):
+    """Remembers what the solver offered; optionally dies at an iteration."""
+
+    def __init__(self, path, *, die_at=None, **kw):
+        super().__init__(path, **kw)
+        self.calls = []
+        self.die_at = die_at
+
+    def maybe_save(self, state, *, force=False):
+        self.calls.append((state.iteration, force))
+        if state.iteration == self.die_at:
+            raise _Killed
+        return super().maybe_save(state, force=force)
+
+
+# every single-root solver: the contracts below are the solve session's, so
+# each is stated once and run for all of them
+_ALL = [("olsen-original", olsen_solve, dict(step=1.0))] + _SOLVERS
+_ALL_AND_BLOCK = _ALL + [("multiroot", None, {})]
+
+
+def _two_roots(problem):
+    """davidson_multiroot behind the single-root call shape."""
+
+    def solve(sigma_fn, guess, precond, **kw):
+        guesses = model_space_guesses(problem, precond, 4)
+        return davidson_multiroot(sigma_fn, guesses, precond, n_roots=2, **kw)
+
+    return solve
+
+
+class TestSolveSessionContracts:
+    @pytest.mark.parametrize("name,solve,kw", _ALL)
+    def test_one_save_offer_per_iteration_last_one_forced(self, ci, tmp_path, name, solve, kw):
+        # the (iteration, force) sequence ServiceCheckpointer preempts on
+        problem, precond, guess = ci
+        cp = _Recording(tmp_path / "ck.npz")
+        res = solve(lambda C: sigma_dgemm(problem, C), guess, precond, checkpoint=cp, **kw)
+        assert res.converged
+        n = res.n_iterations
+        assert cp.calls == [(i, False) for i in range(1, n)] + [(n, True)]
+
+    @pytest.mark.parametrize("name,solve,kw", _ALL_AND_BLOCK)
+    def test_trajectory_is_bitwise_independent_of_the_store(self, ci, tmp_path, name, solve, kw):
+        problem, precond, guess = ci
+        solve = solve or _two_roots(problem)
+        runs = []
+        for template in (
+            None,
+            DenseStore(problem.shape),
+            make_store("mmap", problem.shape, directory=str(tmp_path)),
+        ):
+            runs.append(
+                solve(lambda C: sigma_dgemm(problem, C), guess, precond, store=template, **kw)
+            )
+            if template is not None:
+                template.close()
+        assert os.listdir(tmp_path) == []
+        ref = runs[0]
+        for run in runs[1:]:
+            assert run.n_iterations == ref.n_iterations and run.n_sigma == ref.n_sigma
+            assert np.array_equal(run.energies, ref.energies)
+            assert np.array_equal(run.residual_norms, ref.residual_norms)
+            if name == "multiroot":
+                assert np.array_equal(run.history, ref.history)
+                assert np.array_equal(run.vectors, ref.vectors)
+            else:
+                assert np.array_equal(run.vector, ref.vector)
+
+    # regression: buffers were closed on the return paths only, so a
+    # preempted / timed-out / guard-tripped out-of-core solve leaked its
+    # iterate (davidson: two vectors per iteration) into the directory
+    @staticmethod
+    def _interrupt(ci, tmp_path, solve, kw, sigma_dies_at=None):
+        problem, precond, guess = ci
+        solve = solve or _two_roots(problem)
+        vectors = tmp_path / "vectors"
+        template = make_store("mmap", problem.shape, directory=str(vectors))
+        calls = [0]
+
+        def sig(C):
+            calls[0] += 1
+            if calls[0] == sigma_dies_at:
+                raise _Killed
+            return sigma_dgemm(problem, C)
+
+        with pytest.raises(_Killed):
+            solve(sig, guess, precond, store=template, **kw)
+        template.close()
+        assert os.listdir(vectors) == []
+
+    @pytest.mark.parametrize("name,solve,kw", _ALL_AND_BLOCK)
+    def test_failing_sigma_leaves_no_vector_file(self, ci, tmp_path, name, solve, kw):
+        self._interrupt(ci, tmp_path, solve, kw, sigma_dies_at=5)
+
+    @pytest.mark.parametrize("name,solve,kw", _ALL)
+    def test_interrupting_checkpointer_leaves_no_vector_file(self, ci, tmp_path, name, solve, kw):
+        kw = dict(kw, checkpoint=_Recording(tmp_path / "ck.npz", die_at=3))
+        self._interrupt(ci, tmp_path, solve, kw)
+
+
 class TestFCISolverIntegration:
     def test_checkpoint_path_roundtrip(self, h2, tmp_path):
         path = tmp_path / "h2.npz"
@@ -292,3 +416,25 @@ class TestGuards:
         lam = _optimal_step(-1.0, 0.1, -2.0, 0.0, reasons.append)
         assert lam == 1.0
         assert reasons[-1] == "non_finite_2x2"
+
+    def test_lambda_fallback_reaches_the_registry_through_a_solve(self, ci):
+        problem, precond, guess = ci
+
+        class BlindFirstStep:
+            """The preconditioner, except that <t|H0|t> comes out non-finite."""
+
+            def __getattr__(self, name):
+                return getattr(precond, name)
+
+            def apply_h0(self, t):
+                return np.full_like(t, np.inf)
+
+        tele = Telemetry()
+        res = auto_adjusted_solve(
+            lambda C: sigma_dgemm(problem, C), guess, BlindFirstStep(), telemetry=tele
+        )
+        assert res.converged
+        assert tele.registry.get("faults.recovered.lambda_fallback").value == 1.0
+        assert tele.registry.get("faults.detected.non_finite_2x2").value == 1.0
+        lams = [r["lam"] for r in tele.registry.snapshot()["solver.iterations"]["records"]]
+        assert lams[:2] == [1.0, 1.0]  # the initial step, then the fallback

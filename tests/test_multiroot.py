@@ -73,6 +73,19 @@ class TestMultiRoot:
         # each tracked root decreases monotonically (variational)
         assert np.all(np.diff(roots[:, 0]) < 1e-8)
 
+    def test_iteration_count_is_the_iterations_run(self, setup):
+        # regression: an exhausted subspace left the loop early but the
+        # result claimed max_iterations
+        prob, evals, pre, sigma_fn, guesses = setup
+        res = davidson_multiroot(sigma_fn, guesses(4), pre, n_roots=2)
+        assert res.converged and res.n_iterations == len(res.history)
+        res = davidson_multiroot(
+            sigma_fn, guesses(4), pre, n_roots=2,
+            energy_tol=0.0, residual_tol=0.0, max_iterations=500,
+        )
+        assert not res.converged
+        assert res.n_iterations == len(res.history) < 500
+
     def test_validation(self, setup):
         prob, evals, pre, sigma_fn, guesses = setup
         with pytest.raises(ValueError):

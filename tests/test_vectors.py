@@ -433,6 +433,29 @@ class TestOutOfCoreSolves:
         assert tele.registry.get("vectors.resident_bytes").value == 0.0
         assert tele.registry.get("vectors.total_bytes").value > 0.0
 
+    def test_run_multiroot_honours_the_vector_store(self, h2, tmp_path, monkeypatch):
+        # regression: run_multiroot sized the kernel blocks for out-of-core
+        # vectors but never handed the store to the block solver
+        ref = FCISolver(h2, "sto-3g").run_multiroot(2)
+        tele = Telemetry()
+        held = []
+        allocate = MmapStore.allocate
+        monkeypatch.setattr(
+            MmapStore, "allocate", lambda self: held.append(allocate(self)) or held[-1]
+        )
+        res = FCISolver(
+            h2,
+            "sto-3g",
+            vector_store={"kind": "mmap", "directory": str(tmp_path)},
+            telemetry=tele,
+        ).run_multiroot(2)
+        assert np.array_equal(res.energies, ref.energies)
+        assert np.array_equal(res.vectors, ref.vectors)
+        assert res.n_iterations == ref.n_iterations
+        assert len(held) >= 4  # two basis vectors and their sigmas, at least
+        assert tele.registry.get("vectors.total_bytes").value > 0.0
+        assert os.listdir(tmp_path) == []
+
 
 class TestCDFCI:
     @pytest.mark.parametrize("name", ["H2", "HeH+"])

@@ -15,10 +15,21 @@ Subcommands:
     Re-run one case: ``replay 1234`` regenerates seed 1234's case from
     scratch; ``replay --file repro.json`` loads a persisted reproducer
     (the shrunk case when present).  Exit 1 if the invariant is (still)
-    violated - so a fixed bug replays to exit 0.
+    violated - so a fixed bug replays to exit 0; exit 2 (one line on
+    stderr, no traceback) if the file is unreadable or not a valid case.
 
 ``scenarios``
-    List the registered X1 and service chaos scenarios.
+    List the registered fixed, X1, service and backend chaos scenarios.
+
+``scenario``
+    The CI chaos matrix: ``scenario NAME --seeds 0 1 2`` runs one named
+    scenario - a fixed one from :data:`repro.faults.SCENARIOS` or a seeded
+    generator from :data:`CHAOS_SCENARIOS` - through the resilient
+    ``--n-msps``-rank parallel sigma once per seed, prints each seed's
+    ``max|diff|`` against the serial sigma and its fault counters, and
+    with ``--trace-dir`` writes the first seed's Chrome trace (one track
+    per MSP, ``fault:*`` markers, requeued work).  Exit 1 if any seed
+    breaks its invariant.
 """
 
 from __future__ import annotations
@@ -26,11 +37,19 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
-from .fuzz import FuzzBudget, FuzzCase, FuzzRunner
+import numpy as np
+
+from ..faults import SCENARIOS, ChaosConfig, scenario_names
+from ..obs import ChromeTracer
+from .fuzz import FuzzBudget, FuzzCase, FuzzRunner, SigmaHarness
 from .plans import (
+    CHAOS_SCENARIOS,
+    ChaosEnv,
     backend_scenario_names,
+    build_fault_plan,
     chaos_scenario_names,
     service_scenario_names,
 )
@@ -78,10 +97,18 @@ def _cmd_fuzz(args) -> int:
 def _cmd_replay(args) -> int:
     runner = FuzzRunner(FuzzBudget())
     if args.file:
-        with open(args.file) as f:
-            payload = json.load(f)
-        case_dict = payload.get("shrunk") or payload.get("case") or payload
-        case = FuzzCase.from_dict(case_dict)
+        try:
+            with open(args.file) as f:
+                payload = json.load(f)
+            if not isinstance(payload, dict):
+                raise ValueError("expected a JSON object")
+            case_dict = payload.get("shrunk") or payload.get("case") or payload
+            case = FuzzCase.from_dict(case_dict)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            print(
+                f"{args.file}: not a fuzz case ({type(exc).__name__}: {exc})", file=sys.stderr
+            )
+            return 2
         print(f"replaying persisted case (seed {case.seed}, {case.harness})")
     elif args.seed is not None:
         case = runner.case_for_seed(args.seed)
@@ -100,6 +127,9 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_scenarios(_args) -> int:
+    print("fixed X1 scenarios (ChaosConfig; `scenario NAME` runs them too):")
+    for name in scenario_names():
+        print(f"  {name}")
     print("X1 chaos scenarios (compose into a FaultPlan):")
     for name in chaos_scenario_names():
         print(f"  {name}")
@@ -109,6 +139,49 @@ def _cmd_scenarios(_args) -> int:
     print("backend chaos scenarios (compose into a real-process knob dict):")
     for name in backend_scenario_names():
         print(f"  {name}")
+    return 0
+
+
+def _cmd_scenario(args) -> int:
+    name, n_msps = args.name, args.n_msps
+    if name not in SCENARIOS and name not in CHAOS_SCENARIOS:
+        print(
+            f"unknown scenario {name!r}; fixed: {scenario_names()}; "
+            f"generators: {chaos_scenario_names()}",
+            file=sys.stderr,
+        )
+        return 2
+    harness = SigmaHarness(n_ranks=n_msps)
+    print(
+        f"scenario={name} n_msps={n_msps} "
+        f"fault-free horizon={harness.horizon:.3e} virtual s"
+    )
+    env = ChaosEnv(n_msps, harness.horizon, FuzzBudget().n_spans)
+    failures = 0
+    for i, seed in enumerate(args.seeds):
+        if name in SCENARIOS:
+            plan = ChaosConfig(
+                [name], seed=seed, victim=seed % n_msps, at=0.5, horizon=harness.horizon
+            ).build_plan()
+        else:
+            plan = build_fault_plan([name], env, seed)
+        tracer = ChromeTracer() if args.trace_dir and i == 0 else None
+        out, injector, failure = harness.execute(plan, tracer)
+        failures += failure is not None
+        err = float(np.max(np.abs(out - harness.ref))) if out is not None else float("nan")
+        counters = ", ".join(
+            f"{k.removeprefix('faults.')}={v:g}" for k, v in sorted(injector.counts().items())
+        )
+        verdict = "OK" if failure is None else f"FAIL {failure[0]}: {failure[1]}"
+        print(f"  seed={seed}: max|diff|={err:.3e} {verdict}  [{counters or 'none fired'}]")
+        if tracer is not None:
+            os.makedirs(args.trace_dir, exist_ok=True)
+            path = tracer.write(os.path.join(args.trace_dir, f"{name}-seed{seed}.json"))
+            print(f"  trace: {path} ({tracer.n_events} events)")
+    if failures:
+        print(f"{failures} seed(s) broke an invariant", file=sys.stderr)
+        return 1
+    print(f"all {len(args.seeds)} seeds held their invariants")
     return 0
 
 
@@ -146,6 +219,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("scenarios", help="list registered chaos scenarios")
     p.set_defaults(fn=_cmd_scenarios)
+
+    p = sub.add_parser("scenario", help="run one named scenario over a few seeds")
+    p.add_argument("name", help="fixed scenario or generator name (see `scenarios`)")
+    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    p.add_argument("--n-msps", type=int, default=4)
+    p.add_argument("--trace-dir", default=None, help="write the first seed's Chrome trace here")
+    p.set_defaults(fn=_cmd_scenario)
 
     args = parser.parse_args(argv)
     logging.basicConfig(

@@ -145,7 +145,7 @@ class FuzzCase:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FuzzCase":
-        return cls(
+        case = cls(
             seed=int(data["seed"]),
             harness=data["harness"],
             scenarios=tuple(data.get("scenarios", ())),
@@ -159,6 +159,9 @@ class FuzzCase:
             ),
             knobs=dict(data.get("knobs", {})),
         )
+        if case.harness == "sigma" and case.plan is None:
+            raise ValueError("a sigma case needs a 'plan'")
+        return case
 
 
 @dataclass
@@ -242,24 +245,28 @@ class SigmaHarness:
         self.baseline = probe(self.C)  # fault-free resilient run (bitwise ref)
         self.horizon = probe.report.elapsed  # deterministic virtual seconds
 
-    def _run(self, injector: FaultInjector) -> np.ndarray:
+    def _run(self, injector: FaultInjector, tracer=None) -> np.ndarray:
         resilient = None if _RECOVERY_ENABLED else False
         op = self._ParallelSigma(
-            self.problem, self.config, faults=injector, resilient=resilient
+            self.problem, self.config, faults=injector, resilient=resilient, tracer=tracer
         )
         # bit-flipped payloads legitimately overflow inside the DGEMMs; the
         # invariants below judge the output, not the arithmetic en route
         with np.errstate(over="ignore", invalid="ignore"):
             return op(self.C)
 
-    def run(self, case: FuzzCase) -> tuple[str, str] | None:
-        """None, or ``(invariant, detail)`` for the broken invariant."""
-        plan = case.plan
+    def execute(self, plan: FaultPlan, tracer=None):
+        """Run ``plan`` once and judge it: ``(sigma, injector, failure)`` with
+        ``failure`` None or the broken ``(invariant, detail)`` (``sigma`` is
+        None when the run itself raised)."""
         fi = FaultInjector(plan)
         try:
-            out = self._run(fi)
+            out = self._run(fi, tracer)
         except Exception as exc:
-            return ("no_crash", f"{type(exc).__name__}: {exc}")
+            return None, fi, ("no_crash", f"{type(exc).__name__}: {exc}")
+        return out, fi, self._judge(plan, out)
+
+    def _judge(self, plan: FaultPlan, out: np.ndarray) -> tuple[str, str] | None:
         if plan.corrupt and plan.corrupt_mode == "bitflip":
             # silent bit-flips: the contract is seeded reproducibility
             out2 = self._run(FaultInjector(plan))
@@ -277,6 +284,10 @@ class SigmaHarness:
         if not err < _TOL:
             return ("exact_recovery", f"max|sigma - serial| = {err:.3e}")
         return None
+
+    def run(self, case: FuzzCase) -> tuple[str, str] | None:
+        """None, or ``(invariant, detail)`` for the broken invariant."""
+        return self.execute(case.plan)[2]
 
 
 class _Killed(Exception):

@@ -10,13 +10,15 @@ is most exposed, I/O that browns out gradually instead of flipping off.
 A chaos scenario here is a **generator**: ``(env, rng) -> FaultPlan field
 overrides``, drawing its shape from a seeded :class:`random.Random` so the
 same seed always produces the same schedule.  Scenarios compose by
-merging - deaths union, stall windows concatenate, scalar knobs override
-left-to-right - into one declarative :class:`~repro.faults.FaultPlan`
+merging (:func:`repro.faults.scenarios.compose`: deaths union, stall
+windows concatenate, scalar knobs override left-to-right) into one
+declarative :class:`~repro.faults.FaultPlan`
 that round-trips through JSON (``FaultPlan.to_dict``/``from_dict``), which
 is what lets the fuzzer persist a failing schedule as a replayable
 reproducer.
 
-Three registries, same discipline as :data:`repro.faults.SCENARIOS`:
+Three registries, kept by the same ``register``/``names``/``compose`` as
+:data:`repro.faults.SCENARIOS`:
 
 * :data:`CHAOS_SCENARIOS` - simulated-X1 fault schedules (consumed by
   ``ParallelSigma(faults=...)`` and solver checkpointing),
@@ -36,9 +38,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
 
 from ..faults import FaultPlan, ServiceFaultPlan, StallWindow
+from ..faults.scenarios import Generator, compose, register
+from ..faults.scenarios import names as registered_names
 
 __all__ = [
     "ChaosEnv",
@@ -70,8 +74,6 @@ class ChaosEnv:
     n_spans: int = 8
 
 
-Generator = Callable[[ChaosEnv, random.Random], dict]
-
 CHAOS_SCENARIOS: dict[str, Generator] = {}
 SERVICE_SCENARIOS: dict[str, Generator] = {}
 BACKEND_SCENARIOS: dict[str, Generator] = {}
@@ -79,30 +81,22 @@ BACKEND_SCENARIOS: dict[str, Generator] = {}
 
 def register_chaos_scenario(name: str, *, registry: dict | None = None):
     """Decorator registering a generator under ``name`` (X1 registry by default)."""
-    reg = CHAOS_SCENARIOS if registry is None else registry
-
-    def wrap(fn: Generator) -> Generator:
-        if name in reg:
-            raise ValueError(f"chaos scenario {name!r} is already registered")
-        reg[name] = fn
-        return fn
-
-    return wrap
+    return partial(register, CHAOS_SCENARIOS if registry is None else registry, name)
 
 
 def chaos_scenario_names() -> list[str]:
     """The registered X1 chaos-scenario names, sorted."""
-    return sorted(CHAOS_SCENARIOS)
+    return registered_names(CHAOS_SCENARIOS)
 
 
 def service_scenario_names() -> list[str]:
     """The registered service chaos-scenario names, sorted."""
-    return sorted(SERVICE_SCENARIOS)
+    return registered_names(SERVICE_SCENARIOS)
 
 
 def backend_scenario_names() -> list[str]:
     """The registered execution-backend chaos-scenario names, sorted."""
-    return sorted(BACKEND_SCENARIOS)
+    return registered_names(BACKEND_SCENARIOS)
 
 
 # -- X1 schedule generators ---------------------------------------------------
@@ -267,28 +261,6 @@ def _shm_worker_kill(env: ChaosEnv, rng: random.Random) -> dict:
 # -- composition --------------------------------------------------------------
 
 
-def _compose(names, env: ChaosEnv, seed: int, registry: dict, kind: str) -> dict:
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        raise ValueError(
-            f"unknown {kind} scenario(s) {unknown}; registered: {sorted(registry)}"
-        )
-    rng = random.Random(seed)
-    deaths: dict[int, float] = {}
-    stalls: list[StallWindow] = []
-    scalars: dict = {}
-    for name in names:
-        overrides = dict(registry[name](env, rng))
-        deaths.update(overrides.pop("deaths", {}))
-        stalls.extend(overrides.pop("stalls", []))
-        scalars.update(overrides)
-    if deaths:
-        scalars["deaths"] = deaths
-    if stalls:
-        scalars["stalls"] = stalls
-    return scalars
-
-
 def build_fault_plan(names, env: ChaosEnv, seed: int) -> FaultPlan:
     """Compose named X1 scenarios into one seeded :class:`FaultPlan`.
 
@@ -296,8 +268,7 @@ def build_fault_plan(names, env: ChaosEnv, seed: int) -> FaultPlan:
     ``seed`` (the injector's stream) is the same value, so one integer
     reproduces both the schedule and the per-op coin flips.
     """
-    scalars = _compose(names, env, seed, CHAOS_SCENARIOS, "chaos")
-    return FaultPlan(seed=seed, **scalars)
+    return FaultPlan(seed=seed, **compose(CHAOS_SCENARIOS, names, env, seed))
 
 
 def build_backend_plan(names, env: ChaosEnv, seed: int) -> dict:
@@ -308,22 +279,9 @@ def build_backend_plan(names, env: ChaosEnv, seed: int) -> dict:
     harness interprets: ``kill_rank``/``kill_after_seconds`` drive the
     killer, ``straggle_seconds`` passes through to the engine.
     """
-    unknown = [n for n in names if n not in BACKEND_SCENARIOS]
-    if unknown:
-        raise ValueError(
-            f"unknown backend scenario(s) {unknown}; "
-            f"registered: {backend_scenario_names()}"
-        )
-    rng = random.Random(seed)
-    plan: dict = {}
-    for name in names:
-        plan.update(BACKEND_SCENARIOS[name](env, rng))
-    return plan
+    return compose(BACKEND_SCENARIOS, names, env, seed)
 
 
 def build_service_plan(names, env: ChaosEnv, seed: int) -> ServiceFaultPlan:
     """Compose named service scenarios into one seeded :class:`ServiceFaultPlan`."""
-    scalars = _compose(names, env, seed, SERVICE_SCENARIOS, "service chaos")
-    scalars.pop("deaths", None)
-    scalars.pop("stalls", None)
-    return ServiceFaultPlan(seed=seed, **scalars)
+    return ServiceFaultPlan(seed=seed, **compose(SERVICE_SCENARIOS, names, env, seed))

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["StallWindow", "FaultPlan", "FaultInjector", "DEFAULT_MUTEX_LEASE"]
+__all__ = ["StallWindow", "FaultPlan", "FaultLedger", "FaultInjector", "DEFAULT_MUTEX_LEASE"]
 
 DEFAULT_MUTEX_LEASE = 250e-6
 """Default mutex lease in virtual seconds before the engine may revoke a
@@ -78,11 +78,27 @@ class FaultPlan:
     retry_backoff: float = 5e-6  # first backoff; doubles per attempt
 
     def __post_init__(self) -> None:
+        """Refuse a plan that would crash, or silently do nothing, mid-run
+        (also the gate for reproducer files, via :meth:`from_dict`); the
+        ``not x >= 0`` form rejects NaN along with negatives."""
         if self.corrupt_mode not in ("nan", "bitflip"):
             raise ValueError("corrupt_mode must be 'nan' or 'bitflip'")
         for p in (self.drop_get, self.drop_put, self.delay_prob, self.corrupt, self.io_error):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("fault probabilities must be in [0, 1]")
+        for name in ("delay_seconds", "mutex_jitter", "mutex_lease", "retry_backoff", "max_retries"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.op_timeout is not None and not self.op_timeout > 0:
+            raise ValueError(f"op_timeout must be > 0 or None, got {self.op_timeout!r}")
+        for rank, at in self.deaths.items():
+            if rank < 0 or not at >= 0:
+                raise ValueError(f"death of rank {rank} at t={at!r}: need rank >= 0, t >= 0")
+        for w in self.stalls:
+            if w.rank < 0 or not w.slowdown >= 1.0 or not w.t0 <= w.t1:
+                raise ValueError(
+                    f"{w}: need rank >= 0, stall slowdown >= 1 and t0 <= t1"
+                )
 
     def any_faults(self) -> bool:
         return bool(
@@ -155,27 +171,17 @@ class FaultPlan:
         return cls(**data)
 
 
-class FaultInjector:
-    """Stateful, seeded oracle for a :class:`FaultPlan`.
-
-    Counts every injected fault under ``faults.injected.<kind>`` and every
-    recovery the stack reports (via :meth:`note_recovered`) under
-    ``faults.recovered.<kind>`` in ``registry`` (a fresh private
-    :class:`repro.obs.MetricsRegistry` unless one is shared in, e.g. a
-    ``Telemetry.registry``).
+class FaultLedger:
+    """The fault counters every injector keeps: each injected fault under
+    ``faults.injected.<kind>`` and each recovery the stack reports (via
+    :meth:`note_recovered`) under ``faults.recovered.<kind>`` in
+    ``registry`` (a fresh private :class:`repro.obs.MetricsRegistry` unless
+    one is shared in, e.g. a ``Telemetry.registry``).
     """
 
-    def __init__(self, plan: FaultPlan | None = None, registry: MetricsRegistry | None = None):
-        self.plan = plan if plan is not None else FaultPlan()
+    def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.rng = np.random.default_rng(self.plan.seed)
-        self._stalls_by_rank: dict[int, list[StallWindow]] = {}
-        for w in self.plan.stalls:
-            if w.slowdown < 1.0:
-                raise ValueError("stall slowdown must be >= 1")
-            self._stalls_by_rank.setdefault(w.rank, []).append(w)
 
-    # -- bookkeeping ---------------------------------------------------------
     def note_injected(self, kind: str, n: float = 1.0) -> None:
         self.registry.counter(f"faults.injected.{kind}").inc(n)
 
@@ -189,6 +195,18 @@ class FaultInjector:
             for name in self.registry
             if name.startswith("faults.")
         }
+
+
+class FaultInjector(FaultLedger):
+    """Stateful, seeded oracle for a :class:`FaultPlan`."""
+
+    def __init__(self, plan: FaultPlan | None = None, registry: MetricsRegistry | None = None):
+        super().__init__(registry)
+        self.plan = plan if plan is not None else FaultPlan()
+        self.rng = np.random.default_rng(self.plan.seed)
+        self._stalls_by_rank: dict[int, list[StallWindow]] = {}
+        for w in self.plan.stalls:
+            self._stalls_by_rank.setdefault(w.rank, []).append(w)
 
     # -- retry policy the DDI layer consults ---------------------------------
     @property

@@ -33,9 +33,9 @@ Determinism: one ``random.Random(seed)`` stream, consulted *only* by hooks
 whose probability is non-zero - an idle injector (default plan) draws
 nothing, so attaching it leaves every code path bitwise identical.
 
-Counters mirror :class:`FaultInjector`: every injection under
-``faults.injected.<kind>`` and every recovery the service reports under
-``faults.recovered.<kind>``.
+Counters live on the :class:`FaultLedger` base shared with
+:class:`FaultInjector`: every injection under ``faults.injected.<kind>``
+and every recovery the service reports under ``faults.recovered.<kind>``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 
 from ..obs.metrics import MetricsRegistry
+from .injector import FaultLedger
 
 __all__ = ["ServiceFaultPlan", "ServiceFaultInjector", "WorkerCrashed"]
 
@@ -119,7 +120,7 @@ class ServiceFaultPlan:
         return cls(**data)
 
 
-class ServiceFaultInjector:
+class ServiceFaultInjector(FaultLedger):
     """Stateful, seeded oracle for a :class:`ServiceFaultPlan`.
 
     Uses the stdlib :class:`random.Random` (the service layer never needs
@@ -130,24 +131,9 @@ class ServiceFaultInjector:
     def __init__(
         self, plan: ServiceFaultPlan | None = None, registry: MetricsRegistry | None = None
     ):
+        super().__init__(registry)
         self.plan = plan if plan is not None else ServiceFaultPlan()
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.rng = random.Random(self.plan.seed)
-
-    # -- bookkeeping ----------------------------------------------------------
-    def note_injected(self, kind: str, n: float = 1.0) -> None:
-        self.registry.counter(f"faults.injected.{kind}").inc(n)
-
-    def note_recovered(self, kind: str, n: float = 1.0) -> None:
-        self.registry.counter(f"faults.recovered.{kind}").inc(n)
-
-    def counts(self) -> dict[str, float]:
-        """All ``faults.*`` counter values (for assertions and reports)."""
-        return {
-            name: self.registry.get(name).value
-            for name in self.registry
-            if name.startswith("faults.")
-        }
 
     # -- injection points -----------------------------------------------------
     def worker_crashes(self) -> bool:

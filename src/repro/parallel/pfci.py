@@ -34,10 +34,11 @@ the serial kernel.  ``ParallelSigma`` also satisfies the
 :class:`repro.core.operator.HamiltonianOperator` and
 ``FCISolver(..., parallel=...)`` like any serial kernel.
 
-Resilient mode (``faults=`` attached, or ``resilient=True``): every phase
-becomes a *named, tagged task* published with exactly-once DDI semantics
-(commit flags written atomically with the data), and each phase ends with
-recovery rounds:
+Resilient mode (``faults=`` attached, or ``resilient=True``) runs the same
+three phase bodies as the fault-free program, but every unit of work is a
+*named, tagged task* published with exactly-once DDI semantics (commit
+flags written atomically with the data), and each phase ends with recovery
+rounds instead of a barrier:
 
     barrier -> gather commit tags (write-quiescent) -> barrier ->
     identical uncommitted-work decision on every rank ->
@@ -48,8 +49,11 @@ the reference sigma: live ranks detect the dead rank via the engine's
 virtual-time heartbeat, requeue its unfinished work, and the idempotent
 accumulate guards make double delivery impossible.  NaN-poisoned gather
 payloads are detected and refetched at this layer; non-NaN bit-flips are
-the solvers' watchdog's problem.  With ``faults=None`` the original
-fault-free program runs unchanged (bit-identical schedule and result).
+the solvers' watchdog's problem.  With ``faults=None`` (or
+``resilient=False``) every tag is None and the original fault-free
+schedule runs unchanged (bit-identical schedule and result).  If *every*
+rank dies there is no survivor to recover: the call raises a
+``RuntimeError`` naming the dead ranks rather than assembling sigma.
 """
 
 from __future__ import annotations
@@ -477,14 +481,18 @@ class ParallelSigma:
         for r, (lo, hi) in enumerate(self.row_ranges):
             Cd.set_local(r, C[lo:hi])
 
-        if self.resilient:
-            program = self._resilient_program(Cd, Sd, dlb, heap)
-        else:
-            program = self._program(Cd, Sd, dlb)
+        program = self._program(Cd, Sd, dlb, heap)
 
         engine = Engine(cfg, heap, tracer=self.tracer, faults=fi)
         try:
             stats = engine.run([program] * P)
+            if len(engine.dead_ranks) == P:
+                # recovery is run by the survivors; with none, the heap
+                # holds whatever was committed before the last death
+                raise RuntimeError(
+                    f"every rank died before sigma was complete (dead ranks: "
+                    f"{sorted(engine.dead_ranks)}); no survivor to run recovery"
+                )
 
             sigma = np.empty_like(C)
             for r, (lo, hi) in enumerate(self.row_ranges):
@@ -504,57 +512,15 @@ class ParallelSigma:
             load_imbalance=engine.load_imbalance(),
         )
 
-    # -- fault-free program (the default; schedule is bit-stable) ------------
-    def _program(self, Cd: DDIArray, Sd: DDIArray, dlb: DynamicLoadBalancer):
-        n_tasks = len(self.tasks)
+    # -- the rank program ------------------------------------------------------
+    def _program(self, Cd: DDIArray, Sd: DDIArray, dlb: DynamicLoadBalancer, heap):
+        """Build the rank program: beta-beta, alpha-alpha, mixed-spin.
 
-        def program(proc, _heap):
-            r = proc.rank
-            lo, hi = self.row_ranges[r]
-            m = hi - lo
-
-            # ---- local phase: one-electron beta + beta-beta (static) ----
-            if m:
-                sig_local, t, flops = self._beta_beta_block(Cd.local_block(r))
-                yield proc.compute(t, flops=flops, label="beta-beta", name="DGEMM beta-beta")
-                Sd.local_block(r)[...] = sig_local
-            else:
-                Sd.local_block(r)[...] = 0.0
-            yield proc.barrier()
-
-            # ---- alpha-alpha + alpha one-electron on transposed blocks ----
-            clo, chi = self.col_ranges[r]
-            if chi > clo:
-                colC = yield from Cd.iget_col_block(proc, clo, chi, label="alpha-alpha")
-                X, t, flops = self._alpha_block(colC, chi - clo)
-                yield proc.compute(t, flops=flops, label="alpha-alpha", name="DGEMM alpha-alpha")
-                yield from Sd.iacc_col_block(proc, clo, chi, X, label="alpha-alpha")
-            yield proc.barrier()
-
-            # ---- mixed-spin: dynamic task pool ----
-            while True:
-                tid = yield from dlb.inext(proc, label="alpha-beta")
-                if tid >= n_tasks:
-                    break
-                task = self.tasks[tid]
-                meta = self._task_meta[tid]
-                Csub = yield from Cd.iget_rows(proc, meta["rows"], label="alpha-beta")
-                out = self._mixed_subset(Csub, meta)
-                t, flops = self._mixed_task_time(meta)
-                yield proc.compute(t, flops=flops, label="alpha-beta", name="DGEMM alpha-beta")
-                yield from Sd.iacc_rows(
-                    proc,
-                    np.arange(task.start, task.stop),
-                    out,
-                    label="alpha-beta",
-                )
-            yield proc.barrier()
-
-        return program
-
-    # -- resilient program (tagged tasks + recovery rounds) -------------------
-    def _resilient_program(self, Cd: DDIArray, Sd: DDIArray, dlb: DynamicLoadBalancer, heap):
-        """Build the self-healing rank program.
+        The fault-free and the resilient (self-healing) schedule run the
+        same three phase bodies and differ in two places only: how a
+        beta-beta block is published (local store vs tagged put) and how a
+        phase ends (barrier vs recovery rounds).  Fault-free, every ``tag``
+        is None and the schedule is the original bit-stable one.
 
         Commit-tag layout on ``Sd`` (tag ``t`` lives on each owner's heap):
         ``[0, P)`` beta-beta block publications, ``[P, 2P)`` alpha-alpha
@@ -563,114 +529,131 @@ class ParallelSigma:
         P = self.config.n_msps
         fi = self.faults
         n_tasks = len(self.tasks)
-        Sd.alloc_commit_tags(2 * P + n_tasks)
-        # claim counters for every possible recovery round, allocated up
-        # front so all ranks agree on them without communication
-        rq = {
-            (phase, rnd): DynamicLoadBalancer(heap, name=f"_rq_{phase}_{rnd}")
-            for phase in range(3)
-            for rnd in range(_MAX_RECOVERY_ROUNDS)
-        }
-        row_owners = [r for r, (lo, hi) in enumerate(self.row_ranges) if hi > lo]
+        resilient = self.resilient
 
-        def publish_beta_block(proc, owner, Cblk):
+        def tag_of(phase, i):
+            return phase * P + i if resilient else None
+
+        def beta_block(proc, owner, Cblk, tag):
             sig_local, t, flops = self._beta_beta_block(Cblk)
             yield proc.compute(t, flops=flops, label="beta-beta", name="DGEMM beta-beta")
-            yield from Sd.iput_block_once(proc, owner, sig_local, tag=owner, label="beta-beta")
+            if tag is None:
+                # fault-free, only the owner computes its rows: a local store
+                Sd.local_block(owner)[...] = sig_local
+            else:
+                yield from Sd.iput_block_once(proc, owner, sig_local, tag=tag, label="beta-beta")
 
-        def redo_beta_block(proc, owner):
-            lo, hi = self.row_ranges[owner]
-            Cblk = yield from Cd.iget_rows(proc, np.arange(lo, hi), label="beta-beta:requeue")
-            yield from publish_beta_block(proc, owner, Cblk)
-
-        def do_alpha_block(proc, c, label="alpha-alpha"):
+        def alpha_block(proc, c, tag, label="alpha-alpha"):
             clo, chi = self.col_ranges[c]
             colC = yield from Cd.iget_col_block(proc, clo, chi, label=label)
             X, t, flops = self._alpha_block(colC, chi - clo)
             yield proc.compute(t, flops=flops, label="alpha-alpha", name="DGEMM alpha-alpha")
-            yield from Sd.iacc_col_block_once(proc, clo, chi, X, tag=P + c, label=label)
+            yield from Sd.iacc_col_block(proc, clo, chi, X, label=label, tag=tag)
 
-        def do_mixed_task(proc, tid, label="alpha-beta"):
+        def mixed_task(proc, tid, tag, label="alpha-beta"):
             task = self.tasks[tid]
             meta = self._task_meta[tid]
             Csub = yield from Cd.iget_rows(proc, meta["rows"], label=label)
             out = self._mixed_subset(Csub, meta)
             t, flops = self._mixed_task_time(meta)
             yield proc.compute(t, flops=flops, label="alpha-beta", name="DGEMM alpha-beta")
-            yield from Sd.iacc_rows_once(
-                proc, np.arange(task.start, task.stop), out, tag=2 * P + tid, label=label
+            yield from Sd.iacc_rows(
+                proc, np.arange(task.start, task.stop), out, label=label, tag=tag
             )
 
-        def uncommitted_beta(T):
-            return [r for r in row_owners if not T[r, r]]
+        if not resilient:
 
-        def uncommitted_alpha(T):
-            return [
-                c
-                for c, (clo, chi) in enumerate(self.col_ranges)
-                if chi > clo and not all(T[o, P + c] for o in row_owners)
-            ]
-
-        def uncommitted_mixed(T):
-            return [
-                t
-                for t in range(n_tasks)
-                if not all(T[o, 2 * P + t] for o in self._task_owners[t])
-            ]
-
-        def recover(proc, phase, find_uncommitted, redo_one):
-            """Requeue-until-committed; every rank runs this in lockstep.
-
-            Control flow is driven *only* by the gathered commit tags (read
-            in a write-quiescent window between two barriers), so all live
-            ranks take identical decisions; the heartbeat probe is for the
-            trace and the fault counters, never for branching.
-            """
-            label = f"{_PHASE_NAMES[phase]}:recover"
-            for rnd in range(_MAX_RECOVERY_ROUNDS + 1):
+            def end_phase(proc, _phase):
                 yield proc.barrier()
-                T = yield from Sd.iget_tags(proc, label=label)
-                yield proc.barrier()
-                uncommitted = find_uncommitted(T)
-                if not uncommitted:
-                    return
-                if rnd == _MAX_RECOVERY_ROUNDS:
-                    raise RuntimeError(
-                        f"{label}: {len(uncommitted)} tasks still uncommitted "
-                        f"after {_MAX_RECOVERY_ROUNDS} recovery rounds"
-                    )
-                yield proc.failures(label=label)  # heartbeat: dead set -> trace
-                counter = rq[(phase, rnd)]
-                while True:
-                    idx = yield from counter.inext(proc, label=label)
-                    if idx >= len(uncommitted):
+
+        else:
+            # -- resilient: tagged tasks + recovery rounds --
+            Sd.alloc_commit_tags(2 * P + n_tasks)
+            # claim counters for every possible recovery round, allocated up
+            # front so all ranks agree on them without communication
+            rq = {
+                (phase, rnd): DynamicLoadBalancer(heap, name=f"_rq_{phase}_{rnd}")
+                for phase in range(3)
+                for rnd in range(_MAX_RECOVERY_ROUNDS)
+            }
+            row_owners = [r for r, (lo, hi) in enumerate(self.row_ranges) if hi > lo]
+
+            def redo_beta_block(proc, owner, tag):
+                lo, hi = self.row_ranges[owner]
+                Cblk = yield from Cd.iget_rows(proc, np.arange(lo, hi), label="beta-beta:requeue")
+                yield from beta_block(proc, owner, Cblk, tag)
+
+            redo = (redo_beta_block, alpha_block, mixed_task)
+            # per phase, every unit of work and the sigma owners it writes to;
+            # a unit is committed once each of them holds its flag
+            units = (
+                [(r, [r]) for r in row_owners],
+                [(c, row_owners) for c, (clo, chi) in enumerate(self.col_ranges) if chi > clo],
+                [(t, self._task_owners[t]) for t in range(n_tasks)],
+            )
+
+            def end_phase(proc, phase):
+                """Requeue-until-committed; every rank runs this in lockstep.
+
+                Control flow is driven *only* by the gathered commit tags (read
+                in a write-quiescent window between two barriers), so all live
+                ranks take identical decisions; the heartbeat probe is for the
+                trace and the fault counters, never for branching.
+                """
+                label = f"{_PHASE_NAMES[phase]}:recover"
+                for rnd in range(_MAX_RECOVERY_ROUNDS + 1):
+                    yield proc.barrier()
+                    T = yield from Sd.iget_tags(proc, label=label)
+                    yield proc.barrier()
+                    uncommitted = [
+                        i
+                        for i, owners in units[phase]
+                        if not all(T[o, tag_of(phase, i)] for o in owners)
+                    ]
+                    if not uncommitted:
                         break
-                    if fi is not None:
-                        fi.note_recovered("task_requeue")
-                    yield from redo_one(proc, uncommitted[idx])
+                    if rnd == _MAX_RECOVERY_ROUNDS:
+                        raise RuntimeError(
+                            f"{label}: {len(uncommitted)} tasks still uncommitted "
+                            f"after {_MAX_RECOVERY_ROUNDS} recovery rounds"
+                        )
+                    yield proc.failures(label=label)  # heartbeat: dead set -> trace
+                    counter = rq[(phase, rnd)]
+                    while True:
+                        idx = yield from counter.inext(proc, label=label)
+                        if idx >= len(uncommitted):
+                            break
+                        if fi is not None:
+                            fi.note_recovered("task_requeue")
+                        i = uncommitted[idx]
+                        yield from redo[phase](proc, i, tag_of(phase, i))
 
         def program(proc, _heap):
             r = proc.rank
             lo, hi = self.row_ranges[r]
 
-            # ---- phase 1: beta-beta, published exactly-once ----
+            # ---- local phase: one-electron beta + beta-beta (static) ----
             if hi > lo:
-                yield from publish_beta_block(proc, r, Cd.local_block(r))
-            yield from recover(proc, 0, uncommitted_beta, redo_beta_block)
+                yield from beta_block(proc, r, Cd.local_block(r), tag_of(0, r))
+            yield from end_phase(proc, 0)
 
-            # ---- phase 2: alpha-alpha column blocks ----
+            # ---- alpha-alpha + alpha one-electron on transposed blocks ----
             clo, chi = self.col_ranges[r]
             if chi > clo:
-                yield from do_alpha_block(proc, r)
-            yield from recover(proc, 1, uncommitted_alpha, do_alpha_block)
+                yield from alpha_block(proc, r, tag_of(1, r))
+            yield from end_phase(proc, 1)
 
-            # ---- phase 3: mixed-spin dynamic task pool ----
+            # ---- mixed-spin: dynamic task pool ----
             while True:
                 tid = yield from dlb.inext(proc, label="alpha-beta")
                 if tid >= n_tasks:
                     break
-                yield from do_mixed_task(proc, tid)
-            yield from recover(proc, 2, uncommitted_mixed, do_mixed_task)
-            yield proc.barrier()
+                yield from mixed_task(proc, tid, tag_of(2, tid))
+            yield from end_phase(proc, 2)
+            if resilient:
+                # the last recovery round already left the ranks in step;
+                # this closing barrier is part of the pinned resilient
+                # schedule (virtual elapsed time, trace digests)
+                yield proc.barrier()
 
         return program

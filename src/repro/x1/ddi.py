@@ -22,9 +22,9 @@ then retries with exponential backoff (charged to the virtual clock as
 ``*:retry`` compute, counted under ``faults.recovered.retried_*``) up to the
 plan's retry budget before raising :class:`DDICommError`.  Retries inside
 the DDI_ACC protocol are safe because the node mutex is held throughout.
-The ``*_once`` variants add a per-tag commit flag written *atomically* with
-the data (one multi-segment put), making accumulation idempotent: a task
-requeued after its owner died mid-protocol lands exactly once.
+Given a ``tag``, an accumulate also writes a per-tag commit flag *atomically*
+with the data (one multi-segment put), making it idempotent: a task requeued
+after its owner died mid-protocol lands exactly once.
 """
 
 from __future__ import annotations
@@ -118,19 +118,32 @@ class DDIArray:
         if blk is not None:
             blk[...] = data
 
-    def _group_by_owner(self, rows: np.ndarray):
+    def _windows(self, rows=None, cols=None):
+        """Per-owner windows ``(owner, key, nbytes, positions)`` of a row
+        list or of the column block ``cols = (lo, hi)``: ``key`` indexes the
+        owner's segment (None in trace mode), ``positions`` the caller's
+        buffer.  The one walk over owners every one-sided verb uses."""
+        if rows is None:
+            width = cols[1] - cols[0]
+            key = (slice(None), slice(*cols)) if self.numeric else None
+            return [
+                (owner, key, (hi - lo) * width * 8.0, slice(lo, hi))
+                for owner, (lo, hi) in enumerate(self.ranges)
+                if hi > lo
+            ]
         rows = np.asarray(rows, dtype=np.int64)
         owners = self._row_owner[rows]
         order = np.argsort(owners, kind="stable")
         rows_sorted = rows[order]
-        owners_sorted = owners[order]
-        bounds = np.searchsorted(owners_sorted, np.arange(self.heap.n_ranks + 1))
-        groups = []
+        bounds = np.searchsorted(owners[order], np.arange(self.heap.n_ranks + 1))
+        windows = []
         for r in range(self.heap.n_ranks):
             lo, hi = bounds[r], bounds[r + 1]
             if hi > lo:
-                groups.append((r, rows_sorted[lo:hi], order[lo:hi]))
-        return groups
+                local = rows_sorted[lo:hi] - self.ranges[r][0]
+                key = (local, slice(None)) if self.numeric else None
+                windows.append((r, key, local.size * self.n_cols * 8.0, order[lo:hi]))
+        return windows
 
     # -- retry machinery ----------------------------------------------------
     def _payload_bad(self, result, kind: str) -> bool:
@@ -179,16 +192,11 @@ class DDIArray:
         return result
 
     # -- one-sided operations (generators; use with ``yield from``) ---------
-    def iget_rows(self, proc: Proc, rows, label: str = "gather"):
-        """DDI_GET of a row list; returns (len(rows), n_cols) in numeric mode."""
-        rows = np.asarray(rows, dtype=np.int64)
-        out = np.empty((rows.size, self.n_cols)) if self.numeric else None
+    def _get(self, proc: Proc, windows, shape, label: str):
+        """DDI_GET of ``windows`` into a fresh ``shape`` buffer."""
+        out = np.empty(shape) if self.numeric else None
         yield proc.span_begin("DDI_GET", label=label)
-        for owner, grp_rows, positions in self._group_by_owner(rows):
-            lo = self.ranges[owner][0]
-            local = grp_rows - lo
-            nbytes = local.size * self.n_cols * 8.0
-            key = (local, slice(None)) if self.numeric else None
+        for owner, key, nbytes, positions in windows:
             data = yield from self._reliable(
                 proc,
                 lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
@@ -200,88 +208,99 @@ class DDIArray:
         yield proc.span_end()
         return out
 
+    def iget_rows(self, proc: Proc, rows, label: str = "gather"):
+        """DDI_GET of a row list; returns (len(rows), n_cols) in numeric mode."""
+        shape = (np.size(rows), self.n_cols)
+        return (yield from self._get(proc, self._windows(rows=rows), shape, label))
+
     def iget_col_block(self, proc: Proc, col_lo: int, col_hi: int, label: str = "gather"):
         """DDI_GET of a full column block (all rows) - the distributed
         transpose building block; returns (n_rows, col_hi-col_lo) numeric."""
-        width = col_hi - col_lo
-        out = np.empty((self.n_rows, width)) if self.numeric else None
-        yield proc.span_begin("DDI_GET", label=label)
-        for owner, (lo, hi) in enumerate(self.ranges):
-            if hi <= lo:
-                continue
-            nbytes = (hi - lo) * width * 8.0
-            key = (slice(None), slice(col_lo, col_hi)) if self.numeric else None
-            data = yield from self._reliable(
-                proc,
-                lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
-                "get",
-                label,
-            )
-            if out is not None:
-                out[lo:hi] = data
-        yield proc.span_end()
-        return out
+        shape = (self.n_rows, col_hi - col_lo)
+        return (yield from self._get(proc, self._windows(cols=(col_lo, col_hi)), shape, label))
 
-    def iacc_col_block(self, proc: Proc, col_lo: int, col_hi: int, data, label: str = "accumulate"):
-        """DDI_ACC of a full column block into every owner's local rows."""
-        width = col_hi - col_lo
-        yield proc.span_begin("DDI_ACC", label=label)
-        for owner, (lo, hi) in enumerate(self.ranges):
-            if hi <= lo:
-                continue
-            nbytes = (hi - lo) * width * 8.0
+    def _acc(self, proc: Proc, windows, data, label: str, tag=None, add: bool = True):
+        """The paper's DDI_ACC on each owner window: lock the owner's node
+        mutex, get the patch, add locally, put it back, quiet, unlock.
+
+        ``tag`` makes the update exactly-once: the owner's commit flag for
+        ``tag`` is read under the mutex (set -> nothing to do), and the data
+        and the flag go out in one multi-segment put, so a commit either
+        fully happened or not at all - a task requeued after its owner died
+        mid-protocol lands once.  ``add=False`` overwrites instead of
+        accumulating (no get): for values that are recomputable and
+        idempotent by construction.
+        """
+        tags = self._require_tags() if tag is not None else None
+        for owner, key, nbytes, positions in windows:
             mutex = self.node_mutex(owner)
-            key = (slice(None), slice(col_lo, col_hi)) if self.numeric else None
             yield proc.lock(mutex, label=label)
-            remote = yield from self._reliable(
-                proc,
-                lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
-                "get",
-                label,
-            )
-            updated = remote + data[lo:hi] if self.numeric and data is not None else None
+            if tag is not None:
+                flag = yield from self._reliable_tags(
+                    proc,
+                    lambda: proc.get(owner, tags, key=slice(tag, tag + 1), n_bytes=8.0, label=label),
+                    label,
+                )
+                if flag[0] != 0.0:
+                    if self.faults is not None:
+                        self.faults.note_recovered("acc_dedup")
+                    yield proc.unlock(mutex, label=label)
+                    continue
+            value = data[positions] if self.numeric and data is not None else None
+            if add:
+                remote = yield from self._reliable(
+                    proc,
+                    lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
+                    "get",
+                    label,
+                )
+                if value is not None:
+                    value = remote + value
             yield from self._reliable(
                 proc,
-                lambda: proc.put(owner, self.name, key=key, value=updated, n_bytes=nbytes, label=label),
+                lambda: (
+                    proc.put(owner, self.name, key=key, value=value, n_bytes=nbytes, label=label)
+                    if tag is None
+                    else proc.putm(
+                        owner,
+                        [(self.name, key, value), (tags, slice(tag, tag + 1), 1.0)],
+                        n_bytes=nbytes + 8.0,
+                        label=label,
+                    )
+                ),
                 "put",
                 label,
             )
             yield proc.quiet(label=label)
             yield proc.unlock(mutex, label=label)
-        yield proc.span_end()
 
-    def iacc_rows(self, proc: Proc, rows, data, label: str = "accumulate"):
-        """DDI_ACC: the paper's lock/get/add/put/quiet/unlock protocol."""
-        rows = np.asarray(rows, dtype=np.int64)
+    def iacc_rows(self, proc: Proc, rows, data, label: str = "accumulate", tag=None):
+        """DDI_ACC of a row list (exactly-once per owner when ``tag`` is given)."""
         yield proc.span_begin("DDI_ACC", label=label)
-        for owner, grp_rows, positions in self._group_by_owner(rows):
-            lo = self.ranges[owner][0]
-            local = grp_rows - lo
-            nbytes = local.size * self.n_cols * 8.0
-            mutex = self.node_mutex(owner)
-            key = (local, slice(None)) if self.numeric else None
-            yield proc.lock(mutex, label=label)
-            remote = yield from self._reliable(
-                proc,
-                lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
-                "get",
-                label,
-            )
-            if self.numeric and data is not None:
-                updated = remote + data[positions]
-            else:
-                updated = None
-            yield from self._reliable(
-                proc,
-                lambda: proc.put(owner, self.name, key=key, value=updated, n_bytes=nbytes, label=label),
-                "put",
-                label,
-            )
-            yield proc.quiet(label=label)
-            yield proc.unlock(mutex, label=label)
+        yield from self._acc(proc, self._windows(rows=rows), data, label, tag)
         yield proc.span_end()
 
-    # -- idempotent (exactly-once) accumulation -----------------------------
+    def iacc_col_block(
+        self, proc: Proc, col_lo: int, col_hi: int, data, label: str = "accumulate", tag=None
+    ):
+        """DDI_ACC of a full column block into every owner's local rows
+        (exactly-once per owner when ``tag`` is given)."""
+        yield proc.span_begin("DDI_ACC", label=label)
+        yield from self._acc(proc, self._windows(cols=(col_lo, col_hi)), data, label, tag)
+        yield proc.span_end()
+
+    def iput_block_once(self, proc: Proc, owner: int, value, tag: int, label: str = "publish"):
+        """Exactly-once *overwrite* of ``owner``'s whole local block.
+
+        Any rank can publish a recomputable block (e.g. a rank's beta-beta
+        sigma rows) on the owner's behalf, and the atomic data+flag put
+        means a half-dead publisher never leaves a flag without its data.
+        """
+        lo, hi = self.ranges[owner]
+        window = (owner, None, (hi - lo) * self.n_cols * 8.0, slice(None))
+        yield from self._acc(proc, [window], value, label, tag, add=False)
+
+    # -- commit tags (exactly-once accumulation) ----------------------------
     def alloc_commit_tags(self, n_tags: int) -> None:
         """Allocate per-(tag, owner) commit flags on every rank's heap.
 
@@ -296,7 +315,7 @@ class DDIArray:
 
     def _require_tags(self) -> str:
         if self.tags_name is None:
-            raise RuntimeError("call alloc_commit_tags() before *_once operations")
+            raise RuntimeError("call alloc_commit_tags() before tagged (exactly-once) operations")
         return self.tags_name
 
     def _reliable_tags(self, proc: Proc, op_factory, label: str):
@@ -320,16 +339,6 @@ class DDIArray:
                 )
             yield proc.compute(fi.retry_backoff, label=f"{label}:retry")
 
-    def iread_tag(self, proc: Proc, owner: int, tag: int, label: str = "commit-tag"):
-        """Read one commit flag from ``owner`` (reliable; generator)."""
-        tags = self._require_tags()
-        raw = yield from self._reliable_tags(
-            proc,
-            lambda: proc.get(owner, tags, key=slice(tag, tag + 1), n_bytes=8.0, label=label),
-            label,
-        )
-        return bool(raw[0] != 0.0)
-
     def iget_tags(self, proc: Proc, owners=None, label: str = "commit-tags"):
         """Gather all commit flags from ``owners`` (default: every rank).
 
@@ -350,116 +359,6 @@ class DDIArray:
             out[i] = raw != 0.0
         yield proc.span_end()
         return out
-
-    def iacc_rows_once(self, proc: Proc, rows, data, tag: int, label: str = "accumulate"):
-        """Exactly-once DDI_ACC: skip owners whose commit flag for ``tag``
-        is already set; otherwise add and publish data+flag atomically."""
-        tags = self._require_tags()
-        rows = np.asarray(rows, dtype=np.int64)
-        yield proc.span_begin("DDI_ACC", label=label)
-        for owner, grp_rows, positions in self._group_by_owner(rows):
-            lo = self.ranges[owner][0]
-            local = grp_rows - lo
-            nbytes = local.size * self.n_cols * 8.0
-            mutex = self.node_mutex(owner)
-            key = (local, slice(None)) if self.numeric else None
-            yield proc.lock(mutex, label=label)
-            committed = yield from self.iread_tag(proc, owner, tag, label=label)
-            if committed:
-                if self.faults is not None:
-                    self.faults.note_recovered("acc_dedup")
-                yield proc.unlock(mutex, label=label)
-                continue
-            remote = yield from self._reliable(
-                proc,
-                lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
-                "get",
-                label,
-            )
-            if self.numeric and data is not None:
-                updated = remote + data[positions]
-            else:
-                updated = None
-            writes = [(self.name, key, updated), (tags, slice(tag, tag + 1), 1.0)]
-            yield from self._reliable(
-                proc,
-                lambda: proc.putm(owner, writes, n_bytes=nbytes + 8.0, label=label),
-                "put",
-                label,
-            )
-            yield proc.quiet(label=label)
-            yield proc.unlock(mutex, label=label)
-        yield proc.span_end()
-
-    def iacc_col_block_once(
-        self, proc: Proc, col_lo: int, col_hi: int, data, tag: int, label: str = "accumulate"
-    ):
-        """Exactly-once DDI_ACC of a full column block (tag per owner)."""
-        tags = self._require_tags()
-        width = col_hi - col_lo
-        yield proc.span_begin("DDI_ACC", label=label)
-        for owner, (lo, hi) in enumerate(self.ranges):
-            if hi <= lo:
-                continue
-            nbytes = (hi - lo) * width * 8.0
-            mutex = self.node_mutex(owner)
-            key = (slice(None), slice(col_lo, col_hi)) if self.numeric else None
-            yield proc.lock(mutex, label=label)
-            committed = yield from self.iread_tag(proc, owner, tag, label=label)
-            if committed:
-                if self.faults is not None:
-                    self.faults.note_recovered("acc_dedup")
-                yield proc.unlock(mutex, label=label)
-                continue
-            remote = yield from self._reliable(
-                proc,
-                lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
-                "get",
-                label,
-            )
-            updated = remote + data[lo:hi] if self.numeric and data is not None else None
-            writes = [(self.name, key, updated), (tags, slice(tag, tag + 1), 1.0)]
-            yield from self._reliable(
-                proc,
-                lambda: proc.putm(owner, writes, n_bytes=nbytes + 8.0, label=label),
-                "put",
-                label,
-            )
-            yield proc.quiet(label=label)
-            yield proc.unlock(mutex, label=label)
-        yield proc.span_end()
-
-    def iput_block_once(self, proc: Proc, owner: int, value, tag: int, label: str = "publish"):
-        """Exactly-once *overwrite* of ``owner``'s whole local block.
-
-        Used when the value is recomputable and idempotent by construction
-        (e.g. a rank's beta-beta sigma block): any rank can publish the
-        block on the owner's behalf, and the atomic data+flag put means a
-        half-dead publisher never leaves a flag without its data.
-        """
-        tags = self._require_tags()
-        lo, hi = self.ranges[owner]
-        nbytes = (hi - lo) * self.n_cols * 8.0
-        mutex = self.node_mutex(owner)
-        yield proc.lock(mutex, label=label)
-        committed = yield from self.iread_tag(proc, owner, tag, label=label)
-        if committed:
-            if self.faults is not None:
-                self.faults.note_recovered("acc_dedup")
-            yield proc.unlock(mutex, label=label)
-            return
-        writes = [
-            (self.name, None, value if self.numeric else None),
-            (tags, slice(tag, tag + 1), 1.0),
-        ]
-        yield from self._reliable(
-            proc,
-            lambda: proc.putm(owner, writes, n_bytes=nbytes + 8.0, label=label),
-            "put",
-            label,
-        )
-        yield proc.quiet(label=label)
-        yield proc.unlock(mutex, label=label)
 
 
 class DynamicLoadBalancer:

@@ -297,6 +297,18 @@ class Engine:
     def __init__(self, config: X1Config, heap: SymmetricHeap, tracer=None, faults=None):
         if heap.n_ranks != config.n_msps:
             raise ValueError("heap rank count must match config.n_msps")
+        if faults is not None:
+            plan = faults.plan
+            beyond = sorted(
+                r for r in {*plan.deaths, *(w.rank for w in plan.stalls)} if r >= config.n_msps
+            )
+            if beyond:
+                # a fault aimed at a rank that does not exist injects nothing
+                # and the run would report a recovery it never exercised
+                raise ValueError(
+                    f"fault plan names rank(s) {beyond} but the machine has "
+                    f"{config.n_msps} MSPs"
+                )
         self.config = config
         self.heap = heap
         self.tracer = tracer

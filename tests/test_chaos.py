@@ -249,6 +249,47 @@ class TestCLI:
         assert chaos_main(["replay", "3"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("{not json", "not a fuzz case"),
+            ('{"seed": 1}', "KeyError: 'harness'"),
+            ('{"seed": 1, "harness": "sigma", "plan": null}', "needs a 'plan'"),
+            ('{"seed": 1, "harness": "sigma", "plan": {"drop_get": 7}}', "probabilities"),
+            ("[1, 2]", "JSON object"),
+        ],
+        ids=["malformed", "no-harness", "null-plan", "bad-probability", "not-an-object"],
+    )
+    def test_replay_file_bad_input_is_exit_2(self, tmp_path, capsys, text, match):
+        path = tmp_path / "case.json"
+        path.write_text(text)
+        assert chaos_main(["replay", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_replay_missing_file_is_exit_2(self, tmp_path, capsys):
+        assert chaos_main(["replay", "--file", str(tmp_path / "absent.json")]) == 2
+        assert "absent.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["dead_rank", "correlated_failures"])
+    def test_scenario_command(self, tmp_path, capsys, name):
+        """Fixed and generator names both run; first seed leaves a trace."""
+        rc = chaos_main(
+            ["scenario", name, "--seeds", "0", "1", "--trace-dir", str(tmp_path)]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("max|diff|=") == 2 and "injected.rank_death=" in out
+        trace = json.loads((tmp_path / f"{name}-seed0.json").read_text())
+        assert trace["traceEvents"]
+        assert not (tmp_path / f"{name}-seed1.json").exists()
+
+    def test_scenario_command_unknown_name(self, capsys):
+        assert chaos_main(["scenario", "meteor_strike"]) == 2
+        err = capsys.readouterr().err
+        assert "dead_rank" in err and "correlated_failures" in err
+
     def test_min_executed_gate(self, capsys):
         rc = chaos_main(
             ["fuzz", "--seeds", "5", "--time-budget", "0", "--min-executed", "5"]

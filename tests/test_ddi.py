@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector
 from repro.x1 import DDIArray, DynamicLoadBalancer, Engine, SymmetricHeap, X1Config
 from repro.x1.ddi import block_ranges
 
@@ -106,6 +107,63 @@ class TestDDIArray:
         eng = Engine(self.cfg, heap)
         eng.run([prog] * 4)
         assert eng.stats[0].bytes_received == 50 * 5 * 8
+
+
+class TestTaggedAccumulate:
+    """``tag=`` makes the one DDI_ACC routine exactly-once per owner."""
+
+    ROWS = np.array([0, 9, 4])
+
+    def _array(self, faults=None, tags=8):
+        heap = SymmetricHeap(4)
+        A = DDIArray(heap, "A", 10, 3, msps_per_node=4, faults=faults)
+        if tags:
+            A.alloc_commit_tags(tags)
+        return heap, A
+
+    def _issue(self, heap, A, faults, times, tag, op):
+        """Rank 1 issues the same accumulate ``times`` times; returns the array."""
+
+        def prog(proc, h):
+            if proc.rank == 1:
+                for _ in range(times):
+                    if op == "rows":
+                        data = np.arange(9, dtype=float).reshape(3, 3) + 1
+                        yield from A.iacc_rows(proc, self.ROWS, data, tag=tag)
+                    else:
+                        data = np.arange(20, dtype=float).reshape(10, 2) + 1
+                        yield from A.iacc_col_block(proc, 1, 3, data, tag=tag)
+            else:
+                yield proc.compute(0.0)
+
+        Engine(X1Config(n_msps=4), heap, faults=faults).run([prog] * 4)
+        return np.vstack([heap.segment("A", r) for r in range(4)])
+
+    @pytest.mark.parametrize("op", ["rows", "cols"])
+    def test_issued_twice_adds_once(self, op):
+        fi = FaultInjector()
+        heap, A = self._array(faults=fi)
+        twice = self._issue(heap, A, fi, 2, 5, op)
+        heap1, A1 = self._array()
+        once = self._issue(heap1, A1, None, 1, 5, op)
+        assert np.array_equal(twice, once) and once.any()
+        # one dedup per owner window the second issue touched
+        n_owners = 3 if op == "rows" else 4
+        assert fi.counts()["faults.recovered.acc_dedup"] == n_owners
+
+    @pytest.mark.parametrize("op", ["rows", "cols"])
+    def test_tagged_equals_untagged(self, op):
+        heap, A = self._array()
+        tagged = self._issue(heap, A, None, 1, 2, op)
+        heap, A = self._array(tags=0)
+        untagged = self._issue(heap, A, None, 1, None, op)
+        assert np.array_equal(tagged, untagged)
+
+    @pytest.mark.parametrize("op", ["rows", "cols"])
+    def test_tag_without_alloc_is_named_error(self, op):
+        heap, A = self._array(tags=0)
+        with pytest.raises(RuntimeError, match="alloc_commit_tags"):
+            self._issue(heap, A, None, 1, 0, op)
 
 
 class TestDLB:

@@ -13,11 +13,15 @@ The contract under test is the robustness story end to end:
   to the original schedule.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import CIProblem, sigma_dgemm
 from repro.faults import ChaosConfig, FaultInjector, FaultPlan, SCENARIOS, StallWindow
+from repro.obs import ChromeTracer
 from repro.parallel import ParallelSigma
 from repro.parallel.trace import FCISpaceSpec, TraceFCI, homonuclear_diatomic_irreps
 from repro.faults import DEFAULT_MUTEX_LEASE
@@ -67,6 +71,32 @@ class TestFaultPlan:
     def test_stall_slowdown_validation(self):
         with pytest.raises(ValueError, match="slowdown"):
             FaultInjector(FaultPlan(stalls=[StallWindow(0, slowdown=0.5)]))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("mutex_jitter", -1e-3, "mutex_jitter"),  # crashed numpy's uniform mid-run
+            ("delay_seconds", -1.0, "delay_seconds"),  # ... and exponential
+            ("delay_seconds", math.nan, "delay_seconds"),
+            ("retry_backoff", -1.0, "retry_backoff"),  # ran to completion on it
+            ("max_retries", -1, "max_retries"),  # first drop: immediate DDICommError
+            ("mutex_lease", -1e-6, "mutex_lease"),
+            ("op_timeout", -1e-3, "op_timeout"),
+            ("deaths", {1: math.nan}, "death of rank 1"),  # silently never fired
+            ("deaths", {1: -1e-4}, "death of rank 1"),
+            ("deaths", {-1: 1e-4}, "death of rank -1"),
+            ("stalls", [StallWindow(0, slowdown=0.5)], "slowdown"),  # only the injector refused
+            ("stalls", [StallWindow(-1)], "rank >= 0"),
+            ("stalls", [StallWindow(0, t0=2.0, t1=1.0)], "t0 <= t1"),
+        ],
+    )
+    def test_invalid_field_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            FaultPlan(**{field: value})
+
+    def test_from_dict_validates(self):
+        with pytest.raises(ValueError, match="retry_backoff"):
+            FaultPlan.from_dict(dict(FaultPlan().to_dict(), retry_backoff=-1.0))
 
     def test_scenarios_build(self):
         for name in SCENARIOS:
@@ -171,6 +201,15 @@ class TestEngineFaults:
         Engine(cfg, heap, faults=fi).run([prog, prog])
         assert done == [1]
         assert fi.counts()["faults.recovered.mutex_revoked"] == 1.0
+
+    @pytest.mark.parametrize(
+        "plan",
+        [FaultPlan(deaths={2: 1e-4}), FaultPlan(stalls=[StallWindow(5)])],
+        ids=["death", "stall"],
+    )
+    def test_plan_aimed_at_missing_rank_refused(self, plan):
+        with pytest.raises(ValueError, match="2 MSPs"):
+            Engine(X1Config(n_msps=2), SymmetricHeap(2), faults=FaultInjector(plan))
 
     def test_all_ranks_dead_is_not_deadlock(self):
         cfg = X1Config(n_msps=2)
@@ -322,6 +361,52 @@ class TestChaosParallelSigma:
         out = ParallelSigma(problem, X1Config(n_msps=8), faults=fi)(C)
         assert np.max(np.abs(out - ref)) < 1e-10
         assert fi.counts()["faults.injected.rank_death"] == 2.0
+
+
+    def test_no_survivor_is_an_error_not_a_wrong_sigma(self, ci):
+        problem, C, _ = ci
+        fi = FaultInjector(FaultPlan(deaths={r: 1e-4 for r in range(4)}))
+        with pytest.raises(RuntimeError, match=r"every rank died.*\[0, 1, 2, 3\]"):
+            ParallelSigma(problem, X1Config(n_msps=4), faults=fi)(C)
+
+    def test_victim_beyond_machine_refused(self, ci):
+        problem, C, _ = ci
+        fi = ChaosConfig(["dead_rank"], victim=99).injector()
+        with pytest.raises(ValueError, match=r"rank\(s\) \[99\]"):
+            ParallelSigma(problem, X1Config(n_msps=4), faults=fi)(C)
+
+
+def _trace_digest(ci, horizon, lane):
+    """One traced 4-MSP run of ``lane``; the whole exported trace as JSON."""
+    problem, C, _ = ci
+    kw = {
+        "fault-free": {},
+        "resilient": {"resilient": True},
+        "idle-injector": {"faults": FaultInjector(), "resilient": False},
+        "dead_rank": {
+            "faults": ChaosConfig(
+                ["dead_rank"], seed=1, victim=1, at=0.5, horizon=horizon
+            ).injector()
+        },
+    }[lane]
+    tracer = ChromeTracer()
+    ParallelSigma(problem, X1Config(n_msps=4), tracer=tracer, **kw)(C)
+    assert tracer.n_events > 0
+    return json.dumps(tracer.export(), sort_keys=True)
+
+
+class TestTraceDeterminism:
+    """The simulated machine is deterministic: one seed, one trace - the
+    property that lets a refactor of this stack be proven exact."""
+
+    @pytest.mark.parametrize("lane", ["fault-free", "resilient", "dead_rank"])
+    def test_same_seed_same_trace(self, ci, horizon, lane):
+        assert _trace_digest(ci, horizon, lane) == _trace_digest(ci, horizon, lane)
+
+    def test_idle_injector_trace_is_the_plain_trace(self, ci, horizon):
+        assert _trace_digest(ci, horizon, "idle-injector") == _trace_digest(
+            ci, horizon, "fault-free"
+        )
 
 
 class TestDisabledHooksBitwise:

@@ -18,13 +18,16 @@ from .plans import SigmaPlan, build_g_matrix, build_w_matrix
 from .kernels import (
     DgemmKernel,
     MocKernel,
+    MOCCounters,
+    SigmaCounters,
     SigmaKernel,
     kernel_names,
     make_kernel,
+    one_electron_operators,
+    sigma_dgemm,
+    sigma_moc,
 )
 from .operator import HamiltonianOperator
-from .sigma_dgemm import SigmaCounters, one_electron_operators, sigma_dgemm
-from .sigma_moc import MOCCounters, sigma_moc
 from .model_space import DiagonalPreconditioner, ModelSpacePreconditioner
 from .checkpoint import CheckpointError, Checkpointer, CheckpointState
 from .guards import (

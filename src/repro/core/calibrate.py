@@ -27,7 +27,7 @@ from .davidson import davidson_solve
 from .model_space import ModelSpacePreconditioner
 from .olsen import SolveResult
 from .problem import CIProblem
-from .sigma_dgemm import sigma_dgemm
+from .kernels import sigma_dgemm
 
 __all__ = ["mp2_energy", "TruncatedCI", "cisd", "CalibrationResult"]
 

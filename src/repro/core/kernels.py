@@ -1,38 +1,62 @@
-"""Sigma kernels: plan-driven, batched implementations of sigma = H C.
+"""Sigma kernels: plan-driven implementations of sigma = H C, one vector per sweep.
 
-A :class:`SigmaKernel` consumes a precompiled :class:`~repro.core.plans.SigmaPlan`
-and evaluates sigma for a *stack* of CI vectors at once:
+sigma = H C is evaluated matrix-free in four pieces:
 
-* :class:`DgemmKernel` - the paper's algorithm.  Gather into dense
-  intermediates, one DGEMM per column block, reshaped segment-sum scatter.
-  Batching k vectors stacks the dense right-hand sides k-fold, so each
-  column block issues *one* batched DGEMM over a k-times-larger right-hand
-  side (a broadcasted matrix product, the dgemm_batch idiom) instead of k
-  separate sweeps.  Each slice of the stacked product has operand-for-
-  operand the same inputs as the single-vector DGEMM, which is what makes
-  batched results bitwise-identical to a vector-at-a-time loop even though
-  BLAS kernels round differently when a single GEMM is merely widened.
-* :class:`MocKernel` - the minimum-operation-count baseline.  Batching still
-  helps it honestly: the per-string same-spin matrix-element lists (the
-  paper's replicated-work bottleneck) are generated once and applied to all
-  k vectors, and the mixed-spin integral weights are formed once per (p, q).
+* one-electron  sum_pq h_pq (E^a_pq + E^b_pq)  (:func:`one_electron_sigma`),
+* same-spin alpha-alpha and beta-beta two-electron terms through the
+  N-2-electron intermediate string space (paper eqs. 7-9):
 
-Kernels are registered by name (``register_kernel``) so drivers validate and
-construct them through one registry; every kernel guarantees that
-``apply_batch(C_stack)`` is bitwise-identical to applying the vectors one at
-a time (each output column of a wider DGEMM is the same dot product).
+      D[(q>s), K] = sum_J  <J| a+_q a+_s |K>* C_J        (vector gather)
+      E[(p>r), K] = sum_(q>s) W[(pr),(qs)] D[(qs), K]    (dense DGEMM)
+      sigma_I    += sum_(p>r) <I| a+_p a+_r |K> E[(pr), K]  (scatter)
 
-Counters (:class:`SigmaCounters`, :class:`MOCCounters`) record FLOPs,
-gather/scatter traffic, and - new with the batched kernels - the number of
-dense DGEMM invocations, which is how the test suite proves batched sigma
-issues strictly fewer DGEMMs than a vector-at-a-time loop.
+  with W[(pr),(qs)] = (pq|rs) - (ps|rq),
+* the mixed-spin (alpha-beta) term through single-excitation gathers
+  (paper eqs. 4-6):
+
+      D[(rs), Ma, Kb] = sum_Mb <Kb|E^b_rs|Mb> C[Ma, Mb]   (gather)
+      E[(pq), Ma, Kb] = sum_rs (pq|rs) D[(rs), Ma, Kb]    (dense DGEMM)
+      sigma[Ka, Kb]  += sum_(pq),Ma <Ka|E^a_pq|Ma> E[(pq), Ma, Kb].
+
+A :class:`SigmaKernel` consumes a precompiled
+:class:`~repro.core.plans.SigmaPlan` (compiled once per problem, so no
+table is rebuilt in the hot path) and evaluates sigma for one (na, nb) CI
+matrix:
+
+* :class:`DgemmKernel` - the paper's algorithm: gather into dense
+  intermediates, one DGEMM per column block, segment-sum scatter.
+* :class:`MocKernel` - the minimum-operation-count baseline the paper
+  compares against (its refs [2-7]): only non-zero matrix elements are
+  formed and sigma is updated by indexed multiply-and-add.  Two costs are
+  reproduced on purpose: the same-spin routine regenerates every string's
+  *entire* double-excitation list on every call (the redundant work that,
+  replicated across processors, destroys MOC parallel scaling - paper
+  Fig. 4), and the mixed-spin routine spends Nci * na(n-na) * nb(n-nb)
+  indexed operations (paper Table 1).  It agrees with the DGEMM kernel to
+  machine precision; the *kernel structure* is what the Cray-X1 cost model
+  charges differently.
+
+Every sweep takes one vector, and ``apply_batch`` is a plain loop over
+``apply`` (:func:`apply_batch_loop`, shared by every class that offers it):
+a sweep with a leading k-vector axis measured 1.4-1.6x *slower* per vector
+than that loop at twice the peak memory (FCI(6+6,12), k = 4 - the k-fold
+scratch overflows the cache the block width is sized for), and the paper's
+one-vector solver exists precisely not to hold stacks of CI vectors.
+
+Kernels are registered by name (``register_kernel``) so drivers validate
+and construct them through one registry.  Counters (:class:`SigmaCounters`,
+:class:`MOCCounters`) record FLOPs, gather/scatter traffic and the number
+of dense DGEMM invocations.  :func:`sigma_dgemm` / :func:`sigma_moc` are
+the functional one-call entry points (validation and scripting).
 """
 
 from __future__ import annotations
 
+import time
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..obs.accounting import account_sigma_dgemm, account_sigma_moc
 from .plans import MixedSpinHalfPlan, SameSpinPlan, SigmaPlan
@@ -46,10 +70,17 @@ __all__ = [
     "register_kernel",
     "kernel_names",
     "make_kernel",
+    "apply_batch_loop",
+    "timed_apply",
+    "one_electron_sigma",
     "same_spin_sigma",
+    "mixed_spin_sigma",
     "same_spin_sigma_stack",
     "mixed_spin_sigma_stack",
     "column_blocks",
+    "sigma_dgemm",
+    "sigma_moc",
+    "one_electron_operators",
 ]
 
 
@@ -141,7 +172,61 @@ class SigmaKernel(Protocol):
 
     def make_counters(self): ...
 
-    def account(self, registry, counters, seconds: float, calls: int = 1): ...
+    def account(self, registry, counters, seconds: float): ...
+
+
+def apply_batch_loop(self, C_stack, *args) -> np.ndarray:
+    """sigma for a (k, na, nb) stack of CI vectors: ``self.apply``, k times.
+
+    The one ``apply_batch`` of every class that has one (``*args`` is the
+    kernels' optional ``counters``).  A convenience, not an optimisation:
+    one vector's sweeps run - and one sigma is computed - at a time.
+    """
+    na, nb = self.plan.shape
+    C_stack = np.asarray(C_stack)
+    if C_stack.ndim != 3 or C_stack.shape[1:] != (na, nb):
+        raise ValueError(
+            f"C_stack must have shape (k, {na}, {nb}), got {C_stack.shape}"
+        )
+    sigma = np.empty(C_stack.shape)
+    for i, C in enumerate(C_stack):
+        sigma[i] = self.apply(C, *args)
+    return sigma
+
+
+def timed_apply(kernel: SigmaKernel, C, counters=None, telemetry=None) -> np.ndarray:
+    """``kernel.apply(C)``, counted into ``counters`` and - when a
+    :class:`repro.obs.Telemetry` is attached - accounted through the audited
+    path (:mod:`repro.obs.accounting`) as one call with one timer sample."""
+    fresh = kernel.make_counters()
+    t0 = time.perf_counter() if telemetry else 0.0
+    sigma = kernel.apply(C, fresh)
+    if telemetry:
+        kernel.account(telemetry.registry, fresh, time.perf_counter() - t0)
+    if counters is not None:
+        counters.add(fresh)
+    return sigma
+
+
+def _as_ci_matrix(C, shape: tuple[int, int]) -> np.ndarray:
+    """``C`` (any real array-like) as a C-contiguous float64 ``shape`` matrix;
+    no copy when it already is one."""
+    C = np.ascontiguousarray(C, dtype=np.float64)
+    if C.shape != shape:
+        raise ValueError(f"C must have shape {shape}, got {C.shape}")
+    return C
+
+
+def one_electron_sigma(plan: SigmaPlan, C: np.ndarray) -> np.ndarray:
+    """One-electron term T_a C + (T_b C^T)^T of one (na, nb) CI matrix.
+
+    Alpha part first: every kernel and every rank program starts its
+    accumulation from exactly this array, which is part of what keeps the
+    execution modes bitwise-equal.
+    """
+    sigma = np.asarray(plan.Ta @ C)
+    sigma += np.asarray(plan.Tb @ C.T).T
+    return sigma
 
 
 # -- DGEMM kernel pieces ------------------------------------------------------
@@ -151,11 +236,12 @@ def _segment_sum(x: np.ndarray, axis: int) -> np.ndarray:
     """Left-to-right sum along ``axis``.
 
     ``np.sum`` groups additions differently depending on the *total* array
-    shape (SIMD/pairwise blocking), so a batched reduction would not be
-    bitwise-identical to the per-vector one.  Sequential elementwise adds
-    are shape-independent, which is what keeps ``apply_batch`` exactly equal
-    to a vector-at-a-time loop.  The reduced axis is short (entries per
-    string), so this costs a handful of vectorized adds.
+    shape (SIMD/pairwise blocking), so a block's reduction would round
+    differently in a narrower or wider sweep.  Sequential elementwise adds
+    are shape-independent, which is what keeps a rank's subset of column
+    blocks exactly equal to the same blocks of the full serial sweep.  The
+    reduced axis is short (entries per string), so this costs a handful of
+    vectorized adds.
     """
     x = np.moveaxis(x, axis, 0)
     if x.shape[0] == 0:
@@ -199,7 +285,7 @@ class _Scratch:
         ]
 
 
-def same_spin_sigma_stack(
+def same_spin_sigma(
     splan: SameSpinPlan,
     W: np.ndarray,
     C_rows: np.ndarray,
@@ -209,14 +295,11 @@ def same_spin_sigma_stack(
     col_blocks: list[tuple[int, int]] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Same-spin term for a (k, nstr, M) stack of row-major CI matrices.
+    """Same-spin term for one row-major (nstr, M) CI matrix.
 
     Acts on the *row* strings; the beta-beta term passes the transposed CI
-    matrices, like the paper's Fig. 2a which works on transposed local C
-    and sigma blocks.  One batched DGEMM (broadcasted W @ D-stack) per
-    column block; every slice of the stack sees exactly the single-vector
-    operands, so the result is bitwise-identical to sweeping the k vectors
-    one at a time while issuing k-times fewer DGEMM invocations.
+    matrix, like the paper's Fig. 2a which works on transposed local C
+    and sigma blocks.  One DGEMM (W @ D) per column block.
 
     ``col_blocks`` restricts the sweep to a subset of the canonical
     :func:`column_blocks` (the shared-memory backend distributes whole
@@ -230,51 +313,34 @@ def same_spin_sigma_stack(
     nstr = splan.n_strings
     kk2 = splan.pairs_per_string
     key = splan.key
-    sgn = splan.sign[None, :, None]
+    sgn = splan.sign[:, None]
     src = splan.source
-    k, _, M = C_rows.shape
+    M = C_rows.shape[1]
     if out is None:
-        out = np.zeros_like(C_rows)
+        out = np.zeros(C_rows.shape)
     if col_blocks is None:
         col_blocks = column_blocks(M, block_columns)
     if not col_blocks:
         return out
     widest = max(hi - lo for lo, hi in col_blocks)
-    scratch = _Scratch(*[k * npair * NK * widest] * 2, k * key.size * widest)
+    scratch = _Scratch(*[npair * NK * widest] * 2, key.size * widest)
     for lo, hi in col_blocks:
         m = hi - lo
-        D, E, vals = scratch.views(
-            (k, npair * NK, m), (k, npair * NK, m), (k, key.size, m)
-        )
+        D, E, vals = scratch.views((npair * NK, m), (npair * NK, m), (key.size, m))
         # refilling with zeros keeps the gathered operands - and the
         # result - bitwise identical to a fresh buffer
         D[...] = 0.0
-        D[:, key] = sgn * C_rows[:, src, lo:hi]
-        np.matmul(
-            W, D.reshape(k, npair, NK * m), out=E.reshape(k, npair, NK * m)
-        )
-        np.take(E, key, axis=1, out=vals, mode="clip")
+        D[key] = sgn * C_rows[src, lo:hi]
+        np.matmul(W, D.reshape(npair, NK * m), out=E.reshape(npair, NK * m))
+        np.take(E, key, axis=0, out=vals, mode="clip")
         vals *= sgn
-        out[:, :, lo:hi] = _segment_sum(vals.reshape(k, nstr, kk2, m), axis=2)
+        out[:, lo:hi] = _segment_sum(vals.reshape(nstr, kk2, m), axis=1)
         if counters is not None:
-            counters.dgemm_flops += 2 * npair * npair * NK * m * k
+            counters.dgemm_flops += 2 * npair * npair * NK * m
             counters.dgemm_calls += 1
-            counters.gather_elements += splan.n_entries * m * k
-            counters.scatter_elements += splan.n_entries * m * k
+            counters.gather_elements += splan.n_entries * m
+            counters.scatter_elements += splan.n_entries * m
     return out
-
-
-def same_spin_sigma(
-    splan: SameSpinPlan,
-    W: np.ndarray,
-    C: np.ndarray,
-    block_columns: int,
-    counters: SigmaCounters | None,
-) -> np.ndarray:
-    """:func:`same_spin_sigma_stack` for one (nstr, M) matrix."""
-    return same_spin_sigma_stack(
-        splan, W, np.ascontiguousarray(C)[None], block_columns, counters
-    )[0]
 
 
 def _gather_groups(half: MixedSpinHalfPlan, lo: int, hi: int):
@@ -296,9 +362,9 @@ def _gather_groups(half: MixedSpinHalfPlan, lo: int, hi: int):
         yield pair[idx[0]], columns[idx], source[idx], sign[idx]
 
 
-def mixed_spin_sigma_stack(
+def mixed_spin_sigma(
     plan: SigmaPlan,
-    C_stack: np.ndarray,
+    C: np.ndarray,
     block_columns: int,
     counters: SigmaCounters | None,
     *,
@@ -306,91 +372,80 @@ def mixed_spin_sigma_stack(
     out: np.ndarray | None = None,
     scatter: MixedSpinHalfPlan | None = None,
 ) -> np.ndarray:
-    """Mixed-spin (alpha-beta) term for a (k, na, nb) stack of CI vectors.
+    """Mixed-spin (alpha-beta) term for one (n_rows, nb) CI matrix.
 
     Per block of beta columns the intermediates are held pair-packed as
-    D[vector, pair, J_alpha, k_beta] with the block column fastest:
+    D[pair, J_alpha, k_beta] with the block column fastest:
 
     * gather - for each ordered (r, s), D[{rs}, :, columns] = sign *
       C[:, sources]: a column gather within contiguous rows;
-    * E = G.D, one batched DGEMM (broadcasted matrix product) over the
-      (n(n+1)/2)^2 packed integrals, written into reused scratch;
+    * E = G.D, one DGEMM over the (n(n+1)/2)^2 packed integrals, written
+      into reused scratch;
     * scatter - entry (I, J, {pq}) of the alpha half reads the contiguous
       row E[{pq}, J, :], and rows are summed left to right per target I.
 
-    Slice i of every operand equals the single-vector case exactly, so the
-    batch is bitwise-identical to a vector-at-a-time loop.
-
     ``col_blocks``/``out`` have the same contract as in
-    :func:`same_spin_sigma_stack`: restrict the sweep to a subset of the
+    :func:`same_spin_sigma`: restrict the sweep to a subset of the
     canonical blocks and/or accumulate into a caller-provided buffer, with
     per-block arithmetic unchanged.  ``scatter`` replaces the plan's alpha
-    half when ``C_stack`` holds only some alpha rows (a simulated rank's
-    task: the rows it fetched, and the targets it owns with sources
-    numbered into those rows); sigma then has one row per target of it.
+    half when ``C`` holds only some alpha rows (a simulated rank's task:
+    the rows it fetched, and the targets it owns with sources numbered
+    into those rows); sigma then has one row per target of it.
     """
-    k, n_rows, nb = C_stack.shape
+    n_rows, nb = C.shape
     gb = plan.gather_b
     sa = plan.scatter_a if scatter is None else scatter
     G = plan.g_matrix
     npair = G.shape[0]
     n_targets = sa.n_entries // sa.per if sa.per else n_rows
     if out is None:
-        out = np.zeros((k, n_targets, nb))
+        out = np.zeros((n_targets, nb))
     if col_blocks is None:
         col_blocks = column_blocks(nb, block_columns)
     if not col_blocks or not gb.per or not sa.per:
         return out  # a spin without electrons has no single excitations
     rows = sa.pair * n_rows + sa.source  # of E viewed (pair * J_alpha, k_beta)
-    sgn = sa.sign[None, :, None]
+    sgn = sa.sign[:, None]
     widest = max(hi - lo for lo, hi in col_blocks)
-    scratch = _Scratch(*[k * npair * n_rows * widest] * 2, k * rows.size * widest)
+    scratch = _Scratch(*[npair * n_rows * widest] * 2, rows.size * widest)
     for lo, hi in col_blocks:
         m = hi - lo
         D, E, vals = scratch.views(
-            (k, npair, n_rows, m), (k, npair, n_rows, m), (k, rows.size, m)
+            (npair, n_rows, m), (npair, n_rows, m), (rows.size, m)
         )
         D[...] = 0.0
         for pair, columns, source, sign in _gather_groups(gb, lo, hi):
-            D[:, pair][:, :, columns] = C_stack[:, :, source] * sign
-        np.matmul(
-            G, D.reshape(k, npair, n_rows * m), out=E.reshape(k, npair, n_rows * m)
-        )
-        np.take(E.reshape(k, npair * n_rows, m), rows, axis=1, out=vals, mode="clip")
+            D[pair][:, columns] = C[:, source] * sign
+        np.matmul(G, D.reshape(npair, n_rows * m), out=E.reshape(npair, n_rows * m))
+        np.take(E.reshape(npair * n_rows, m), rows, axis=0, out=vals, mode="clip")
         vals *= sgn
-        out[:, :, lo:hi] += _segment_sum(vals.reshape(k, n_targets, sa.per, m), axis=2)
+        out[:, lo:hi] += _segment_sum(vals.reshape(n_targets, sa.per, m), axis=1)
         if counters is not None:
-            counters.dgemm_flops += 2 * npair * npair * m * n_rows * k
+            counters.dgemm_flops += 2 * npair * npair * m * n_rows
             counters.dgemm_calls += 1
-            counters.gather_elements += (hi - lo) * gb.per * n_rows * k
-            counters.scatter_elements += sa.n_entries * m * k
+            counters.gather_elements += (hi - lo) * gb.per * n_rows
+            counters.scatter_elements += sa.n_entries * m
     return out
 
 
-def _check_stack(C_stack: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    C_stack = np.ascontiguousarray(C_stack, dtype=np.float64)
-    if C_stack.ndim != 3 or C_stack.shape[1:] != shape:
-        raise ValueError(
-            f"C_stack must have shape (k, {shape[0]}, {shape[1]}), got {C_stack.shape}"
-        )
-    return C_stack
+# benchmarks/e2e/layers.py (frozen between benchmark PRs) imports these two
+# names and calls them positionally on a (1, ...) stack; they have no other
+# caller and go with the next benchmark PR.
+def same_spin_sigma_stack(splan, W, C_stack, block_columns, counters) -> np.ndarray:
+    return np.stack(
+        [same_spin_sigma(splan, W, C, block_columns, counters) for C in C_stack]
+    )
 
 
-def _alpha_layout(C_stack: np.ndarray) -> np.ndarray:
-    """(k, na, nb) -> (na, k*nb): alpha strings as rows, batched columns."""
-    k, na, nb = C_stack.shape
-    return np.ascontiguousarray(C_stack.transpose(1, 0, 2).reshape(na, k * nb))
-
-
-def _beta_layout(C_stack: np.ndarray) -> np.ndarray:
-    """(k, na, nb) -> (nb, k*na): beta strings as rows, batched columns."""
-    k, na, nb = C_stack.shape
-    return np.ascontiguousarray(C_stack.transpose(2, 0, 1).reshape(nb, k * na))
+def mixed_spin_sigma_stack(plan, C_stack, block_columns, counters) -> np.ndarray:
+    return np.stack(
+        [mixed_spin_sigma(plan, C, block_columns, counters) for C in C_stack]
+    )
 
 
 @register_kernel("dgemm")
 class DgemmKernel:
-    """The paper's gather/DGEMM/scatter sigma, batched over CI vectors.
+    """The paper's gather/DGEMM/scatter sigma.
 
     ``block_columns`` defaults to the plan's cache-sized block width
     (:meth:`SigmaPlan.default_block_columns`).
@@ -405,42 +460,26 @@ class DgemmKernel:
     def make_counters(self) -> SigmaCounters:
         return SigmaCounters()
 
-    def account(self, registry, counters, seconds: float, calls: int = 1):
-        return account_sigma_dgemm(registry, counters, seconds, calls=calls)
+    def account(self, registry, counters, seconds: float):
+        return account_sigma_dgemm(registry, counters, seconds)
 
     def apply(self, C: np.ndarray, counters: SigmaCounters | None = None) -> np.ndarray:
-        na, nb = self.plan.shape
-        C = np.asarray(C)
-        if C.shape != (na, nb):
-            raise ValueError(f"C must have shape {(na, nb)}, got {C.shape}")
-        return self.apply_batch(C[None], counters)[0]
-
-    def apply_batch(
-        self, C_stack: np.ndarray, counters: SigmaCounters | None = None
-    ) -> np.ndarray:
         plan = self.plan
-        na, nb = plan.shape
-        C_stack = _check_stack(C_stack, plan.shape)
-        k = C_stack.shape[0]
+        C = _as_ci_matrix(C, plan.shape)
         bc = self.block_columns
-        cols = _alpha_layout(C_stack)
-        rows_stack = np.ascontiguousarray(C_stack.transpose(0, 2, 1))
-        # accumulation order mirrors the single-vector algorithm exactly:
-        # one-electron alpha, one-electron beta, alpha-alpha, beta-beta, mixed
-        sigma = np.asarray(plan.Ta @ cols).reshape(na, k, nb).transpose(1, 0, 2)
-        sigma = sigma + np.asarray(
-            plan.Tb @ _beta_layout(C_stack)
-        ).reshape(nb, k, na).transpose(1, 2, 0)
+        # accumulation order, shared with every rank program: one-electron
+        # alpha, one-electron beta, alpha-alpha, beta-beta, mixed
+        sigma = one_electron_sigma(plan, C)
         if plan.same_a is not None:
-            sigma += same_spin_sigma_stack(
-                plan.same_a, plan.w_matrix, C_stack, bc, counters
-            )
+            sigma += same_spin_sigma(plan.same_a, plan.w_matrix, C, bc, counters)
         if plan.same_b is not None:
-            sigma += same_spin_sigma_stack(
-                plan.same_b, plan.w_matrix, rows_stack, bc, counters
-            ).transpose(0, 2, 1)
-        sigma += mixed_spin_sigma_stack(plan, C_stack, bc, counters)
+            sigma += same_spin_sigma(
+                plan.same_b, plan.w_matrix, np.ascontiguousarray(C.T), bc, counters
+            ).T
+        sigma += mixed_spin_sigma(plan, C, bc, counters)
         return sigma
+
+    apply_batch = apply_batch_loop
 
 
 # The "compiled" lane (numba gather/scatter loops around these same DGEMMs)
@@ -461,9 +500,7 @@ def moc_same_spin_sigma(
     """MOC same-spin term acting on the row strings of C_rows (nstr, M).
 
     Regenerates every string's double-excitation list on the fly - the
-    paper's replicated-computation bottleneck, reproduced on purpose.  A
-    batched caller passes M = k * n_columns stacked columns, so the lists
-    are generated once and applied to all k vectors.
+    paper's replicated-computation bottleneck, reproduced on purpose.
     """
     n = space.n
     k = space.k
@@ -516,30 +553,26 @@ def _create(mask: int, orb: int) -> tuple[int, int]:
     return mask | (1 << orb), sign
 
 
-def moc_mixed_sigma_stack(
+def moc_mixed_sigma(
     plan: SigmaPlan,
-    C_stack: np.ndarray,
+    C: np.ndarray,
     counters: MOCCounters | None,
     row_block: int = 512,
 ) -> np.ndarray:
-    """MOC mixed-spin term for a (k, na, nb) stack of CI vectors.
+    """MOC mixed-spin term for one (na, nb) CI matrix.
 
     Loops orbital pairs (p, q), gathers the C rows addressed by every alpha
     single excitation with that pair, and applies the beta list with
     integral weights via indexed updates (operation count per Table 1).
-    The batch folds into the gathered-row axis: the integral weights are
-    formed once per (p, q) and the row blocking follows the single-vector
-    schedule, so results are bitwise-identical to a vector-at-a-time loop.
     """
     ta = plan.singles_a
     gb = plan.gather_b
     n = plan.n
     nb = plan.shape[1]
-    k = C_stack.shape[0]
     g = plan.problem.mo.g
     b_src, b_r, b_s, b_sgn = gb.source, gb.p, gb.q, gb.sign
     per_b = gb.per
-    sigma = np.zeros_like(C_stack)
+    sigma = np.zeros_like(C)
     for p in range(n):
         for q in range(n):
             rows_idx = ta.rows_for_pq(p, q)
@@ -551,22 +584,19 @@ def moc_mixed_sigma_stack(
             wb = g[p, q, b_r, b_s] * b_sgn  # weights per beta entry
             for lo in range(0, rows_idx.size, row_block):
                 hi = min(lo + row_block, rows_idx.size)
-                rb = hi - lo
-                V = sgn_a[None, lo:hi, None] * C_stack[:, src_a[lo:hi], :]
-                T = V.reshape(k * rb, nb)[:, b_src] * wb[None, :]
-                Wm = _segment_sum(
-                    T.reshape(k * rb, nb, per_b), axis=2
-                ).reshape(k, rb, nb)
-                for i in range(k):
-                    sigma[i, tgt_a[lo:hi], :] += Wm[i]
+                V = sgn_a[lo:hi, None] * C[src_a[lo:hi], :]
+                T = V[:, b_src] * wb[None, :]
+                sigma[tgt_a[lo:hi], :] += _segment_sum(
+                    T.reshape(hi - lo, nb, per_b), axis=2
+                )
                 if counters is not None:
-                    counters.indexed_ops += rb * b_src.size * k
+                    counters.indexed_ops += (hi - lo) * b_src.size
     return sigma
 
 
 @register_kernel("moc")
 class MocKernel:
-    """Minimum-operation-count sigma (the paper's baseline), batched.
+    """Minimum-operation-count sigma (the paper's baseline).
 
     ``block_columns`` is accepted for interface parity (it sets the row
     blocking of the mixed-spin gathers); the MOC kernel's cost structure is
@@ -580,35 +610,60 @@ class MocKernel:
     def make_counters(self) -> MOCCounters:
         return MOCCounters()
 
-    def account(self, registry, counters, seconds: float, calls: int = 1):
-        return account_sigma_moc(registry, counters, seconds, calls=calls)
+    def account(self, registry, counters, seconds: float):
+        return account_sigma_moc(registry, counters, seconds)
 
     def apply(self, C: np.ndarray, counters: MOCCounters | None = None) -> np.ndarray:
-        na, nb = self.plan.shape
-        C = np.asarray(C)
-        if C.shape != (na, nb):
-            raise ValueError(f"C must have shape {(na, nb)}, got {C.shape}")
-        return self.apply_batch(C[None], counters)[0]
-
-    def apply_batch(
-        self, C_stack: np.ndarray, counters: MOCCounters | None = None
-    ) -> np.ndarray:
         plan = self.plan
         problem = plan.problem
-        na, nb = plan.shape
-        C_stack = _check_stack(C_stack, plan.shape)
-        k = C_stack.shape[0]
-        cols = _alpha_layout(C_stack)
-        rows = _beta_layout(C_stack)
-        sigma = np.asarray(plan.Ta @ cols).reshape(na, k, nb).transpose(1, 0, 2)
-        sigma = sigma + np.asarray(plan.Tb @ rows).reshape(nb, k, na).transpose(1, 2, 0)
+        C = _as_ci_matrix(C, plan.shape)
+        sigma = one_electron_sigma(plan, C)
         if problem.n_alpha >= 2:
-            sigma += moc_same_spin_sigma(
-                problem.space_a, plan.w_matrix, cols, counters
-            ).reshape(na, k, nb).transpose(1, 0, 2)
+            sigma += moc_same_spin_sigma(problem.space_a, plan.w_matrix, C, counters)
         if problem.n_beta >= 2:
             sigma += moc_same_spin_sigma(
-                problem.space_b, plan.w_matrix, rows, counters
-            ).reshape(nb, k, na).transpose(1, 2, 0)
-        sigma += moc_mixed_sigma_stack(plan, C_stack, counters, self.row_block)
+                problem.space_b, plan.w_matrix, np.ascontiguousarray(C.T), counters
+            ).T
+        sigma += moc_mixed_sigma(plan, C, counters, self.row_block)
         return sigma
+
+    apply_batch = apply_batch_loop
+
+
+# -- functional entry points --------------------------------------------------
+
+
+def one_electron_operators(problem) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Sparse one-electron operators T_sigma[I,J] = sum_pq h_pq <I|E_pq|J>,
+    as cached on the problem's :class:`SigmaPlan`."""
+    plan = SigmaPlan.for_problem(problem)
+    return plan.Ta, plan.Tb
+
+
+def sigma_dgemm(
+    problem,
+    C: np.ndarray,
+    *,
+    block_columns: int | None = None,
+    counters: SigmaCounters | None = None,
+    telemetry=None,
+) -> np.ndarray:
+    """Full sigma = H C with the DGEMM-based algorithm (no e_core shift).
+
+    ``block_columns`` is the column-block width of the dense intermediates
+    (None: :meth:`SigmaPlan.default_block_columns`); ``counters`` and
+    ``telemetry`` are those of :func:`timed_apply`.
+    """
+    kernel = DgemmKernel(SigmaPlan.for_problem(problem), block_columns=block_columns)
+    return timed_apply(kernel, C, counters, telemetry)
+
+
+def sigma_moc(
+    problem,
+    C: np.ndarray,
+    *,
+    counters: MOCCounters | None = None,
+    telemetry=None,
+) -> np.ndarray:
+    """Full sigma = H C with the minimum-operation-count algorithm."""
+    return timed_apply(MocKernel(SigmaPlan.for_problem(problem)), C, counters, telemetry)

@@ -5,12 +5,10 @@ subspace iteration returning the k lowest eigenstates - used to resolve
 excited states and spin gaps, e.g. the CN+ singlet-triplet splitting that
 makes the paper's Table-2 system so hard for single-vector solvers.
 
-``sigma_fn`` may be any callable; when it is a
-:class:`repro.core.operator.HamiltonianOperator` (anything exposing
-``apply_batch``) the block's outstanding sigma vectors are evaluated in one
-*batched* kernel sweep per iteration - the mixed-spin and same-spin DGEMMs
-run once with k-times-wider right-hand sides instead of k separate sweeps,
-with bitwise-identical results.
+``sigma_fn`` is any one-vector callable.  The block's outstanding sigma
+vectors are streamed: each is computed and held in the session's vector
+store before the next is computed, so an out-of-core store never sees a
+stack of them in RAM.
 """
 
 from __future__ import annotations
@@ -77,7 +75,6 @@ def davidson_multiroot(
     if len(guesses) < k:
         raise ValueError("need at least n_roots guess vectors")
     max_subspace = max_subspace or max(8 * k, 24)
-    apply_batch = getattr(sigma_fn, "apply_batch", None)
 
     with SolveSession("multiroot", store=store) as session:
         sub = Subspace(session)
@@ -90,12 +87,9 @@ def davidson_multiroot(
         ritz = sub.basis[:k]
         rnorms = np.full(k, np.inf)
         for _ in range(max_iterations):
-            pending = [b.reshape(shape) for b in sub.basis[len(sub.sigmas):]]
-            if apply_batch is not None and len(pending) > 1:
-                new = apply_batch(np.stack(pending))
-            else:
-                new = (sigma_fn(b) for b in pending)  # each held before the next
-            sub.extend(sigmas=(s.ravel() for s in new))
+            pending = sub.basis[len(sub.sigmas):]
+            # a generator: each sigma is held before the next is computed
+            sub.extend(sigmas=(sigma_fn(b.reshape(shape)).ravel() for b in pending))
             session.state.n_sigma += len(pending)
             theta, pairs = sub.ritz_pairs(k)
             history.append(theta.copy())

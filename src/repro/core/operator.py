@@ -7,25 +7,23 @@ as ad-hoc closures:
           + spin_penalty * (S^2 C - s2_target C)   (optional state targeting)
     sigma = P_irrep sigma                          (optional symmetry projection)
 
-plus observability: cumulative kernel counters, call/batch counts, and
+plus observability: cumulative kernel counters, a call count, and
 per-evaluation FLOP/byte/time accounting through
 :mod:`repro.obs.accounting` when a telemetry object is attached.
 
 The operator is callable (``op(C)``) so it drops into every solver that
-expects a plain ``sigma_fn``, and exposes ``apply_batch(C_stack)`` so block
-solvers (multiroot Davidson) evaluate k sigma vectors through one batched
-kernel sweep - k-times-wider DGEMM right-hand sides instead of k separate
-sweeps, with bitwise-identical results.
+expects a plain ``sigma_fn``.  ``apply_batch(C_stack)`` is the shared
+vector-at-a-time loop over ``apply`` - a convenience for scripts and tests;
+no solver calls it (:mod:`repro.core.kernels` has the measurement why).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 import numpy as np
 
-from .kernels import SigmaKernel, make_kernel
+from .kernels import SigmaKernel, apply_batch_loop, make_kernel, timed_apply
 from .plans import SigmaPlan
 from .spin import SpinOperator
 from .vectors import as_dense_array
@@ -33,8 +31,7 @@ from .vectors import as_dense_array
 __all__ = ["HamiltonianOperator", "SigmaFn"]
 
 # what every eigensolver accepts: sigma = f(C) on one (na, nb) CI vector.
-# A HamiltonianOperator satisfies it; block solvers additionally use its
-# apply_batch when present.
+# A HamiltonianOperator satisfies it.
 SigmaFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -91,7 +88,6 @@ class HamiltonianOperator:
             self._spin_op = SpinOperator(problem)
         self.counters = kernel.make_counters()
         self.n_calls = 0
-        self.n_batches = 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -108,24 +104,6 @@ class HamiltonianOperator:
             sigma = self.problem.project_symmetry(sigma)
         return sigma
 
-    def apply_batch(self, C_stack: np.ndarray) -> np.ndarray:
-        """sigma for a (k, na, nb) stack of CI vectors via one kernel sweep."""
-        C_stack = np.asarray(C_stack)
-        k = C_stack.shape[0]
-        fresh = self.kernel.make_counters()
-        t0 = time.perf_counter() if self.telemetry else 0.0
-        sigma = self.kernel.apply_batch(C_stack, fresh)
-        for i in range(k):
-            sigma[i] = self._decorate(C_stack[i], sigma[i])
-        self.counters.add(fresh)
-        self.n_calls += k
-        self.n_batches += 1
-        if self.telemetry:
-            self.kernel.account(
-                self.telemetry.registry, fresh, time.perf_counter() - t0, calls=k
-            )
-        return sigma
-
     def apply(self, C) -> np.ndarray:
         """sigma for one (na, nb) CI vector.
 
@@ -136,18 +114,13 @@ class HamiltonianOperator:
         sparse store is densified first.
         """
         C = np.asarray(as_dense_array(C))
-        fresh = self.kernel.make_counters()
-        t0 = time.perf_counter() if self.telemetry else 0.0
-        sigma = self._decorate(C, self.kernel.apply(C, fresh))
-        self.counters.add(fresh)
+        sigma = self._decorate(
+            C, timed_apply(self.kernel, C, self.counters, self.telemetry)
+        )
         self.n_calls += 1
-        self.n_batches += 1
-        if self.telemetry:
-            self.kernel.account(
-                self.telemetry.registry, fresh, time.perf_counter() - t0
-            )
         return sigma
 
+    apply_batch = apply_batch_loop
     __call__ = apply
 
     def __repr__(self) -> str:

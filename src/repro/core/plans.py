@@ -15,8 +15,8 @@ explicit: for one :class:`~repro.core.problem.CIProblem` it compiles
   chemists-notation G matrix G[(p>=q),(r>=s)] = (pq|rs),
 
 and caches all of it on the problem (``SigmaPlan.for_problem``), so every
-solver iteration, every batch column, and every simulated MSP rank reuses
-one immutable plan instead of re-deriving tables in the hot path.
+solver iteration and every simulated MSP rank reuses one immutable plan
+instead of re-deriving tables in the hot path.
 
 The plan is consumed by :mod:`repro.core.kernels` (the ``SigmaKernel``
 implementations) and by :class:`repro.parallel.pfci.ParallelSigma`, which
@@ -178,9 +178,8 @@ class SigmaPlan:
     reuse_problem_cache:
         When True (the default), the plan reuses the excitation tables and
         derived integral matrices already cached on the problem.  When False
-        it recompiles *everything* from scratch - the mode the
-        ``bench_sigma_plan`` benchmark uses to price the pre-refactor
-        rebuild-per-call behaviour.
+        it recompiles *everything* from scratch - what the end-to-end
+        benchmark's ``core.plans.compile_s`` lane times.
     """
 
     def __init__(self, problem, *, reuse_problem_cache: bool = True):
@@ -288,14 +287,14 @@ class SigmaPlan:
         self,
         *,
         memory_budget_mb: int = DEFAULT_BLOCK_BUDGET_MB,
-        batch: int = 1,
         resident_bytes: int | None = None,
     ) -> int:
         """Column-block width sized so the D/E intermediates stay in cache.
 
         The dominant scratch is the mixed-spin pipeline's pair of dense
-        intermediates D and E, each (n(n+1)/2, batch * n_alpha_strings, m)
-        float64; the same-spin pipeline needs (n_pairs * NK, m) for each.
+        intermediates D and E, each (n(n+1)/2, n_alpha_strings, m) float64
+        for the one vector a sweep takes; the same-spin pipeline needs
+        (n_pairs * NK, m) for each.
         A block is gathered, multiplied and scattered in turn, so the
         sweep runs fastest when D + E of one block stay cache-resident:
         the returned ``m`` fits them in a fixed ~32 MiB, clamped to
@@ -318,7 +317,7 @@ class SigmaPlan:
         problem uses the same width.
         """
         na, _ = self.shape
-        per_col = 2 * 8 * self.g_matrix.shape[0] * na * max(int(batch), 1)  # D + E
+        per_col = 2 * 8 * self.g_matrix.shape[0] * na  # D + E
         for splan in (self.same_a, self.same_b):
             if splan is not None:
                 per_col = max(per_col, 2 * 8 * splan.n_pairs * splan.n_reduced)

@@ -574,8 +574,7 @@ class FCISolver:
 
         problem, scf, mo = self.build_problem()
         spin_op = SpinOperator(problem)
-        # multiroot targets all spins in the block: no spin penalty, and the
-        # batched apply lets Davidson evaluate whole blocks in one sweep
+        # multiroot targets all spins in the block: no spin penalty
         sigma_fn = self.build_operator(problem, spin_penalty=0.0)
 
         size = max(self.model_space_size, 4 * n_roots)

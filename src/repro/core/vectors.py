@@ -4,8 +4,8 @@ The paper's design is dominated by a single data structure - CI vectors
 that barely fit the machine.  The X1 work distributes *dense* vectors
 across nodes because one node cannot hold them; CDFCI-style solvers
 (PAPERS.md) go the other way and keep only the determinants that matter in
-a hash map; out-of-core work streams dense vectors through the batched
-kernels from disk.  All three are the same object - a CI vector - with a
+a hash map; out-of-core work streams dense vectors through the
+column-blocked kernels from disk.  All three are the same object - a CI vector - with a
 different storage contract, so this module makes the contract explicit:
 
 * :class:`CIVectorStore` - the protocol every layer above the kernels

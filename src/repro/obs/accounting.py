@@ -3,8 +3,8 @@
 Historically each benchmark re-derived GF-rates and communication volumes
 with its own arithmetic; this module is the single place where
 
-* kernel counters (:class:`repro.core.sigma_dgemm.SigmaCounters`,
-  :class:`repro.core.sigma_moc.MOCCounters`) are converted into registry
+* kernel counters (:class:`repro.core.kernels.SigmaCounters`,
+  :class:`repro.core.kernels.MOCCounters`) are converted into registry
   metrics,
 * simulator results (``ParallelReport``, ``TraceResult``) are folded into
   the same metric names, and
@@ -178,19 +178,17 @@ def account_sigma_dgemm(
     registry: MetricsRegistry,
     counters: Mapping[str, float] | Any,
     wall_seconds: float,
-    calls: int = 1,
 ) -> FlopLedger:
-    """Fold one instrumented ``sigma_dgemm`` evaluation into the registry.
+    """Fold one instrumented DGEMM-kernel sigma evaluation into the registry
+    (one call, one timer sample).
 
     ``counters`` is a ``SigmaCounters`` instance or its ``as_dict()``.
-    ``calls`` is the number of sigma evaluations the counters cover - a
-    batched kernel accounts k vectors in one go.
     """
     c = counters.as_dict() if hasattr(counters, "as_dict") else dict(counters)
     flops = float(c.get("dgemm_flops", 0.0))
     gathers = float(c.get("gather_elements", 0.0))
     scatters = float(c.get("scatter_elements", 0.0))
-    registry.counter("sigma.dgemm.calls").inc(calls)
+    registry.counter("sigma.dgemm.calls").inc()
     registry.counter("sigma.dgemm.flops").inc(flops)
     registry.counter("sigma.dgemm.gemm_calls").inc(float(c.get("dgemm_calls", 0.0)))
     registry.counter("sigma.dgemm.gather_elems").inc(gathers)
@@ -209,16 +207,13 @@ def account_sigma_moc(
     registry: MetricsRegistry,
     counters: Mapping[str, float] | Any,
     wall_seconds: float,
-    calls: int = 1,
 ) -> FlopLedger:
-    """Fold one instrumented ``sigma_moc`` evaluation into the registry.
-
-    ``calls`` is the number of sigma evaluations the counters cover.
-    """
+    """Fold one instrumented MOC-kernel sigma evaluation into the registry
+    (one call, one timer sample)."""
     c = counters.as_dict() if hasattr(counters, "as_dict") else dict(counters)
     indexed = float(c.get("indexed_ops", 0.0))
     elements = float(c.get("matrix_elements_computed", 0.0))
-    registry.counter("sigma.moc.calls").inc(calls)
+    registry.counter("sigma.moc.calls").inc()
     registry.counter("sigma.moc.indexed_ops").inc(indexed)
     registry.counter("sigma.moc.matrix_elements").inc(elements)
     registry.counter("sigma.moc.flops").inc(2.0 * indexed)

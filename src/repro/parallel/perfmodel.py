@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.problem import CIProblem
-from ..core.sigma_dgemm import SigmaCounters, sigma_dgemm
-from ..core.sigma_moc import MOCCounters, sigma_moc
+from ..core.kernels import MOCCounters, SigmaCounters, sigma_dgemm, sigma_moc
 
 __all__ = ["PerfModelRow", "alpha_beta_model", "measured_counts"]
 

@@ -20,8 +20,8 @@ Implements the paper's parallel strategy (section 3) with real arithmetic:
   numeric run and the paper-scale trace run share one timing machinery.
 
 The result is bit-identical (to roundoff) with the serial
-:func:`repro.core.sigma_dgemm`, which the test suite enforces for many rank
-counts.
+:func:`repro.core.kernels.sigma_dgemm`, which the test suite enforces for
+many rank counts.
 
 Execution is delegated to a :class:`repro.parallel.backend.Backend`
 (``backend="simulated"`` — the discrete-event X1 above; ``backend="shm"``
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.kernels import SigmaCounters, mixed_spin_sigma_stack, same_spin_sigma
+from ..core.kernels import SigmaCounters, apply_batch_loop, mixed_spin_sigma, same_spin_sigma
 from ..core.plans import MixedSpinHalfPlan, SigmaPlan
 from ..core.problem import CIProblem
 from ..core.vectors import make_store, publish_store_metrics, store_kinds
@@ -358,9 +358,9 @@ class ParallelSigma:
 
     def _mixed_subset(self, Csub: np.ndarray, meta: dict) -> np.ndarray:
         """Mixed-spin sigma rows for one task from gathered source rows."""
-        return mixed_spin_sigma_stack(
-            self.plan, Csub[None], self.block_columns, None, scatter=meta["half"]
-        )[0]
+        return mixed_spin_sigma(
+            self.plan, Csub, self.block_columns, None, scatter=meta["half"]
+        )
 
     def _mixed_task_time(self, meta: dict) -> tuple[float, float]:
         """(seconds, flops) cost-model charge for one mixed-spin task.
@@ -426,8 +426,8 @@ class ParallelSigma:
     def make_counters(self) -> SigmaCounters:
         return SigmaCounters()
 
-    def account(self, registry, counters, seconds: float, calls: int = 1):
-        return account_sigma_dgemm(registry, counters, seconds, calls=calls)
+    def account(self, registry, counters, seconds: float):
+        return account_sigma_dgemm(registry, counters, seconds)
 
     def apply(self, C: np.ndarray, counters: SigmaCounters | None = None) -> np.ndarray:
         flops0 = self.report.flops
@@ -442,11 +442,7 @@ class ParallelSigma:
             )
         return sigma
 
-    def apply_batch(
-        self, C_stack: np.ndarray, counters: SigmaCounters | None = None
-    ) -> np.ndarray:
-        C_stack = np.asarray(C_stack)
-        return np.stack([self.apply(C, counters) for C in C_stack])
+    apply_batch = apply_batch_loop
 
     # -- simulated execution (invoked through SimulatedBackend) ---------------
     def _run_simulated(self, C: np.ndarray) -> SigmaRun:

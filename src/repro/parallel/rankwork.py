@@ -39,11 +39,10 @@ import numpy as np
 
 from ..core.kernels import (
     SigmaCounters,
-    _alpha_layout,
-    _beta_layout,
     column_blocks,
-    mixed_spin_sigma_stack,
-    same_spin_sigma_stack,
+    mixed_spin_sigma,
+    one_electron_sigma,
+    same_spin_sigma,
 )
 from ..core.plans import SigmaPlan
 from ..x1.engine import RankStats
@@ -124,7 +123,7 @@ def build_sigma_decomposition(
 def run_rank_sigma(
     rank: int,
     plan: SigmaPlan,
-    C_stack: np.ndarray,
+    C: np.ndarray,
     outs: dict[str, np.ndarray],
     fetch_add,
     decomposition: SigmaDecomposition,
@@ -147,17 +146,11 @@ def run_rank_sigma(
     """
     bc = decomposition.block_columns
     aa_blocks, tasks = decomposition.aa_blocks, decomposition.tasks
-    na, nb = plan.shape
 
     # one-electron alpha + beta: rank 0, exactly the serial prologue
     if rank == 0:
         t0 = time.perf_counter()
-        one = np.asarray(plan.Ta @ _alpha_layout(C_stack))
-        one = one.reshape(na, 1, nb).transpose(1, 0, 2)
-        one = one + np.asarray(
-            plan.Tb @ _beta_layout(C_stack)
-        ).reshape(nb, 1, na).transpose(1, 2, 0)
-        outs["one"][...] = one[0]
+        outs["one"][...] = one_electron_sigma(plan, C)
         phase_times["one-electron"] = time.perf_counter() - t0
 
     # alpha-alpha doubles: this rank's round-robin share of the beta-axis
@@ -165,37 +158,29 @@ def run_rank_sigma(
     my_aa = decomposition.owned_aa_blocks(rank)
     if plan.same_a is not None and my_aa:
         t0 = time.perf_counter()
-        same_spin_sigma_stack(
-            plan.same_a,
-            plan.w_matrix,
-            C_stack,
-            bc,
-            counters,
-            col_blocks=my_aa,
-            out=outs["aa"][None],
+        same_spin_sigma(
+            plan.same_a, plan.w_matrix, C, bc, counters, col_blocks=my_aa, out=outs["aa"]
         )
         phase_times["alpha-alpha"] = time.perf_counter() - t0
 
-    # beta-beta doubles on the transposed stack (paper Fig. 2a), blocks
+    # beta-beta doubles on the transposed matrix (paper Fig. 2a), blocks
     # over the alpha axis
     my_bb = decomposition.owned_bb_blocks(rank)
     if plan.same_b is not None and my_bb:
         t0 = time.perf_counter()
-        rows_stack = np.ascontiguousarray(C_stack.transpose(0, 2, 1))
-        same_spin_sigma_stack(
+        same_spin_sigma(
             plan.same_b,
             plan.w_matrix,
-            rows_stack,
+            np.ascontiguousarray(C.T),
             bc,
             counters,
             col_blocks=my_bb,
-            out=outs["bb"][None],
+            out=outs["bb"],
         )
         phase_times["beta-beta"] = time.perf_counter() - t0
 
     # mixed-spin: dynamic task pool over column-block spans
     t0 = time.perf_counter()
-    mix_out = outs["mix"][None]
     claimed: list[int] = []
     while True:
         tid = fetch_add()
@@ -204,13 +189,8 @@ def run_rank_sigma(
         blo, bhi = tasks[tid]
         if per_task_seconds > 0.0:
             time.sleep(per_task_seconds)
-        mixed_spin_sigma_stack(
-            plan,
-            C_stack,
-            bc,
-            counters,
-            col_blocks=aa_blocks[blo:bhi],
-            out=mix_out,
+        mixed_spin_sigma(
+            plan, C, bc, counters, col_blocks=aa_blocks[blo:bhi], out=outs["mix"]
         )
         claimed.append(tid)
     phase_times["alpha-beta"] = time.perf_counter() - t0
@@ -246,10 +226,10 @@ def _run_sigma(rank: int, comm, payload: dict) -> RankStats:
     phase_times: dict[str, float] = {}
     t_start = time.perf_counter()
 
-    # shm: a zero-copy (1, na, nb) window; sockets: one framed fetch of the
+    # shm: a zero-copy (na, nb) window; sockets: one framed fetch of the
     # whole coefficient matrix (the "replicated C" a remote rank cannot
     # window into for free the way shared memory can)
-    C_stack = comm.get("C")[None]
+    C = comm.get("C")
 
     shapes = {n: shape for n, shape in heap_arrays(plan).items() if n != "C"}
     if comm.live_windows:
@@ -263,7 +243,7 @@ def _run_sigma(rank: int, comm, payload: dict) -> RankStats:
     claimed = run_rank_sigma(
         rank,
         plan,
-        C_stack,
+        C,
         outs,
         comm.fetch_add,
         decomp,

@@ -76,10 +76,14 @@ class TestBitwiseAgainstDgemm:
         ref = DgemmKernel(plan, block_columns=3)
         compiled = make_kernel("compiled", plan, block_columns=3)
         C_stack = stack_of_vectors(problem, 2, seed=303)
-        c_ref, c_new = ref.make_counters(), compiled.make_counters()
-        ref.apply_batch(C_stack, c_ref)
+        c_ref, c_new, singles = (k.make_counters() for k in (ref, compiled, ref))
+        batch = ref.apply_batch(C_stack, c_ref)
         compiled.apply_batch(C_stack, c_new)
         assert c_ref.as_dict() == c_new.as_dict()
+        # and the batch is the loop: bitwise, with the summed counters
+        for i in range(2):
+            assert np.array_equal(batch[i], ref.apply(C_stack[i], singles))
+        assert c_ref.as_dict() == singles.as_dict()
 
 
 class TestSolverIntegration:

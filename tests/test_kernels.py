@@ -1,4 +1,4 @@
-"""The plan/kernel/operator layer: batching, caching, registry, composition."""
+"""The plan/kernel/operator layer: the batch loop, caching, registry, composition."""
 
 from contextlib import contextmanager
 
@@ -20,11 +20,8 @@ from repro.core import (
     sigma_dgemm,
     sigma_moc,
 )
-from repro.core.kernels import (
-    column_blocks,
-    mixed_spin_sigma_stack,
-    same_spin_sigma_stack,
-)
+from repro.core.kernels import column_blocks, mixed_spin_sigma, same_spin_sigma
+from repro.core.vectors import make_store
 from repro.parallel import ParallelSigma
 from tests.helpers import (
     make_random_problem,
@@ -45,35 +42,35 @@ def sym_problem():
     return make_symmetry_problem(6, 3, 3, seed=19)
 
 
+def assert_batch_is_the_loop(kern, C):
+    """apply_batch(C) == [apply(C[i])] bitwise, counters == summed singles."""
+    batched, singles = kern.make_counters(), kern.make_counters()
+    batch = kern.apply_batch(C, batched)
+    assert batch.shape == C.shape
+    for i in range(C.shape[0]):
+        assert np.array_equal(batch[i], kern.apply(C[i], singles))
+    assert batched.as_dict() == singles.as_dict()
+
+
 class TestBatchedBitwise:
-    """apply_batch must equal the vector-at-a-time loop *bitwise*."""
+    """apply_batch is the vector-at-a-time loop: *bitwise* equal to it, with
+    counters equal to the summed single-apply counters."""
 
     @pytest.mark.parametrize("kernel_cls", [DgemmKernel, MocKernel])
     def test_batch_equals_loop(self, problem, kernel_cls):
-        plan = SigmaPlan.for_problem(problem)
-        kern = kernel_cls(plan)
-        C = stack_of_vectors(problem, 4)
-        batch = kern.apply_batch(C, kern.make_counters())
-        for i in range(4):
-            single = kern.apply(C[i], kern.make_counters())
-            assert np.array_equal(batch[i], single)
+        kern = kernel_cls(SigmaPlan.for_problem(problem))
+        assert_batch_is_the_loop(kern, stack_of_vectors(problem, 4))
 
     @pytest.mark.parametrize("kernel_cls", [DgemmKernel, MocKernel])
     def test_batch_equals_loop_closed_shell(self, kernel_cls):
         prob = make_random_problem(5, 2, 2, seed=2)
         kern = kernel_cls(SigmaPlan.for_problem(prob))
-        C = stack_of_vectors(prob, 3, seed=10)
-        batch = kern.apply_batch(C, kern.make_counters())
-        for i in range(3):
-            assert np.array_equal(batch[i], kern.apply(C[i], kern.make_counters()))
+        assert_batch_is_the_loop(kern, stack_of_vectors(prob, 3, seed=10))
 
     def test_narrow_block_columns(self, problem):
         # block width 1 is the hardest case for segment-sum determinism
         kern = DgemmKernel(SigmaPlan.for_problem(problem), block_columns=1)
-        C = stack_of_vectors(problem, 3, seed=4)
-        batch = kern.apply_batch(C, kern.make_counters())
-        for i in range(3):
-            assert np.array_equal(batch[i], kern.apply(C[i], kern.make_counters()))
+        assert_batch_is_the_loop(kern, stack_of_vectors(problem, 3, seed=4))
 
     def test_kernels_match_wrappers(self, problem):
         # the thin sigma_dgemm / sigma_moc wrappers run the same kernels
@@ -86,27 +83,28 @@ class TestBatchedBitwise:
 
 
 class TestBatchedCounters:
-    def test_batch_issues_fewer_dgemms(self, problem):
-        plan = SigmaPlan.for_problem(problem)
-        kern = DgemmKernel(plan)
-        C = stack_of_vectors(problem, 3)
-        batched = kern.make_counters()
-        kern.apply_batch(C, batched)
-        singles = kern.make_counters()
-        for i in range(3):
-            kern.apply(C[i], singles)
-        # identical arithmetic ...
-        assert batched.dgemm_flops == singles.dgemm_flops
-        # ... through strictly fewer DGEMM invocations (one batched GEMM
-        # covers what k separate sweeps did)
-        assert batched.dgemm_calls < singles.dgemm_calls
-        assert batched.dgemm_calls * 3 == singles.dgemm_calls
+    @pytest.mark.parametrize("kernel_cls", [DgemmKernel, MocKernel])
+    def test_batch_of_k_counts_k_single_applies(self, problem, kernel_cls):
+        """No count is shared across the vectors of a batch: every one of a
+        batch's counters is k times one apply's (one DGEMM per column block
+        per vector; MOC regenerates its same-spin lists per vector)."""
+        kern = kernel_cls(SigmaPlan.for_problem(problem))
+        C = problem.random_vector(0)
+        one, batched = kern.make_counters(), kern.make_counters()
+        kern.apply(C, one)
+        kern.apply_batch(np.stack([C, 0.5 * C, 0.25 * C]), batched)
+        assert all(v > 0 for v in one.as_dict().values())
+        assert batched.as_dict() == {k: 3 * v for k, v in one.as_dict().items()}
 
     def test_operator_accumulates_counters(self, problem):
         op = HamiltonianOperator(problem)
-        op.apply_batch(stack_of_vectors(problem, 3))
+        C = stack_of_vectors(problem, 3)
+        batch = op.apply_batch(C)
         assert op.n_calls == 3
-        assert op.n_batches == 1
+        singles = HamiltonianOperator(problem)
+        for i in range(3):
+            assert np.array_equal(batch[i], singles(C[i]))
+        assert op.counters.as_dict() == singles.counters.as_dict()
         assert op.counters.dgemm_calls > 0
 
 
@@ -130,39 +128,31 @@ class TestScratchReuse:
         """What the shm ranks do: disjoint subsets of the canonical blocks,
         in any order, written into a caller's buffer."""
         plan = SigmaPlan.for_problem(problem)
-        stack = stack_of_vectors(problem, 2, seed=21)
+        C = problem.random_vector(21)
         na, nb = plan.shape
         blocks = column_blocks(nb, self.BLOCK)
         assert blocks[-1][1] - blocks[-1][0] < self.BLOCK  # ragged last block
         # a ragged block ahead of full ones inside one sweep, then the rest
         subsets = [[blocks[-1], blocks[0]], blocks[1:-1]]
 
-        full = mixed_spin_sigma_stack(plan, stack, self.BLOCK, None)
-        out = np.zeros_like(stack)
+        full = mixed_spin_sigma(plan, C, self.BLOCK, None)
+        out = np.zeros_like(C)
         for subset in subsets:
-            mixed_spin_sigma_stack(
-                plan, stack, self.BLOCK, None, col_blocks=subset, out=out
-            )
+            mixed_spin_sigma(plan, C, self.BLOCK, None, col_blocks=subset, out=out)
         assert np.array_equal(out, full)
 
-        full = same_spin_sigma_stack(plan.same_a, plan.w_matrix, stack, self.BLOCK, None)
-        out = np.zeros_like(stack)
+        full = same_spin_sigma(plan.same_a, plan.w_matrix, C, self.BLOCK, None)
+        out = np.zeros_like(C)
         for subset in subsets:
-            same_spin_sigma_stack(
-                plan.same_a, plan.w_matrix, stack, self.BLOCK, None,
+            same_spin_sigma(
+                plan.same_a, plan.w_matrix, C, self.BLOCK, None,
                 col_blocks=subset, out=out,
             )
         assert np.array_equal(out, full)
 
     def test_batch_of_three_on_ragged_blocks(self, problem):
         kern = DgemmKernel(SigmaPlan.for_problem(problem), block_columns=self.BLOCK)
-        C = stack_of_vectors(problem, 3, seed=31)
-        batched, singles = kern.make_counters(), kern.make_counters()
-        batch = kern.apply_batch(C, batched)
-        for i in range(3):
-            assert np.array_equal(batch[i], kern.apply(C[i], singles))
-        assert batched.dgemm_calls * 3 == singles.dgemm_calls
-        assert batched.dgemm_flops == singles.dgemm_flops
+        assert_batch_is_the_loop(kern, stack_of_vectors(problem, 3, seed=31))
 
 
 @contextmanager
@@ -252,8 +242,6 @@ class TestPlanCaching:
         # tiny budget clamps down, huge budget clamps at the ceiling
         assert plan.default_block_columns(memory_budget_mb=0) == 1
         assert plan.default_block_columns(memory_budget_mb=10**6) == 1024
-        # batching k vectors shrinks the per-column budget share
-        assert plan.default_block_columns(batch=64) <= m
 
     def test_default_block_is_cache_sized_not_budget_sized(self):
         """D + E of one block fit ~32 MiB however large the memory budget;
@@ -285,6 +273,72 @@ class TestKernelRegistry:
             FCISolver(h2, algorithm="")
 
 
+def _as_input(kind, C, tmp_path):
+    """``C`` in one of the representations ``apply`` must accept."""
+    if kind == "float32":
+        return C.astype(np.float32)
+    if kind == "fortran":
+        return np.asfortranarray(C)
+    if kind == "nested-list":
+        return C.tolist()
+    if kind == "memmap":
+        given = np.lib.format.open_memmap(
+            tmp_path / "c.npy", mode="w+", dtype=np.float64, shape=C.shape
+        )
+        given[...] = C
+        return given
+    opts = {"directory": tmp_path} if kind == "mmap" else {}
+    store = make_store(kind, C.shape, **opts)
+    store.write(C)
+    return store
+
+
+class TestInputCoercion:
+    """apply takes any real (na, nb) array-like and coerces it once to
+    C-contiguous float64; a wrong shape is a named ValueError."""
+
+    @pytest.mark.parametrize(
+        "kind", ["float32", "fortran", "nested-list", "memmap", "dense", "mmap"]
+    )
+    @pytest.mark.parametrize("name", ["dgemm", "moc"])
+    def test_apply_accepts(self, problem, tmp_path, name, kind):
+        # float32-representable, so the float32 row loses nothing
+        C = problem.random_vector(8).astype(np.float32).astype(np.float64)
+        given = _as_input(kind, C, tmp_path)
+        kern = make_kernel(name, SigmaPlan.for_problem(problem))
+        expected = kern.apply(C)
+        if kind in ("dense", "mmap"):  # vector stores enter through the operator
+            assert np.array_equal(HamiltonianOperator(problem, kern)(given), expected)
+            given.close()
+        else:
+            sigma = kern.apply(given)
+            assert sigma.dtype == np.float64 and sigma.flags.c_contiguous
+            assert np.array_equal(sigma, expected)
+
+    @pytest.mark.parametrize("name", ["dgemm", "moc"])
+    def test_apply_rejects_wrong_shape(self, problem, name):
+        kern = make_kernel(name, SigmaPlan.for_problem(problem))
+        na, nb = problem.shape
+        for bad in (np.zeros((nb, na)), np.zeros(na * nb), np.zeros((1, na, nb))):
+            with pytest.raises(ValueError, match="C must have shape"):
+                kern.apply(bad)
+
+    @pytest.mark.parametrize("owner", ["dgemm", "moc", "parallel", "operator"])
+    def test_apply_batch_rejects_anything_but_a_stack(self, problem, owner):
+        plan = SigmaPlan.for_problem(problem)
+        target = {
+            "dgemm": lambda: DgemmKernel(plan),
+            "moc": lambda: MocKernel(plan),
+            "parallel": lambda: ParallelSigma(problem),
+            "operator": lambda: HamiltonianOperator(problem),
+        }[owner]()
+        na, nb = problem.shape
+        for bad in (np.zeros((na, nb)), np.zeros((2, nb, na)), np.zeros((2, 1, na, nb))):
+            with pytest.raises(ValueError, match=rf"C_stack must have shape \(k, {na}, {nb}\)"):
+                target.apply_batch(bad)
+        assert target.apply_batch(np.zeros((0, na, nb))).shape == (0, na, nb)
+
+
 class TestOperatorComposition:
     def test_projection_and_penalty_compose(self, sym_problem):
         prob = sym_problem
@@ -295,7 +349,7 @@ class TestOperatorComposition:
             sigma_dgemm(prob, C) + 0.5 * spin_op.apply_s2(C)
         )
         assert np.array_equal(op(C), expected)
-        # batch path applies the same decoration per vector
+        # the batch loop applies the same decoration per vector
         batch = op.apply_batch(np.stack([C, prob.random_vector(2)]))
         assert np.array_equal(batch[0], expected)
 
@@ -312,23 +366,20 @@ class TestOperatorComposition:
 
 
 class TestMultirootBatching:
-    def test_multiroot_uses_batched_sigma(self, problem):
+    def test_multiroot_streams_one_sigma_at_a_time(self, problem):
+        """The block solver calls the operator once per sigma vector and
+        spends exactly that many single-vector sweeps."""
         pre = ModelSpacePreconditioner(problem, 12)
         op = HamiltonianOperator(problem)
         guesses = model_space_guesses(problem, pre, 3)
         res = davidson_multiroot(op, guesses, pre, n_roots=3)
         assert res.converged
-        # the block solver went through apply_batch: strictly fewer batches
-        # than sigma evaluations
-        assert op.n_batches < op.n_calls
+        assert op.n_calls == res.n_sigma
 
-        # and the batched evaluation spends strictly fewer DGEMM invocations
-        # than the same number of single-vector calls would
-        singles = HamiltonianOperator(problem)
-        for g in guesses:
-            singles(g)
-        per_single = singles.counters.dgemm_calls / singles.n_calls
-        assert op.counters.dgemm_calls < per_single * op.n_calls
+        single = HamiltonianOperator(problem)
+        single(guesses[0])
+        per_sigma = single.counters.as_dict()
+        assert op.counters.as_dict() == {k: v * res.n_sigma for k, v in per_sigma.items()}
 
     def test_multiroot_energies_match_loop(self, problem):
         pre = ModelSpacePreconditioner(problem, 12)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro import FCISolver, Telemetry
-from repro.core import CIProblem, sigma_dgemm, sigma_moc
-from repro.core.sigma_dgemm import SigmaCounters
+from repro.core import CIProblem, HamiltonianOperator, sigma_dgemm, sigma_moc
+from repro.core.kernels import SigmaCounters
 from repro.obs import (
     ChromeTracer,
     MetricsRegistry,
@@ -272,6 +272,33 @@ class TestFlopAccounting:
         indexed = reg.counter("sigma.moc.indexed_ops").value
         assert indexed > 0
         assert reg.counter("sigma.moc.flops").value == 2 * indexed
+
+    @pytest.mark.parametrize("algo", ["dgemm", "moc"])
+    def test_batch_of_three_is_three_calls_and_three_timer_samples(self, algo):
+        """One timer sample per sigma: the call counter and the timer's
+        sample count agree, and a batch accounts exactly 3x one apply."""
+        problem = CIProblem(make_random_mo(5, seed=2), 2, 2)
+        C = problem.random_vector(0)
+        metrics = [f"sigma.{algo}.flops"] + {
+            "dgemm": ["sigma.dgemm.gemm_calls", "sigma.dgemm.gather_elems",
+                      "sigma.dgemm.scatter_elems"],
+            "moc": ["sigma.moc.indexed_ops", "sigma.moc.matrix_elements"],
+        }[algo]
+
+        one = Telemetry()
+        HamiltonianOperator(problem, algo, telemetry=one).apply(C)
+        tel = Telemetry()
+        op = HamiltonianOperator(problem, algo, telemetry=tel)
+        op.apply_batch(np.stack([C, 0.5 * C, 0.25 * C]))
+
+        reg = tel.registry
+        assert op.n_calls == 3
+        assert reg.counter(f"sigma.{algo}.calls").value == 3
+        assert reg.timer(f"sigma.{algo}.seconds").count == 3
+        for name in metrics:
+            single = one.registry.counter(name).value
+            assert single > 0
+            assert reg.counter(name).value == 3 * single
 
     def test_ledger_and_rates(self):
         reg = MetricsRegistry()

@@ -203,9 +203,11 @@ class TestKernelProtocol:
 
     def test_apply_batch_matches_loop(self, problem, shm_sigma):
         C = np.stack([problem.random_vector(s) for s in (4, 5, 6)])
-        batch = shm_sigma.apply_batch(C, shm_sigma.make_counters())
+        batched, singles = shm_sigma.make_counters(), shm_sigma.make_counters()
+        batch = shm_sigma.apply_batch(C, batched)
         for i in range(3):
-            assert np.array_equal(batch[i], shm_sigma.apply(C[i]))
+            assert np.array_equal(batch[i], shm_sigma.apply(C[i], singles))
+        assert batched.as_dict() == singles.as_dict()
 
     def test_drops_into_hamiltonian_operator(self, problem, shm_sigma):
         op = HamiltonianOperator(problem, shm_sigma)

@@ -106,7 +106,7 @@ class TestOneRDM:
     def test_one_electron_energy_consistency(self, prob_and_eigs):
         # tr(gamma h) must equal <C| sum h_pq E_pq |C>
         mo, prob, _, evecs = prob_and_eigs
-        from repro.core.sigma_dgemm import one_electron_operators
+        from repro.core.kernels import one_electron_operators
 
         v = evecs[:, 0].reshape(prob.shape)
         gamma = one_rdm(prob, v)

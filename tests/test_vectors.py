@@ -21,7 +21,13 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import FCISolver, Checkpointer
+from repro.core import (
+    Checkpointer,
+    FCISolver,
+    HamiltonianOperator,
+    ModelSpacePreconditioner,
+    davidson_multiroot,
+)
 from repro.core.checkpoint import CheckpointState
 from repro.core.solver import _METHODS, method_names, register_method
 from repro.core.vectors import (
@@ -35,6 +41,7 @@ from repro.core.vectors import (
     store_kinds,
 )
 from repro.obs import Telemetry
+from tests.helpers import make_random_problem, model_space_guesses
 
 SHAPE = (6, 4)
 KINDS = ("dense", "mmap", "sparse")
@@ -455,6 +462,32 @@ class TestOutOfCoreSolves:
         assert len(held) >= 4  # two basis vectors and their sigmas, at least
         assert tele.registry.get("vectors.total_bytes").value > 0.0
         assert os.listdir(tmp_path) == []
+
+    def test_multiroot_never_asks_for_a_stack_of_sigmas(self, tmp_path, monkeypatch):
+        """An out-of-core block solve streams: each sigma is held in the
+        store before the next is computed, whatever the operator offers."""
+        problem = make_random_problem(6, 3, 2, seed=7, diag=np.linspace(-2, 2, 6))
+        pre = ModelSpacePreconditioner(problem, 12)
+        guesses = model_space_guesses(problem, pre, 2)
+        plain = HamiltonianOperator(problem)
+        ref = davidson_multiroot(lambda C: plain(C), guesses, pre, n_roots=2)
+
+        def poisoned(self, C_stack):
+            raise AssertionError("a k-stack of sigmas was requested")
+
+        monkeypatch.setattr(HamiltonianOperator, "apply_batch", poisoned)
+        store = make_store("mmap", problem.shape, directory=tmp_path)
+        try:
+            res = davidson_multiroot(
+                HamiltonianOperator(problem), guesses, pre, n_roots=2, store=store
+            )
+        finally:
+            store.close()
+        assert res.converged
+        assert np.array_equal(res.energies, ref.energies)
+        assert np.array_equal(res.history, ref.history)
+        assert np.array_equal(res.vectors, ref.vectors)
+        assert (res.n_sigma, res.n_iterations) == (ref.n_sigma, ref.n_iterations)
 
 
 class TestCDFCI:

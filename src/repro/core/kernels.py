@@ -24,7 +24,23 @@ table is rebuilt in the hot path) and evaluates sigma for one (na, nb) CI
 matrix:
 
 * :class:`DgemmKernel` - the paper's algorithm: gather into dense
-  intermediates, one DGEMM per column block, segment-sum scatter.
+  intermediates, one DGEMM per column block, scatter.  Gather and scatter
+  walk index tables the plan compiled once, in compiled loops - the
+  paper's vector gather/scatter; there is no compiler here, so the loops
+  are NumPy's and SciPy's:
+
+  - *gather* is ``np.take`` from the sign-folded, zero-padded source
+    [C, -C, 0].  Every slot of D has exactly one source (the plan's
+    ``gather_index``; the pad where no excitation connects), so one take
+    writes all of D: no zero refill, no sign multiply, no temporaries.
+    ``mode="clip"`` because the default ``"raise"`` makes ``take`` buffer
+    its ``out``; the indices are the plan's own and always in range.
+  - *scatter* is the plan's +-1 CSR matrix times E.  SciPy's CSR product
+    adds a row's entries left to right, and the matrix is built directly
+    from the entry arrays in their order (never sorted, never
+    de-duplicated), so a target's contributions are summed in one fixed
+    order whatever block, subset of blocks or rank the product runs in -
+    which is what keeps every execution mode bitwise-equal to this kernel.
 * :class:`MocKernel` - the minimum-operation-count baseline the paper
   compares against (its refs [2-7]): only non-zero matrix elements are
   formed and sigma is updated by indexed multiply-and-add.  Two costs are
@@ -53,6 +69,7 @@ the functional one-call entry points (validation and scripting).
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -72,6 +89,7 @@ __all__ = [
     "make_kernel",
     "apply_batch_loop",
     "timed_apply",
+    "as_ci_matrix",
     "one_electron_sigma",
     "same_spin_sigma",
     "mixed_spin_sigma",
@@ -208,9 +226,17 @@ def timed_apply(kernel: SigmaKernel, C, counters=None, telemetry=None) -> np.nda
     return sigma
 
 
-def _as_ci_matrix(C, shape: tuple[int, int]) -> np.ndarray:
+def as_ci_matrix(C, shape: tuple[int, int]) -> np.ndarray:
     """``C`` (any real array-like) as a C-contiguous float64 ``shape`` matrix;
-    no copy when it already is one."""
+    no copy when it already is one.
+
+    The one coercion every sigma entry point goes through.  Complex or
+    non-numeric input is a ``TypeError`` - NumPy's cast would drop an
+    imaginary part with only a warning, a silently wrong sigma.
+    """
+    C = np.asarray(C)
+    if C.dtype.kind not in "fiub":
+        raise TypeError(f"C must be real (float64-convertible), got dtype {C.dtype}")
     C = np.ascontiguousarray(C, dtype=np.float64)
     if C.shape != shape:
         raise ValueError(f"C must have shape {shape}, got {C.shape}")
@@ -232,26 +258,6 @@ def one_electron_sigma(plan: SigmaPlan, C: np.ndarray) -> np.ndarray:
 # -- DGEMM kernel pieces ------------------------------------------------------
 
 
-def _segment_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """Left-to-right sum along ``axis``.
-
-    ``np.sum`` groups additions differently depending on the *total* array
-    shape (SIMD/pairwise blocking), so a block's reduction would round
-    differently in a narrower or wider sweep.  Sequential elementwise adds
-    are shape-independent, which is what keeps a rank's subset of column
-    blocks exactly equal to the same blocks of the full serial sweep.  The
-    reduced axis is short (entries per string), so this costs a handful of
-    vectorized adds.
-    """
-    x = np.moveaxis(x, axis, 0)
-    if x.shape[0] == 0:
-        return np.zeros(x.shape[1:], dtype=x.dtype)
-    out = x[0].copy()
-    for i in range(1, x.shape[0]):
-        out += x[i]
-    return out
-
-
 def column_blocks(n_columns: int, block_columns: int) -> list[tuple[int, int]]:
     """The (lo, hi) column blocks a kernel sweeps for an n_columns space.
 
@@ -269,10 +275,10 @@ def column_blocks(n_columns: int, block_columns: int) -> list[tuple[int, int]]:
 class _Scratch:
     """Flat float64 buffers of one sweep, handed out as C-contiguous views.
 
-    A sweep allocates its D, E and scatter buffers once, for its widest
-    column block; a narrower (ragged last) block takes a shorter prefix of
-    the same memory, so every block's DGEMM operands are contiguous
-    whatever its width and no block faults in fresh pages.
+    A sweep allocates its buffers once, ``block_columns`` wide; a narrower
+    (ragged last) block takes a shorter prefix of the same memory, so every
+    block's DGEMM operands are contiguous whatever its width and no block
+    faults in fresh pages.
     """
 
     def __init__(self, *sizes: int):
@@ -285,6 +291,26 @@ class _Scratch:
         ]
 
 
+def _fold_signs(C: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the signed, padded gather source [C, -C, 0] along
+    ``axis``: every +-1-weighted copy a gather makes, and the zero of a slot
+    nothing connects to, is then one element of one array."""
+    n = C.shape[axis]
+    out = np.moveaxis(out, axis, 0)
+    out[:n] = np.moveaxis(C, axis, 0)
+    np.negative(out[:n], out=out[n : 2 * n])
+    out[2 * n] = 0.0
+
+
+def _block_width(lo: int, hi: int, block_columns: int) -> int:
+    """Width of column block (lo, hi), which the sweep's scratch must hold."""
+    if hi - lo > block_columns:
+        raise ValueError(
+            f"column block ({lo}, {hi}) is wider than block_columns={block_columns}"
+        )
+    return hi - lo
+
+
 def same_spin_sigma(
     splan: SameSpinPlan,
     W: np.ndarray,
@@ -292,49 +318,47 @@ def same_spin_sigma(
     block_columns: int,
     counters: SigmaCounters | None,
     *,
-    col_blocks: list[tuple[int, int]] | None = None,
+    col_blocks: Iterable[tuple[int, int]] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Same-spin term for one row-major (nstr, M) CI matrix.
 
     Acts on the *row* strings; the beta-beta term passes the transposed CI
     matrix, like the paper's Fig. 2a which works on transposed local C
-    and sigma blocks.  One DGEMM (W @ D) per column block.
+    and sigma blocks.  Per column block, three compiled calls:
+
+    * gather - D = rows ``splan.gather_index`` of the block's signed source
+      [C; -C; 0], one ``np.take`` that writes every row of D (no refill);
+    * E = W.D, one DGEMM into reused scratch;
+    * scatter - sigma = ``splan.scatter`` @ E, a CSR product that adds each
+      string's entries left to right in table order, so a block's sums do
+      not depend on the sweep around it.
 
     ``col_blocks`` restricts the sweep to a subset of the canonical
     :func:`column_blocks` (the shared-memory backend distributes whole
     blocks across workers; each block's operands — and therefore its
-    rounding — are identical to the full serial sweep).  ``out`` writes
-    results into a caller-provided array (e.g. a shared-memory segment)
-    instead of allocating; only the swept blocks are touched.
+    rounding — are identical to the full serial sweep); any iterable,
+    consumed one block at a time.  ``out`` writes results into a
+    caller-provided array (e.g. a shared-memory segment) instead of
+    allocating; only the swept blocks are touched.
     """
-    NK = splan.n_reduced
-    npair = splan.n_pairs
-    nstr = splan.n_strings
-    kk2 = splan.pairs_per_string
-    key = splan.key
-    sgn = splan.sign[:, None]
-    src = splan.source
+    npair, NK, nstr = splan.n_pairs, splan.n_reduced, splan.n_strings
     M = C_rows.shape[1]
     if out is None:
         out = np.zeros(C_rows.shape)
     if col_blocks is None:
         col_blocks = column_blocks(M, block_columns)
-    if not col_blocks:
-        return out
-    widest = max(hi - lo for lo, hi in col_blocks)
-    scratch = _Scratch(*[npair * NK * widest] * 2, key.size * widest)
+    width = min(block_columns, M)
+    scratch = _Scratch((2 * nstr + 1) * width, *[npair * NK * width] * 2)
     for lo, hi in col_blocks:
-        m = hi - lo
-        D, E, vals = scratch.views((npair * NK, m), (npair * NK, m), (key.size, m))
-        # refilling with zeros keeps the gathered operands - and the
-        # result - bitwise identical to a fresh buffer
-        D[...] = 0.0
-        D[key] = sgn * C_rows[src, lo:hi]
+        m = _block_width(lo, hi, width)
+        Cs, D, E = scratch.views((2 * nstr + 1, m), (npair * NK, m), (npair * NK, m))
+        _fold_signs(C_rows[:, lo:hi], 0, Cs)
+        # "clip" because the default "raise" buffers `out`; the indices are
+        # the plan's own and in range
+        np.take(Cs, splan.gather_index, axis=0, out=D, mode="clip")
         np.matmul(W, D.reshape(npair, NK * m), out=E.reshape(npair, NK * m))
-        np.take(E, key, axis=0, out=vals, mode="clip")
-        vals *= sgn
-        out[:, lo:hi] = _segment_sum(vals.reshape(nstr, kk2, m), axis=1)
+        out[:, lo:hi] = splan.scatter @ E
         if counters is not None:
             counters.dgemm_flops += 2 * npair * npair * NK * m
             counters.dgemm_calls += 1
@@ -343,87 +367,67 @@ def same_spin_sigma(
     return out
 
 
-def _gather_groups(half: MixedSpinHalfPlan, lo: int, hi: int):
-    """The half's entries with target in [lo, hi), one tuple per ordered (p, q).
-
-    Yields ``(pair, columns, source, sign)``: within one ordered (p, q)
-    every target string occurs at most once, so ``columns`` (targets
-    relative to ``lo``) are distinct and the group is one column gather.
-    """
-    elo, ehi = lo * half.per, hi * half.per
-    pair = half.pair[elo:ehi]
-    ordered = 2 * pair + (half.p[elo:ehi] > half.q[elo:ehi])
-    order = np.argsort(ordered, kind="stable")
-    cuts = np.flatnonzero(np.diff(ordered[order])) + 1
-    columns = half.target[elo:ehi] - lo
-    source = half.source[elo:ehi]
-    sign = half.sign[elo:ehi]
-    for idx in np.split(order, cuts):
-        yield pair[idx[0]], columns[idx], source[idx], sign[idx]
-
-
 def mixed_spin_sigma(
     plan: SigmaPlan,
     C: np.ndarray,
     block_columns: int,
     counters: SigmaCounters | None,
     *,
-    col_blocks: list[tuple[int, int]] | None = None,
+    col_blocks: Iterable[tuple[int, int]] | None = None,
     out: np.ndarray | None = None,
     scatter: MixedSpinHalfPlan | None = None,
 ) -> np.ndarray:
     """Mixed-spin (alpha-beta) term for one (n_rows, nb) CI matrix.
 
+    The signed source [C, -C, 0] (beta columns) is built once per sweep.
     Per block of beta columns the intermediates are held pair-packed as
     D[pair, J_alpha, k_beta] with the block column fastest:
 
-    * gather - for each ordered (r, s), D[{rs}, :, columns] = sign *
-      C[:, sources]: a column gather within contiguous rows;
+    * gather - D[{rs}] = columns ``gather_index[{rs}, lo:hi]`` of the signed
+      source, one ``np.take`` per pair slab; every slot is written, the
+      unconnected ones from the zero pad, so D is never refilled;
     * E = G.D, one DGEMM over the (n(n+1)/2)^2 packed integrals, written
       into reused scratch;
-    * scatter - entry (I, J, {pq}) of the alpha half reads the contiguous
-      row E[{pq}, J, :], and rows are summed left to right per target I.
+    * scatter - sigma[:, lo:hi] += ``scatter`` @ E viewed (pair * J, k): a
+      CSR product whose row I adds the contiguous rows E[{pq}, J, :] of
+      target I's entries left to right in plan order.
 
     ``col_blocks``/``out`` have the same contract as in
     :func:`same_spin_sigma`: restrict the sweep to a subset of the
-    canonical blocks and/or accumulate into a caller-provided buffer, with
-    per-block arithmetic unchanged.  ``scatter`` replaces the plan's alpha
-    half when ``C`` holds only some alpha rows (a simulated rank's task:
-    the rows it fetched, and the targets it owns with sources numbered
-    into those rows); sigma then has one row per target of it.
+    canonical blocks (a lazily consumed iterable - a rank's generator
+    claims its next task only when the sweep asks for the next block)
+    and/or accumulate into a caller-provided buffer, with per-block
+    arithmetic unchanged.  ``scatter`` replaces the plan's alpha half when
+    ``C`` holds only some alpha rows (a simulated rank's task: the rows it
+    fetched, and the targets it owns with sources numbered into those
+    rows); sigma then has one row per target of it.
     """
     n_rows, nb = C.shape
     gb = plan.gather_b
     sa = plan.scatter_a if scatter is None else scatter
     G = plan.g_matrix
     npair = G.shape[0]
-    n_targets = sa.n_entries // sa.per if sa.per else n_rows
     if out is None:
-        out = np.zeros((n_targets, nb))
+        out = np.zeros((sa.scatter.shape[0], nb))
+    if not gb.per or not sa.per:
+        return out  # a spin without electrons has no single excitations
     if col_blocks is None:
         col_blocks = column_blocks(nb, block_columns)
-    if not col_blocks or not gb.per or not sa.per:
-        return out  # a spin without electrons has no single excitations
-    rows = sa.pair * n_rows + sa.source  # of E viewed (pair * J_alpha, k_beta)
-    sgn = sa.sign[:, None]
-    widest = max(hi - lo for lo, hi in col_blocks)
-    scratch = _Scratch(*[npair * n_rows * widest] * 2, rows.size * widest)
+    Cs = np.empty((n_rows, 2 * nb + 1))
+    _fold_signs(C, 1, Cs)
+    width = min(block_columns, nb)
+    scratch = _Scratch(*[npair * n_rows * width] * 2)
     for lo, hi in col_blocks:
-        m = hi - lo
-        D, E, vals = scratch.views(
-            (npair, n_rows, m), (npair, n_rows, m), (rows.size, m)
-        )
-        D[...] = 0.0
-        for pair, columns, source, sign in _gather_groups(gb, lo, hi):
-            D[pair][:, columns] = C[:, source] * sign
+        m = _block_width(lo, hi, width)
+        D, E = scratch.views((npair, n_rows, m), (npair, n_rows, m))
+        for slab, columns in zip(D, gb.gather_index[:, lo:hi]):
+            np.take(Cs, columns, axis=1, out=slab, mode="clip")
         np.matmul(G, D.reshape(npair, n_rows * m), out=E.reshape(npair, n_rows * m))
-        np.take(E.reshape(npair * n_rows, m), rows, axis=0, out=vals, mode="clip")
-        vals *= sgn
-        out[:, lo:hi] += _segment_sum(vals.reshape(n_targets, sa.per, m), axis=1)
+        out[:, lo:hi] += sa.scatter @ E.reshape(npair * n_rows, m)
         if counters is not None:
             counters.dgemm_flops += 2 * npair * npair * m * n_rows
             counters.dgemm_calls += 1
-            counters.gather_elements += (hi - lo) * gb.per * n_rows
+            counters.gather_elements += m * gb.per * n_rows
             counters.scatter_elements += sa.n_entries * m
     return out
 
@@ -465,7 +469,7 @@ class DgemmKernel:
 
     def apply(self, C: np.ndarray, counters: SigmaCounters | None = None) -> np.ndarray:
         plan = self.plan
-        C = _as_ci_matrix(C, plan.shape)
+        C = as_ci_matrix(C, plan.shape)
         bc = self.block_columns
         # accumulation order, shared with every rank program: one-electron
         # alpha, one-electron beta, alpha-alpha, beta-beta, mixed
@@ -489,6 +493,24 @@ _REGISTRY["compiled"] = DgemmKernel
 
 
 # -- MOC kernel pieces --------------------------------------------------------
+
+
+def _segment_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Left-to-right sum along ``axis``.
+
+    ``np.sum`` groups additions differently depending on the *total* array
+    shape (SIMD/pairwise blocking), so a row block's reduction would round
+    differently under another ``row_block``.  Sequential elementwise adds
+    are shape-independent.  The reduced axis is short (entries per string),
+    so this costs a handful of vectorized adds.
+    """
+    x = np.moveaxis(x, axis, 0)
+    if x.shape[0] == 0:
+        return np.zeros(x.shape[1:], dtype=x.dtype)
+    out = x[0].copy()
+    for i in range(1, x.shape[0]):
+        out += x[i]
+    return out
 
 
 def moc_same_spin_sigma(
@@ -616,7 +638,7 @@ class MocKernel:
     def apply(self, C: np.ndarray, counters: MOCCounters | None = None) -> np.ndarray:
         plan = self.plan
         problem = plan.problem
-        C = _as_ci_matrix(C, plan.shape)
+        C = as_ci_matrix(C, plan.shape)
         sigma = one_electron_sigma(plan, C)
         if problem.n_alpha >= 2:
             sigma += moc_same_spin_sigma(problem.space_a, plan.w_matrix, C, counters)

@@ -11,6 +11,11 @@ explicit: for one :class:`~repro.core.problem.CIProblem` it compiles
   segment length, paper eqs. 4-6),
 * the same-spin ``key`` arrays (pair * NK + target) addressing the packed
   (pairs x N-2-strings) intermediate, with float signs (paper eqs. 7-9),
+* from each of those entry lists the two tables the sweeps actually walk:
+  a *gather index* with one slot per row/column of the dense intermediate D
+  into the sign-folded, zero-padded source [C, -C, 0], and a +-1 CSR
+  *scatter matrix* in entry order - so a column block's gather is
+  ``np.take`` and its scatter one sparse product, both compiled loops,
 * the W supermatrix W[(p>r),(q>s)] = (pq|rs) - (ps|rq) and the pair-packed
   chemists-notation G matrix G[(p>=q),(r>=s)] = (pq|rs),
 
@@ -93,13 +98,42 @@ def one_electron_csr(h: np.ndarray, table: SingleExcitationTable) -> sp.csr_matr
     return sp.csr_matrix((vals, (table.target, table.source)), shape=(n, n))
 
 
+def _signed_gather_index(slots, source, sign, n_slots: int, n_sources: int) -> np.ndarray:
+    """Which element of the sign-folded, zero-padded source [C, -C, 0] each
+    slot of a dense intermediate copies.
+
+    Entry e fills slot ``slots[e]`` (unique per entry) with ``+C[source[e]]``
+    - index ``source[e]`` - or ``-C[source[e]]`` - index ``n_sources +
+    source[e]``; a slot no excitation connects reads the zero pad at
+    ``2 * n_sources``.  ``intp``, the one dtype ``np.take`` uses as given.
+    """
+    gidx = np.full(n_slots, 2 * n_sources, dtype=np.intp)
+    gidx[slots] = np.where(sign > 0, source, n_sources + source)
+    return gidx
+
+
+def _signed_scatter_matrix(columns, sign, per: int, shape: tuple[int, int]) -> sp.csr_matrix:
+    """The +-1 CSR matrix whose row t holds target t's ``per`` entries.
+
+    Built straight from the entry arrays in the order they have - never
+    through the COO constructor, ``sort_indices`` or ``sum_duplicates`` -
+    because SciPy's CSR product adds a row's entries left to right: the
+    entry order *is* the summation order of the scatter, and keeping it is
+    what keeps a block's rounding independent of the sweep around it.
+    """
+    return sp.csr_matrix((sign, columns, np.arange(shape[0] + 1) * per), shape=shape)
+
+
 @dataclass
 class SameSpinPlan:
     """Precompiled addressing for one same-spin (alpha-alpha or beta-beta) term.
 
-    ``key = pair * NK + target`` is unique per table entry, so the gather into
-    the packed (n_pairs * NK, m) intermediate is a plain fancy assignment and
-    the scatter is a reshaped segment sum - no indexed accumulate.
+    ``key = pair * NK + target`` is unique per table entry, so the packed
+    (n_pairs * NK, m) intermediate D has one source per row: ``gather_index``
+    (one slot per D row) makes the gather a single ``np.take`` of rows from
+    [C; -C; 0], and ``scatter`` (n_strings x n_pairs * NK, column ``key``,
+    value ``sign``, ``pairs_per_string`` entries per row in table order)
+    makes the scatter one CSR product - no indexed accumulate.
     """
 
     key: np.ndarray  # pair * NK + target, int64, one per table entry
@@ -110,20 +144,29 @@ class SameSpinPlan:
     n_strings: int
     pairs_per_string: int  # k(k-1)/2
     n_entries: int
+    gather_index: np.ndarray  # (n_pairs * NK,) intp into the rows of [C; -C; 0]
+    scatter: sp.csr_matrix  # (n_strings, n_pairs * NK)
 
     @classmethod
     def from_table(cls, table: DoubleAnnihilationTable) -> "SameSpinPlan":
         k = table.space.k
         NK = table.reduced_space.size
+        nstr = table.space.size
+        kk2 = k * (k - 1) // 2
+        key = table.pair * NK + table.target
+        sign = table.sign.astype(np.float64)
+        n_slots = table.n_pairs * NK
         return cls(
-            key=table.pair * NK + table.target,
+            key=key,
             source=table.source,
-            sign=table.sign.astype(np.float64),
+            sign=sign,
             n_pairs=table.n_pairs,
             n_reduced=NK,
-            n_strings=table.space.size,
-            pairs_per_string=k * (k - 1) // 2,
+            n_strings=nstr,
+            pairs_per_string=kk2,
             n_entries=table.n_entries,
+            gather_index=_signed_gather_index(key, table.source, sign, n_slots, nstr),
+            scatter=_signed_scatter_matrix(key, sign, kk2, (nstr, n_slots)),
         )
 
 
@@ -132,14 +175,18 @@ class MixedSpinHalfPlan:
     """One spin side of the mixed-spin term, re-sorted by target string.
 
     Every target string has the same number of entries (``per``), so sorted
-    order lets the kernels slice whole blocks of targets: contiguous gather
-    segments on the beta side, reshaped segment sums on the alpha side.
+    order lets the kernels slice whole blocks of targets: column blocks of
+    ``gather_index`` on the beta side, rows of ``scatter`` on the alpha side.
 
     ``pair`` addresses the pair-packed intermediates.  For a fixed target
     string at most one of E_pq / E_qp connects (p must be occupied in the
     target and q empty, or the reverse), so (pair, target) is unique per
     entry and folding D[pq] + D[qp] into one row is still a plain
-    assignment with unchanged signs.
+    copy with unchanged signs.  ``gather_index[pair, target]`` is therefore
+    one column of [C, -C, 0] per D slot (the pad where nothing connects),
+    and ``scatter`` (n_targets x n_pairs * n_sources, column ``pair *
+    n_sources + source``, value ``sign``, ``per`` entries per row in sorted
+    entry order) reads E viewed as (pair * J, k).
     """
 
     source: np.ndarray
@@ -150,21 +197,49 @@ class MixedSpinHalfPlan:
     sign: np.ndarray  # float64 signs (pre-cast once)
     per: int  # entries per target string
     n_entries: int
+    gather_index: np.ndarray  # (n_pairs, n_targets) intp into the columns of [C, -C, 0]
+    scatter: sp.csr_matrix  # (n_targets, n_pairs * n_sources)
+
+    @classmethod
+    def from_entries(
+        cls, n: int, n_sources: int, n_targets: int, source, target, p, q, sign
+    ) -> "MixedSpinHalfPlan":
+        """Compile target-sorted entries over ``n`` orbitals whose ``source``
+        numbers into ``n_sources`` strings (all of a spin's strings for the
+        plan's own halves; the rows a simulated rank fetched for its task)."""
+        pair = pair_index(p, q)
+        n_pairs = n * (n + 1) // 2
+        per = source.size // n_targets
+        return cls(
+            source=source,
+            target=target,
+            p=p,
+            q=q,
+            pair=pair,
+            sign=sign,
+            per=per,
+            n_entries=source.size,
+            gather_index=_signed_gather_index(
+                pair * n_targets + target, source, sign, n_pairs * n_targets, n_sources
+            ).reshape(n_pairs, n_targets),
+            scatter=_signed_scatter_matrix(
+                pair * n_sources + source, sign, per, (n_targets, n_pairs * n_sources)
+            ),
+        )
 
     @classmethod
     def from_table(cls, table: SingleExcitationTable) -> "MixedSpinHalfPlan":
         order = np.argsort(table.target, kind="stable")
-        p = table.p[order]
-        q = table.q[order]
-        return cls(
-            source=table.source[order],
-            target=table.target[order],
-            p=p,
-            q=q,
-            pair=pair_index(p, q),
-            sign=table.sign[order].astype(np.float64),
-            per=table.n_entries // table.space.size,
-            n_entries=table.n_entries,
+        nstr = table.space.size
+        return cls.from_entries(
+            table.space.n,
+            nstr,
+            nstr,
+            table.source[order],
+            table.target[order],
+            table.p[order],
+            table.q[order],
+            table.sign[order].astype(np.float64),
         )
 
 
@@ -253,9 +328,11 @@ class SigmaPlan:
 
         The cache-accounting figure for content-addressed plan stores (the
         service layer's artifact cache budgets and reports eviction on it):
-        the W/G supermatrices, the one-electron CSR operators, and every
-        gather/scatter index array, counted once per distinct object
-        (shared alpha/beta halves are not double counted).
+        the W/G supermatrices, the one-electron CSR operators, every
+        excitation entry array, and the gather index and CSR scatter matrix
+        compiled from them, counted once per distinct array (shared
+        alpha/beta halves are not double counted, nor is a ``sign`` array
+        that is also its scatter matrix's ``data``).
         """
         seen: set[int] = set()
         total = 0
@@ -267,20 +344,24 @@ class SigmaPlan:
             seen.add(id(arr))
             total += int(arr.nbytes)
 
-        add(self.w_matrix)
-        add(self.g_matrix)
-        for csr in {id(self.Ta): self.Ta, id(self.Tb): self.Tb}.values():
+        def add_csr(csr) -> None:
             add(csr.data)
             add(csr.indices)
             add(csr.indptr)
-        for half in {id(self.scatter_a): self.scatter_a,
-                     id(self.gather_b): self.gather_b}.values():
-            for name in ("source", "target", "p", "q", "pair", "sign"):
+
+        add(self.w_matrix)
+        add(self.g_matrix)
+        add_csr(self.Ta)
+        add_csr(self.Tb)
+        for half in (self.scatter_a, self.gather_b):
+            for name in ("source", "target", "p", "q", "pair", "sign", "gather_index"):
                 add(getattr(half, name))
+            add_csr(half.scatter)
         for splan in (self.same_a, self.same_b):
             if splan is not None:
-                for name in ("key", "source", "sign"):
+                for name in ("key", "source", "sign", "gather_index"):
                     add(getattr(splan, name))
+                add_csr(splan.scatter)
         return total
 
     def default_block_columns(
@@ -299,8 +380,8 @@ class SigmaPlan:
         sweep runs fastest when D + E of one block stay cache-resident:
         the returned ``m`` fits them in a fixed ~32 MiB, clamped to
         [1, 1024] (measured on FCI(6+6,12), where it gives 29, seconds per
-        apply by ``m``: 8: 1.12, 16: 0.95, 29: 0.93, 48: 1.01, 64: 1.10,
-        126: 1.34, 232: 1.42).
+        apply by ``m``: 8: 0.74, 16: 0.71, 29: 0.67, 48: 0.70, 64: 0.71,
+        126: 0.81, 232: 0.87).
         This is the default used by
         :class:`~repro.core.kernels.DgemmKernel`,
         :class:`~repro.core.solver.FCISolver`, and

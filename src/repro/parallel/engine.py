@@ -69,6 +69,7 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
+from ..core.kernels import as_ci_matrix
 from ..core.plans import SigmaPlan
 from .backend import SigmaRun
 from .rankwork import build_sigma_decomposition, heap_arrays, worker_main
@@ -186,9 +187,7 @@ class RankEngine:
 
     # -- one parallel sigma evaluation ----------------------------------------
     def sigma(self, C: np.ndarray) -> SigmaRun:
-        C = np.asarray(C, dtype=np.float64)
-        if C.shape != self.shape:
-            raise ValueError(f"C must have shape {self.shape}, got {C.shape}")
+        C = as_ci_matrix(C, self.shape)
         with self._lock:
             if self._closed:
                 raise RuntimeError(

@@ -62,7 +62,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.kernels import SigmaCounters, apply_batch_loop, mixed_spin_sigma, same_spin_sigma
+from ..core.kernels import (
+    SigmaCounters,
+    apply_batch_loop,
+    as_ci_matrix,
+    mixed_spin_sigma,
+    same_spin_sigma,
+)
 from ..core.plans import MixedSpinHalfPlan, SigmaPlan
 from ..core.problem import CIProblem
 from ..core.vectors import make_store, publish_store_metrics, store_kinds
@@ -288,15 +294,15 @@ class ParallelSigma:
             self._task_meta.append(
                 {
                     "rows": rows_needed,
-                    "half": MixedSpinHalfPlan(
-                        source=src_local,
-                        target=sa.target[entries] - t.start,
-                        p=sa.p[entries],
-                        q=sa.q[entries],
-                        pair=sa.pair[entries],
-                        sign=sa.sign[entries],
-                        per=self._per_a,
-                        n_entries=src_local.size,
+                    "half": MixedSpinHalfPlan.from_entries(
+                        self.plan.n,
+                        rows_needed.size,
+                        t.stop - t.start,
+                        src_local,
+                        sa.target[entries] - t.start,
+                        sa.p[entries],
+                        sa.q[entries],
+                        sa.sign[entries],
                     ),
                 }
             )
@@ -381,9 +387,7 @@ class ParallelSigma:
 
     # -- main entry -----------------------------------------------------------
     def __call__(self, C: np.ndarray) -> np.ndarray:
-        na, nb = self.problem.shape
-        if C.shape != (na, nb):
-            raise ValueError(f"C must have shape {(na, nb)}")
+        C = as_ci_matrix(C, self.problem.shape)
         run = self.backend.run_sigma(self, C)
         self.report.merge(run.stats, run.elapsed, run.load_imbalance)
         if self.telemetry:

@@ -179,20 +179,21 @@ def run_rank_sigma(
         )
         phase_times["beta-beta"] = time.perf_counter() - t0
 
-    # mixed-spin: dynamic task pool over column-block spans
-    t0 = time.perf_counter()
+    # mixed-spin: dynamic task pool over column-block spans, fed to ONE sweep
+    # (one signed source, one scratch per rank per sigma) by a generator
+    # that claims the next task only when the sweep asks for its next block
     claimed: list[int] = []
-    while True:
-        tid = fetch_add()
-        if tid >= len(tasks):
-            break
-        blo, bhi = tasks[tid]
-        if per_task_seconds > 0.0:
-            time.sleep(per_task_seconds)
-        mixed_spin_sigma(
-            plan, C, bc, counters, col_blocks=aa_blocks[blo:bhi], out=outs["mix"]
-        )
-        claimed.append(tid)
+
+    def claimed_blocks():
+        while (tid := fetch_add()) < len(tasks):
+            blo, bhi = tasks[tid]
+            if per_task_seconds > 0.0:
+                time.sleep(per_task_seconds)
+            yield from aa_blocks[blo:bhi]
+            claimed.append(tid)
+
+    t0 = time.perf_counter()
+    mixed_spin_sigma(plan, C, bc, counters, col_blocks=claimed_blocks(), out=outs["mix"])
     phase_times["alpha-beta"] = time.perf_counter() - t0
     return claimed
 

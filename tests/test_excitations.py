@@ -307,3 +307,143 @@ class TestLinkIndexTables:
                     m2, s2 = apply_annihilation(m1, s)
                     assert red.index(m2) == tgt
                     assert s1 * s2 == sgn
+
+
+# closed shell (alpha/beta share every table), open shell, one beta electron
+# (no beta-beta plan), no beta electron (no beta singles at all)
+TABLE_SPACES = [(6, 3, 3), (7, 4, 3), (8, 4, 1), (7, 3, 0)]
+
+
+def _space_id(space):
+    n, na, nb = space
+    return f"{na}+{nb}in{n}"
+
+
+@pytest.mark.parametrize("n,na,nb", TABLE_SPACES, ids=map(_space_id, TABLE_SPACES))
+class TestGatherScatterTables:
+    """The two tables a sweep walks - the gather index into the signed,
+    padded source [C, -C, 0] and the +-1 CSR scatter matrix - loop-built
+    from the excitation tables, slot for slot and entry for entry."""
+
+    _plan = TestLinkIndexTables._plan
+
+    @staticmethod
+    def _expected_gather(slot_source_sign, n_slots, n_sources):
+        """One (source, sign) per connected slot; the pad everywhere else."""
+        expected = np.full(n_slots, 2 * n_sources, dtype=np.intp)
+        filled = set()
+        for slot, source, sign in slot_source_sign:
+            assert slot not in filled  # a slot has one source: a copy, not a sum
+            filled.add(slot)
+            expected[slot] = source if sign > 0 else n_sources + source
+        return expected
+
+    @staticmethod
+    def _assert_scatter(S, columns, sign, per, shape):
+        """indices/data are the entry arrays in entry order - CSR built
+        directly, never sorted or de-duplicated - ``per`` entries per row."""
+        assert S.shape == shape
+        assert np.array_equal(S.indices, columns)
+        assert np.array_equal(S.data, sign)
+        assert S.data.dtype == np.float64
+        assert np.array_equal(S.indptr, np.arange(shape[0] + 1) * per)
+        assert S.indices.dtype == S.indptr.dtype  # no per-product index cast
+
+    def test_mixed_halves(self, n, na, nb):
+        from repro.core.plans import pair_index
+
+        plan = self._plan(n, na, nb)
+        n_pairs = n * (n + 1) // 2
+        for half, table in (
+            (plan.scatter_a, plan.singles_a),
+            (plan.gather_b, plan.singles_b),
+        ):
+            nstr = table.space.size
+            entries = [
+                (int(pair_index(p, q)), int(t), int(s), int(sg))
+                for s, t, p, q, sg in zip(
+                    table.source, table.target, table.p, table.q, table.sign
+                )
+            ]
+            expected = self._expected_gather(
+                ((pair * nstr + t, s, sg) for pair, t, s, sg in entries),
+                n_pairs * nstr,
+                nstr,
+            )
+            assert half.gather_index.dtype == np.intp
+            assert np.array_equal(half.gather_index, expected.reshape(n_pairs, nstr))
+            pad = half.gather_index == 2 * nstr
+            assert np.count_nonzero(pad) == n_pairs * nstr - table.n_entries
+
+            # row t of the scatter matrix: target t's entries in table order
+            by_target = sorted(range(len(entries)), key=lambda e: entries[e][1])
+            columns = [entries[e][0] * nstr + entries[e][2] for e in by_target]
+            sign = [entries[e][3] for e in by_target]
+            self._assert_scatter(
+                half.scatter, columns, sign, half.per, (nstr, n_pairs * nstr)
+            )
+            assert np.array_equal(half.scatter.indices, half.pair * nstr + half.source)
+            assert np.array_equal(half.scatter.data, half.sign)
+
+    def test_same_spin_plans(self, n, na, nb):
+        plan = self._plan(n, na, nb)
+        for splan, k, space in (
+            (plan.same_a, na, plan.problem.space_a),
+            (plan.same_b, nb, plan.problem.space_b),
+        ):
+            if k < 2:
+                assert splan is None
+                continue
+            table = DoubleAnnihilationTable(space)
+            NK, nstr = table.reduced_space.size, space.size
+            n_slots = table.n_pairs * NK
+            slots = [int(pr) * NK + int(t) for pr, t in zip(table.pair, table.target)]
+            expected = self._expected_gather(
+                zip(slots, map(int, table.source), map(int, table.sign)), n_slots, nstr
+            )
+            assert splan.gather_index.dtype == np.intp
+            assert np.array_equal(splan.gather_index, expected)
+            assert np.count_nonzero(splan.gather_index == 2 * nstr) == (
+                n_slots - table.n_entries
+            )
+            # the table lists each source string's k(k-1)/2 entries together
+            assert np.array_equal(
+                table.source, np.repeat(np.arange(nstr), splan.pairs_per_string)
+            )
+            self._assert_scatter(
+                splan.scatter, slots, table.sign, splan.pairs_per_string, (nstr, n_slots)
+            )
+            assert np.array_equal(splan.scatter.indices, splan.key)
+            assert np.array_equal(splan.scatter.data, splan.sign)
+
+    def test_sweeps_leave_a_read_only_vector_untouched(self, n, na, nb):
+        from repro.core.kernels import DgemmKernel
+
+        plan = self._plan(n, na, nb)
+        C = plan.problem.random_vector(3)
+        frozen = C.copy()
+        frozen.flags.writeable = False
+        for block_columns in (None, 2):
+            kern = DgemmKernel(plan, block_columns=block_columns)
+            assert np.array_equal(kern.apply(frozen), kern.apply(C))
+        assert np.array_equal(frozen, C)
+
+    def test_nbytes_counts_each_distinct_array_once(self, n, na, nb):
+        plan = self._plan(n, na, nb)
+        parts = [
+            part
+            for part in (plan.scatter_a, plan.gather_b, plan.same_a, plan.same_b)
+            if part is not None
+        ]
+        held = [plan.w_matrix, plan.g_matrix]
+        for csr in (plan.Ta, plan.Tb, *(part.scatter for part in parts)):
+            held += [csr.data, csr.indices, csr.indptr]
+        for part in parts:
+            held += [v for v in vars(part).values() if isinstance(v, np.ndarray)]
+        distinct = {id(a): a for a in held}
+        assert plan.nbytes == sum(a.nbytes for a in distinct.values())
+        # closed shell shares every alpha/beta table (counted once); open
+        # shell holds two halves and up to two same-spin plans
+        n_tables = {(6, 3, 3): 2, (7, 4, 3): 4, (8, 4, 1): 3, (7, 3, 0): 3}[n, na, nb]
+        for name in ("gather_index", "scatter"):
+            assert len({id(getattr(part, name)) for part in parts}) == n_tables

@@ -109,8 +109,8 @@ class TestBatchedCounters:
 
 
 class TestScratchReuse:
-    """D, E and the scatter buffer are reused across blocks: nothing of one
-    block, vector or call may leak into the next."""
+    """D and E (and the same-spin signed source) are reused across blocks:
+    nothing of one block, vector or call may leak into the next."""
 
     BLOCK = 4  # nb = 15 -> blocks of 4, 4, 4 and a ragged 3
 
@@ -149,6 +149,31 @@ class TestScratchReuse:
                 col_blocks=subset, out=out,
             )
         assert np.array_equal(out, full)
+
+    def test_col_blocks_is_consumed_one_block_at_a_time(self, problem):
+        """What a rank's mixed phase does: one sweep (one signed source, one
+        scratch) over a generator that claims work only when asked - every
+        earlier block is finished before the next one is requested."""
+        plan = SigmaPlan.for_problem(problem)
+        C = problem.random_vector(22)
+        full = mixed_spin_sigma(plan, C, self.BLOCK, None)
+        out = np.zeros_like(C)
+
+        def claim():
+            for lo, hi in column_blocks(plan.shape[1], self.BLOCK):
+                assert np.array_equal(out[:, :lo], full[:, :lo])
+                assert not out[:, lo:].any()
+                yield lo, hi
+
+        mixed_spin_sigma(plan, C, self.BLOCK, None, col_blocks=claim(), out=out)
+        assert np.array_equal(out, full)
+        # the scratch is block_columns wide: a wider block is a named error
+        for sweep, args in (
+            (mixed_spin_sigma, (plan, C)),
+            (same_spin_sigma, (plan.same_a, plan.w_matrix, C)),
+        ):
+            with pytest.raises(ValueError, match="wider than block_columns"):
+                sweep(*args, self.BLOCK, None, col_blocks=[(0, self.BLOCK + 1)])
 
     def test_batch_of_three_on_ragged_blocks(self, problem):
         kern = DgemmKernel(SigmaPlan.for_problem(problem), block_columns=self.BLOCK)
@@ -295,7 +320,8 @@ def _as_input(kind, C, tmp_path):
 
 class TestInputCoercion:
     """apply takes any real (na, nb) array-like and coerces it once to
-    C-contiguous float64; a wrong shape is a named ValueError."""
+    C-contiguous float64; a wrong shape is a named ValueError, a complex or
+    non-numeric dtype a named TypeError."""
 
     @pytest.mark.parametrize(
         "kind", ["float32", "fortran", "nested-list", "memmap", "dense", "mmap"]
@@ -322,6 +348,15 @@ class TestInputCoercion:
         for bad in (np.zeros((nb, na)), np.zeros(na * nb), np.zeros((1, na, nb))):
             with pytest.raises(ValueError, match="C must have shape"):
                 kern.apply(bad)
+
+    @pytest.mark.parametrize("dtype", [complex, object, str], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("name", ["dgemm", "moc"])
+    def test_apply_rejects_non_real_input(self, problem, name, dtype):
+        """A float64 cast would drop an imaginary part with only a warning -
+        a silently wrong sigma; non-numeric input gets the same named error."""
+        kern = make_kernel(name, SigmaPlan.for_problem(problem))
+        with pytest.raises(TypeError, match="C must be real"):
+            kern.apply(problem.random_vector(8).astype(dtype))
 
     @pytest.mark.parametrize("owner", ["dgemm", "moc", "parallel", "operator"])
     def test_apply_batch_rejects_anything_but_a_stack(self, problem, owner):

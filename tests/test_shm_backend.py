@@ -186,6 +186,20 @@ class TestShmLifecycle:
         with pytest.raises(ValueError):
             shm_sigma(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("dtype", [complex, object, str], ids=lambda d: d.__name__)
+    def test_rejects_non_real_input(self, problem, shm_sigma, dtype):
+        """The heap is float64: a complex C must not lose its imaginary part
+        on the way in."""
+        with pytest.raises(TypeError, match="C must be real"):
+            shm_sigma(problem.random_vector(1).astype(dtype))
+
+    def test_accepts_any_real_array_like(self, problem, shm_sigma):
+        """__call__ coerces through the serial kernels' one function."""
+        C = problem.random_vector(2)
+        expected = sigma_dgemm(problem, C, block_columns=4)
+        assert np.array_equal(shm_sigma(C.tolist()), expected)
+        assert np.array_equal(shm_sigma(np.asfortranarray(C)), expected)
+
 
 class TestKernelProtocol:
     """ParallelSigma(shm) is a drop-in SigmaKernel."""

@@ -23,7 +23,14 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import SigmaKernel, apply_batch_loop, make_kernel, timed_apply
+from .kernels import (
+    SigmaKernel,
+    add_transpose,
+    apply_batch_loop,
+    make_kernel,
+    timed_apply,
+    transpose_parity,
+)
 from .plans import SigmaPlan
 from .spin import SpinOperator
 from .vectors import as_dense_array
@@ -97,9 +104,15 @@ class HamiltonianOperator:
         """Spin penalty + symmetry projection for one vector, in the order
         the pre-refactor solver closures applied them."""
         if self.spin_penalty:
-            sigma = sigma + self.spin_penalty * (
-                self._spin_op.apply_s2(C) - self.s2_target * C
-            )
+            penalty = self._spin_op.apply_s2(C) - self.s2_target * C
+            eps = transpose_parity(self.plan, C)
+            if eps:
+                # S^2 commutes with transposition but its round-off does not
+                # (5e-18 on H2O/6-31G): without this the sigma of an exactly
+                # eps-symmetric C leaves the sector, and every later sigma
+                # of the solve silently runs the general sweep
+                penalty = 0.5 * add_transpose(penalty, eps)
+            sigma = sigma + self.spin_penalty * penalty
         if self.project_symmetry and self.problem.symmetry_mask is not None:
             sigma = self.problem.project_symmetry(sigma)
         return sigma

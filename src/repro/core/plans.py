@@ -18,6 +18,9 @@ explicit: for one :class:`~repro.core.problem.CIProblem` it compiles
   ``np.take`` and its scatter one sparse product, both compiled loops,
 * the W supermatrix W[(p>r),(q>s)] = (pq|rs) - (ps|rq) and the pair-packed
   chemists-notation G matrix G[(p>=q),(r>=s)] = (pq|rs),
+* for a closed-shell problem, ``g_half``: the lower triangle of G with a
+  halved diagonal - the operand of the triangular multiply that evaluates
+  half of the mixed-spin term when C = +-C^T (:func:`build_g_half`),
 
 and caches all of it on the problem (``SigmaPlan.for_problem``), so every
 solver iteration and every simulated MSP rank reuses one immutable plan
@@ -44,6 +47,7 @@ __all__ = [
     "pair_index",
     "build_w_matrix",
     "build_g_matrix",
+    "build_g_half",
     "one_electron_csr",
     "DEFAULT_BLOCK_BUDGET_MB",
 ]
@@ -89,6 +93,22 @@ def build_g_matrix(g: np.ndarray) -> np.ndarray:
     """
     p, q = np.tril_indices(g.shape[0])
     return np.ascontiguousarray(g[p[:, None], q[:, None], p[None, :], q[None, :]])
+
+
+def build_g_half(G: np.ndarray) -> np.ndarray:
+    """Lower triangle of the pair-packed G with a halved diagonal, Fortran order.
+
+    For C = eps * C^T on a closed-shell space the mixed-spin term is
+    Y + eps * Y^T with Y summed over pair indices rs <= pq only, the
+    diagonal pq = rs counted half (see :mod:`repro.core.kernels`): exactly
+    ``g_half`` times the gathered intermediate, which BLAS evaluates as a
+    triangular multiply (DTRMM) at half the flops of the full DGEMM.
+    Fortran order because that is the layout the BLAS wrapper takes without
+    copying; the strict upper triangle is zero and never read.
+    """
+    half = np.tril(G)
+    half[np.diag_indices_from(half)] *= 0.5
+    return np.asfortranarray(half)
 
 
 def one_electron_csr(h: np.ndarray, table: SingleExcitationTable) -> sp.csr_matrix:
@@ -290,6 +310,9 @@ class SigmaPlan:
         self.singles_b = singles_b
         self.w_matrix = w
         self.g_matrix = build_g_matrix(problem.mo.g)
+        # only a closed-shell plan (alpha and beta tables shared) can meet a
+        # C = +-C^T it may evaluate by halves
+        self.g_half = build_g_half(self.g_matrix) if singles_b is singles_a else None
         h = problem.mo.h
         self.Ta = one_electron_csr(h, singles_a)
         self.Tb = self.Ta if singles_b is singles_a else one_electron_csr(h, singles_b)
@@ -328,7 +351,7 @@ class SigmaPlan:
 
         The cache-accounting figure for content-addressed plan stores (the
         service layer's artifact cache budgets and reports eviction on it):
-        the W/G supermatrices, the one-electron CSR operators, every
+        the W/G supermatrices (and ``g_half``), the one-electron CSR operators, every
         excitation entry array, and the gather index and CSR scatter matrix
         compiled from them, counted once per distinct array (shared
         alpha/beta halves are not double counted, nor is a ``sign`` array
@@ -351,6 +374,7 @@ class SigmaPlan:
 
         add(self.w_matrix)
         add(self.g_matrix)
+        add(self.g_half)
         add_csr(self.Ta)
         add_csr(self.Tb)
         for half in (self.scatter_a, self.gather_b):

@@ -22,8 +22,10 @@ once:
   and the next call spawns a fresh pool,
 * **determinism**: each phase writes disjoint owned windows of its own
   heap array (``one``/``aa``/``bb``/``mix``), and the parent reduces the
-  four left-to-right in the serial kernel's accumulation order, so sigma
-  is bitwise-identical to ``DgemmKernel.apply`` at the same
+  four left-to-right in the serial kernel's accumulation order - for
+  C = eps * C^T the three the ranks wrote (no ``bb``), then adds eps times
+  the transpose, the paper's "vector symm" step - so sigma is
+  bitwise-identical to ``DgemmKernel.apply`` at the same
   ``block_columns`` for any worker count on any transport,
 * **observability**: every call returns a
   :class:`~repro.parallel.backend.SigmaRun` whose per-rank
@@ -69,7 +71,7 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-from ..core.kernels import as_ci_matrix
+from ..core.kernels import add_transpose, as_ci_matrix, transpose_parity
 from ..core.plans import SigmaPlan
 from .backend import SigmaRun
 from .rankwork import build_sigma_decomposition, heap_arrays, worker_main
@@ -216,13 +218,18 @@ class RankEngine:
         stats = self._collect("done", self._seq, time.monotonic() + self.timeout)
 
         # deterministic left-to-right reduction in the serial kernel's
-        # accumulation order: one-electron, alpha-alpha, beta-beta^T, mixed
+        # accumulation order: one-electron, alpha-alpha, beta-beta^T, mixed.
+        # The ranks saw the same bits of C, so they made the same choice:
+        # for C = eps * C^T they left `bb` alone and wrote alpha halves only
+        eps = transpose_parity(plan, C)
         sigma = heap.get("one").copy()
         if plan.same_a is not None:
             sigma += heap.get("aa")
-        if plan.same_b is not None:
+        if plan.same_b is not None and not eps:
             sigma += heap.get("bb").T
         sigma += heap.get("mix")
+        if eps:
+            sigma = add_transpose(sigma, eps)
         elapsed = time.perf_counter() - t_wall
 
         finish = [s.finish_time for s in stats]

@@ -13,6 +13,17 @@ it, and the parent's left-to-right reduction of the four owned outputs
 accumulation order — which together make the result bitwise-identical to
 ``sigma_dgemm`` for any worker count.
 
+For C = ε·Cᵀ on a closed-shell space the serial kernel evaluates only the
+alpha half Z of sigma and completes σ = Z + ε·Zᵀ
+(:mod:`repro.core.kernels`), and so do the ranks: each evaluates the same
+exact :func:`~repro.core.kernels.transpose_parity` on the C it holds — the
+same bits everywhere, so all ranks and the parent agree with no change to
+the ``("sigma", seq)`` message — and then rank 0 writes the alpha
+one-electron term only, nobody touches ``bb``, and every mixed-spin block
+runs the triangular multiply; the parent's reduction adds the transpose
+(the paper's "vector symm" step).  Same blocks, same operands, same
+order: still bitwise-identical to the serial kernel.
+
 This module is that shared decomposition, the per-rank program and the
 worker process that serves it (:func:`worker_main`) in one place, so a
 new substrate (sockets today, MPI tomorrow) cannot drift from the bitwise
@@ -43,6 +54,7 @@ from ..core.kernels import (
     mixed_spin_sigma,
     one_electron_sigma,
     same_spin_sigma,
+    transpose_parity,
 )
 from ..core.plans import SigmaPlan
 from ..x1.engine import RankStats
@@ -146,11 +158,14 @@ def run_rank_sigma(
     """
     bc = decomposition.block_columns
     aa_blocks, tasks = decomposition.aa_blocks, decomposition.tasks
+    # C = eps * C^T: the alpha half only, as in the serial kernel; the
+    # parent completes sigma by transpose
+    half = bool(transpose_parity(plan, C))
 
     # one-electron alpha + beta: rank 0, exactly the serial prologue
     if rank == 0:
         t0 = time.perf_counter()
-        outs["one"][...] = one_electron_sigma(plan, C)
+        outs["one"][...] = one_electron_sigma(plan, C, half=half)
         phase_times["one-electron"] = time.perf_counter() - t0
 
     # alpha-alpha doubles: this rank's round-robin share of the beta-axis
@@ -166,7 +181,7 @@ def run_rank_sigma(
     # beta-beta doubles on the transposed matrix (paper Fig. 2a), blocks
     # over the alpha axis
     my_bb = decomposition.owned_bb_blocks(rank)
-    if plan.same_b is not None and my_bb:
+    if plan.same_b is not None and my_bb and not half:
         t0 = time.perf_counter()
         same_spin_sigma(
             plan.same_b,
@@ -193,7 +208,9 @@ def run_rank_sigma(
             claimed.append(tid)
 
     t0 = time.perf_counter()
-    mixed_spin_sigma(plan, C, bc, counters, col_blocks=claimed_blocks(), out=outs["mix"])
+    mixed_spin_sigma(
+        plan, C, bc, counters, col_blocks=claimed_blocks(), out=outs["mix"], half=half
+    )
     phase_times["alpha-beta"] = time.perf_counter() - t0
     return claimed
 
@@ -268,7 +285,7 @@ def _run_sigma(rank: int, comm, payload: dict) -> RankStats:
         if plan.same_a is not None:
             for lo, hi in decomp.owned_aa_blocks(rank):
                 comm.acc("aa", (rows, slice(lo, hi)), outs["aa"][:, lo:hi])
-        if plan.same_b is not None:
+        if "beta-beta" in phase_times:  # not run for C = eps * C^T
             for lo, hi in decomp.owned_bb_blocks(rank):
                 comm.acc("bb", (rows, slice(lo, hi)), outs["bb"][:, lo:hi])
         for tid in claimed:

@@ -23,6 +23,15 @@ combinatorial sizes* instead of doing arithmetic:
   regeneration identically on every rank - the Amdahl term that makes its
   Fig. 4 curve flat.
 
+The "vector symmetrization" this schedule charges (``label="vector-symm"``:
+for n_alpha = n_beta only the beta-beta and mixed-spin phases run and sigma
+is completed by transpose, as in the paper's Table 3) is also what the
+numeric modes on real processes execute: the serial kernel, and the shm and
+sockets ranks, evaluate a C = +-C^T from its alpha half and add the
+transpose (:mod:`repro.core.kernels`, :mod:`repro.parallel.rankwork`).
+The simulated X1's *numeric* decomposition (:mod:`repro.parallel.pfci`)
+keeps the general algorithm; its contract is agreement to round-off.
+
 Symmetry blocking reduces both vector sizes (factor ~|G|) and the dense
 block dimensions (the (pq) x (rs) integral blocks shrink by ~|G| per side),
 which is how a 62%-of-peak sustained rate emerges rather than an

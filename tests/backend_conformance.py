@@ -308,21 +308,24 @@ class BackendConformanceSuite:
     @pytest.mark.parametrize("n_workers", [1, 2, 3, 4])
     def test_sigma_bitwise_identical_to_serial(self, adapter, n_workers):
         problem = make_random_problem(5, 2, 2, seed=29)
-        C = problem.random_vector(1)
-        ref = sigma_dgemm(problem, C, block_columns=BLOCK_COLUMNS)
+        X = problem.random_vector(1)
         with ParallelSigma(
             problem,
             backend=adapter.name,
             n_workers=n_workers,
             block_columns=BLOCK_COLUMNS,
         ) as ps:
-            out = ps(C)
-            assert np.array_equal(out, ref), (
-                f"{adapter.name} sigma not bitwise-equal to serial "
-                f"sigma_dgemm at n_workers={n_workers}"
-            )
-            # and stable across repeated evaluations on the same pool
-            assert np.array_equal(ps(C), ref)
+            # closed shell: the serial kernel evaluates C = +-C^T by halves,
+            # and every rank and the parent must make the same choice
+            for label, C in (("X", X), ("X + X^T", X + X.T), ("X - X^T", X - X.T)):
+                ref = sigma_dgemm(problem, C, block_columns=BLOCK_COLUMNS)
+                out = ps(C)
+                assert np.array_equal(out, ref), (
+                    f"{adapter.name} sigma({label}) not bitwise-equal to serial "
+                    f"sigma_dgemm at n_workers={n_workers}"
+                )
+                # and stable across repeated evaluations on the same pool
+                assert np.array_equal(ps(C), ref)
 
     # ---- the engine lanes: one lifecycle, every transport ---------------------
     def test_stats_one_entry_per_rank_with_phase_keys(self, adapter):
@@ -383,9 +386,9 @@ class BackendConformanceSuite:
                 )
 
     def test_backend_respawns_after_a_kill_to_bitwise_equal_sigma(self, adapter):
-        problem = make_random_problem(5, 3, 2, seed=41)
+        # closed shell, so the fresh pool is also held to the half sweep
+        problem = make_random_problem(5, 2, 2, seed=41)
         C = problem.random_vector(2)
-        ref = sigma_dgemm(problem, C, block_columns=BLOCK_COLUMNS)
         with ParallelSigma(
             problem, backend=adapter.name, n_workers=2, block_columns=BLOCK_COLUMNS
         ) as ps:
@@ -396,4 +399,6 @@ class BackendConformanceSuite:
             with pytest.raises(RuntimeError, match="worker 1"):
                 ps(C)
             assert ps.backend._engine is None  # the closed engine was dropped
-            assert np.array_equal(ps(C), ref)  # fresh pool, same bits
+            for V in (C, C + C.T, C - C.T):  # fresh pool, same bits
+                ref = sigma_dgemm(problem, V, block_columns=BLOCK_COLUMNS)
+                assert np.array_equal(ps(V), ref)

@@ -13,6 +13,11 @@ execution backends — and cross-checked against one reference:
   <Y, sigma(X)> == <sigma(Y), X> and the variational bound
   <C, sigma(C)>/<C, C> >= E0.
 
+On the closed-shell space every lane also draws C = X + X^T and C = X - X^T:
+there the serial kernel evaluates half of sigma and completes it by
+transpose, and a lane that only ever saw unsymmetric vectors would not
+notice a backend that failed to make the same choice.
+
 The evaluator matrix is parametrized: registering a new backend here is
 one entry in ``EVALUATORS`` and the whole matrix applies to it for free.
 """
@@ -110,6 +115,15 @@ def evaluators(space):
             close()
 
 
+def _vectors(problem, *seeds) -> list[np.ndarray]:
+    """The seeded random vectors and, on a closed-shell space, X + X^T and
+    X - X^T of each: the inputs the serial kernel's half sweep takes."""
+    drawn = [problem.random_vector(seed) for seed in seeds]
+    if problem.n_alpha != problem.n_beta:
+        return drawn
+    return [C for X in drawn for C in (X, X + X.T, X - X.T)]
+
+
 def _assert_matches(name: str, out: np.ndarray, ref: np.ndarray) -> None:
     mode = EVALUATORS[name][1]
     if mode == "bitwise":
@@ -122,26 +136,36 @@ class TestCrossBackend:
     @pytest.mark.parametrize("name", list(EVALUATORS))
     def test_matches_dense_hamiltonian(self, space, evaluators, name):
         problem, H = space
-        for seed in (0, 1):
-            C = problem.random_vector(seed)
+        for C in _vectors(problem, 0, 1):
             dense = (H @ C.ravel()).reshape(problem.shape)
             assert np.max(np.abs(evaluators[name](C) - dense)) < 1e-9
 
     @pytest.mark.parametrize("name", list(EVALUATORS))
     def test_matches_serial_dgemm(self, space, evaluators, name):
         problem, _ = space
-        for seed in (2, 3):
-            C = problem.random_vector(seed)
+        for C in _vectors(problem, 2, 3):
             ref = sigma_dgemm(problem, C, block_columns=BLOCK_COLUMNS)
             _assert_matches(name, evaluators[name](C), ref)
+
+    # the two functional entry points have no apply_batch
+    @pytest.mark.parametrize("name", [n for n in EVALUATORS if n not in ("dgemm", "moc")])
+    def test_batch_mixing_parities_is_the_loop(self, space, evaluators, name):
+        """apply_batch on a stack mixing a symmetric, an antisymmetric and an
+        unsymmetric vector: each slice is that vector's single apply."""
+        problem, _ = space
+        fn = evaluators[name]
+        stack = np.stack(_vectors(problem, 11))
+        batch = fn.apply_batch(stack)
+        for C, out in zip(stack, batch):
+            assert np.array_equal(out, fn(C))
 
     @pytest.mark.parametrize("backend", ["shm", "sockets"])
     def test_real_backends_bitwise_for_every_worker_count(self, space, backend):
         # result must not depend on the substrate or on how many ranks the
         # blocks land on
         problem, _ = space
-        C = problem.random_vector(4)
-        ref = sigma_dgemm(problem, C, block_columns=BLOCK_COLUMNS)
+        vectors = _vectors(problem, 4)
+        refs = [sigma_dgemm(problem, C, block_columns=BLOCK_COLUMNS) for C in vectors]
         for n_workers in (1, 2, 3):
             with ParallelSigma(
                 problem,
@@ -149,9 +173,23 @@ class TestCrossBackend:
                 n_workers=n_workers,
                 block_columns=BLOCK_COLUMNS,
             ) as ps:
-                assert np.array_equal(ps(C), ref), (
-                    f"{backend} n_workers={n_workers}"
-                )
+                for i, (C, ref) in enumerate(zip(vectors, refs)):
+                    assert np.array_equal(ps(C), ref), (
+                        f"{backend} n_workers={n_workers} vector {i}"
+                    )
+
+    @pytest.mark.parametrize("n_msps", [1, 3, 4])
+    def test_general_algorithms_on_transpose_symmetric_vectors(self, n_msps):
+        """MocKernel and the simulated X1 keep the general algorithm: on
+        C = X +- X^T they agree with the half sweep to round-off."""
+        problem = make_random_problem(6, 3, 3, seed=23)
+        simulated = ParallelSigma(problem, X1Config(n_msps=n_msps))
+        X = problem.random_vector(12)
+        for C in (X + X.T, X - X.T):
+            ref = sigma_dgemm(problem, C)
+            tol = 1e-12 * np.abs(ref).max()
+            assert np.abs(simulated(C) - ref).max() <= tol
+            assert np.abs(sigma_moc(problem, C) - ref).max() <= tol
 
 
 class TestInvariants:

@@ -436,6 +436,10 @@ class TestGatherScatterTables:
             if part is not None
         ]
         held = [plan.w_matrix, plan.g_matrix]
+        # the triangular operand of the half sweep, closed shell only
+        assert (plan.g_half is not None) == (na == nb)
+        if plan.g_half is not None:
+            held.append(plan.g_half)
         for csr in (plan.Ta, plan.Tb, *(part.scatter for part in parts)):
             held += [csr.data, csr.indices, csr.indptr]
         for part in parts:

@@ -65,7 +65,11 @@ class TestBatchedBitwise:
     def test_batch_equals_loop_closed_shell(self, kernel_cls):
         prob = make_random_problem(5, 2, 2, seed=2)
         kern = kernel_cls(SigmaPlan.for_problem(prob))
-        assert_batch_is_the_loop(kern, stack_of_vectors(prob, 3, seed=10))
+        X, Y, Z = stack_of_vectors(prob, 3, seed=10)
+        assert_batch_is_the_loop(kern, np.stack([X, Y, Z]))
+        # a stack mixing C = C^T, C = -C^T and neither: the DGEMM kernel
+        # sweeps the first two by halves, one vector - one choice - at a time
+        assert_batch_is_the_loop(kern, np.stack([X + X.T, Y - Y.T, Z]))
 
     def test_narrow_block_columns(self, problem):
         # block width 1 is the hardest case for segment-sum determinism
@@ -182,9 +186,10 @@ class TestScratchReuse:
 
 @contextmanager
 def _sigma_lane(lane, problem, block_columns=3):
-    """C -> sigma through the serial kernel or two shm worker processes."""
-    if lane == "serial":
-        yield DgemmKernel(SigmaPlan.for_problem(problem), block_columns=block_columns).apply
+    """C -> sigma through a serial kernel or two shm worker processes."""
+    if lane in ("serial", "moc"):
+        cls = DgemmKernel if lane == "serial" else MocKernel
+        yield cls(SigmaPlan.for_problem(problem), block_columns=block_columns).apply
     else:
         with ParallelSigma(
             problem, backend="shm", n_workers=2, block_columns=block_columns
@@ -202,9 +207,12 @@ def _close(a, b):
     return np.allclose(a, b, rtol=0.0, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("lane", ["serial", "shm"])
+@pytest.mark.parametrize("lane", ["serial", "moc", "shm"])
 class TestPhysicalProperties:
-    """Properties of H itself that no single oracle states (ROADMAP 4c)."""
+    """Properties of H itself that no single oracle states (ROADMAP 4c).
+    Random - unsymmetric - vectors, so it is the general sweep that is
+    measured: these are what makes the half sweep for C = +-C^T legitimate
+    (``tests/test_vector_symmetry.py``)."""
 
     def test_adjoint(self, lane, problem):
         x, y = problem.random_vector(41), problem.random_vector(42)
@@ -218,6 +226,18 @@ class TestPhysicalProperties:
         C = prob.random_vector(43)
         with _sigma_lane(lane, prob) as sigma:
             assert _close(sigma(np.ascontiguousarray(C.T)), sigma(C).T)
+
+    @pytest.mark.parametrize(
+        "space", [(5, 2, 2), (6, 3, 3)], ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b"
+    )
+    def test_commutes_with_s_squared(self, lane, space):
+        prob = make_random_problem(*space, seed=2)
+        s2 = SpinOperator(prob).apply_s2
+        C = prob.random_vector(46)
+        with _sigma_lane(lane, prob) as sigma:
+            out = sigma(C)
+            commutator = sigma(s2(C)) - s2(out)
+        assert np.linalg.norm(commutator) <= 1e-10 * np.linalg.norm(out)
 
     @pytest.mark.parametrize(
         "space", [(5, 3, 1), (6, 3, 2), (6, 4, 1)], ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b"

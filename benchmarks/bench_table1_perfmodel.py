@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.core import CIProblem, sigma_dgemm, sigma_moc
+from repro.obs import dgemm_mixed_spin_flops, dgemm_same_spin_flops
 from repro.parallel import alpha_beta_model, measured_counts
 from repro.scf.mo import MOIntegrals
 
@@ -64,11 +65,21 @@ def test_table1_measured_counts():
     prob = _random_problem(7, 3, 3, seed=5)
     counts = measured_counts(prob)
     model = alpha_beta_model("measured", 7, 3, 3, prob.dimension)
+    na, nb = prob.shape
+    mixed = dgemm_mixed_spin_flops(7, 3, prob.dimension)
+    same = dgemm_same_spin_flops(7, 3, nb) + dgemm_same_spin_flops(7, 3, na)
+    # the kernel multiplies only what a string's occupation allows, so its
+    # counter is the closed form exactly and the alpha-beta part sits on
+    # Table 1's order of magnitude (one multiply-add = 2 flops = 1 model op)
+    assert counts["dgemm"]["dgemm_flops"] == mixed + same
     text = format_table(
         ["quantity", "value"],
         [
             ["CI dimension", prob.dimension],
             ["DGEMM flops (measured)", counts["dgemm"]["dgemm_flops"]],
+            ["DGEMM flops (closed form, alpha-beta + same-spin)", f"{int(mixed)} + {int(same)}"],
+            ["DGEMM alpha-beta multiply-adds (measured)", int(mixed) // 2],
+            ["DGEMM alpha-beta ops (model, Nci n^2 na nb)", int(model.dgemm_operations)],
             ["DGEMM gathers (measured)", counts["dgemm"]["gather_elements"]],
             ["MOC indexed ops (measured)", counts["moc"]["indexed_ops"]],
             ["MOC ops (model)", int(model.moc_operations)],

@@ -24,16 +24,29 @@ table is rebuilt in the hot path) and evaluates sigma for one (na, nb) CI
 matrix:
 
 * :class:`DgemmKernel` - the paper's algorithm: gather into dense
-  intermediates, one DGEMM per column block, scatter (and half of that for
-  a C that is its own transpose up to sign, below).  Gather and scatter
-  walk index tables the plan compiled once, in compiled loops - the
-  paper's vector gather/scatter; there is no compiler here, so the loops
-  are NumPy's and SciPy's:
+  intermediates, DGEMM, scatter (and half of that for a C that is its own
+  transpose up to sign, below).  The intermediates hold *only what the
+  occupation allows* - the paper's Table 1 charges the alpha-beta DGEMM
+  ~ Nci n^2 n_a n_b operations, not the full pair space - so they are
+  indexed by string, then by the pairs that string connects to:
 
-  - *gather* is ``np.take`` from the sign-folded, zero-padded source
-    [C, -C, 0].  Every slot of D has exactly one source (the plan's
-    ``gather_index``; the pad where no excitation connects), so one take
-    writes all of D: no zero refill, no sign multiply, no temporaries.
+  - *same-spin*: D and E are [K, l, column] with l over the L = C(n-k+2, 2)
+    pairs (q > s) empty in N-2-electron string K; one L x L block
+    W[pairs_K, pairs_K] per K, multiplied in one stacked ``np.matmul``;
+  - *mixed*: for beta string k, D_k is [entry, J_alpha] over the
+    ``per`` = n_b (n - n_b + 1) single excitations that reach k - ``per``
+    whole rows of C^T - and E_k = G[:, pairs_k] . D_k one DGEMM whose long
+    dimension is the whole alpha space.
+
+  Gather and scatter walk index tables the plan compiled once, in compiled
+  loops - the paper's vector gather/scatter; there is no compiler here, so
+  the loops are NumPy's and SciPy's:
+
+  - *gather* is ``np.take`` of whole rows (of a column block of C, of C^T):
+    every row of D has exactly one source and none is a structural zero,
+    so there is no zero fill; the +-1 of the copy is folded into the small
+    integral block instead (its columns for W_K, its rows of [G^T; -G^T]
+    for the mixed term), so there is no sign multiply either.
     ``mode="clip"`` because the default ``"raise"`` makes ``take`` buffer
     its ``out``; the indices are the plan's own and always in range.
   - *scatter* is the plan's +-1 CSR matrix times E.  SciPy's CSR product
@@ -56,30 +69,25 @@ matrix:
 **Ms = 0 vector symmetry.**  On a closed-shell space (n_alpha = n_beta, one
 set of tables for both spins) relabelling the spins transposes C, and H
 commutes with it; a singlet has C = +C^T, an Ms = 0 triplet C = -C^T.  For
-C = eps * C^T, with X_pq the matrix of the pair-folded single excitation,
-
-    sigma^ab = sum_(pq),(rs) G[pq,rs] X_pq C X_rs^T,
-    (X_pq C X_rs^T)^T = X_rs C^T X_pq^T = eps * X_rs C X_pq^T,
-
-so sigma^ab = Y + eps * Y^T with Y the sum over rs <= pq alone (the
-diagonal rs = pq counted half); likewise sigma^bb = eps * (sigma^aa)^T and
-T_b-term = eps * (T_a C)^T.  :meth:`DgemmKernel.apply` therefore computes
+C = eps * C^T every beta piece of sigma is eps times the transpose of its
+alpha twin - sigma^bb = eps * (sigma^aa)^T, T_b-term = eps * (T_a C)^T - and
+the mixed term is its own: sigma^ab = eps * (sigma^ab)^T, i.e. Y + eps * Y^T
+with Y = sigma^ab / 2.  :meth:`DgemmKernel.apply` therefore computes
 Z = T_a C + sigma^aa + Y and returns Z + eps * Z^T - the "vector symm" line
 of the paper's Table 3, which has a beta-beta and an alpha-beta line and no
-alpha-alpha one.  What halves: the beta-beta sweep and the transposed copy
-of C it reads are not run at all, and the mixed DGEMM becomes a triangular
-multiply (DTRMM with ``plan.g_half``, half the flops, measured x0.57 of the
-DGEMM's time on a 78 x 26 730 block; splitting the triangle into 2-4
-rectangular ``matmul`` blocks measured x1.00-1.04, i.e. nothing).  What
-cannot: every D[rs] and every E[pq] is still needed, so the mixed gather
-and scatter move what they moved before - in this N-electron-intermediate
-formulation only the GEMM has a second triangle to drop; per apply the
-saving is 36 % on FCI(6+6,12) and 43 % on FCI(4+4,12), not 50 %.  The test
-for the symmetry (:func:`transpose_parity`) is exact, and the result is
-bitwise eps-symmetric (IEEE addition commutes), so a solver whose other
-steps are elementwise stays on this path from the first sigma to the last
-(:mod:`repro.core.model_space`).  The general sweep is unchanged to the bit
-for every other input.
+alpha-alpha one.  What is saved: the beta-beta sweep, the transposed copy
+of C it reads and the beta one-electron product are not run at all.  What
+is not: the mixed sweep is the general one with its signs halved (exact in
+binary).  Restricting its pair sum to the triangle rs <= pq would only turn
+half of each string's (npair x per) integral block into zeros that are
+still multiplied: the block is not square, so no triangular BLAS call takes
+it, and splitting such a triangle into 2-4 rectangular products measured
+x1.00-1.04 of the full DGEMM.  Per apply the half sweep costs x0.84 of the
+general one on FCI(4+4,12) and x0.80 on FCI(6+6,12).  The test for the
+symmetry (:func:`transpose_parity`) is exact, and the result is bitwise
+eps-symmetric (IEEE addition commutes), so a solver whose other steps are
+elementwise stays on this path from the first sigma to the last
+(:mod:`repro.core.model_space`).
 
 Every sweep takes one vector, and ``apply_batch`` is a plain loop over
 ``apply`` (:func:`apply_batch_loop`, shared by every class that offers it):
@@ -103,7 +111,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrmm
 
 from ..obs.accounting import account_sigma_dgemm, account_sigma_moc
 from .plans import MixedSpinHalfPlan, SameSpinPlan, SigmaPlan
@@ -289,7 +296,7 @@ def transpose_parity(plan: SigmaPlan, C: np.ndarray) -> int:
     compared with one column first, so an unsymmetric C (any random vector)
     leaves after microseconds, not after a pass over the matrix.
     """
-    if plan.g_half is None or C.shape != plan.shape:
+    if not plan.closed_shell or C.shape != plan.shape:
         return 0
     for eps in (1, -1):
         if np.array_equal(C[0], eps * C[:, 0]) and np.array_equal(C, C.T if eps > 0 else -C.T):
@@ -306,18 +313,24 @@ def add_transpose(Z: np.ndarray, eps: int) -> np.ndarray:
     return Z + Z.T if eps > 0 else Z - Z.T
 
 
-def one_electron_sigma(plan: SigmaPlan, C: np.ndarray, *, half: bool = False) -> np.ndarray:
-    """One-electron term T_a C + (T_b C^T)^T of one (na, nb) CI matrix;
-    ``half`` stops after the alpha part (for C = eps * C^T the beta part is
+def one_electron_sigma(
+    plan: SigmaPlan, C: np.ndarray, Ct: np.ndarray | None, columns: slice = slice(None)
+) -> np.ndarray:
+    """Columns ``columns`` of the one-electron term T_a C + (T_b C^T)^T of
+    one (na, nb) CI matrix.  ``Ct`` is the C-contiguous transpose of C, or
+    None to stop after the alpha part (for C = eps * C^T the beta part is
     eps times its transpose, which the caller's Z + eps * Z^T supplies).
 
     Alpha part first: every kernel and every rank program starts its
     accumulation from exactly this array, which is part of what keeps the
-    execution modes bitwise-equal.
+    execution modes bitwise-equal.  So is this: a CSR product adds a row's
+    entries left to right column by column, so a column slice is - to the
+    bit - those columns of the whole product, and the ranks can each take
+    the column blocks they own.
     """
-    sigma = np.asarray(plan.Ta @ C)
-    if not half:
-        sigma += np.asarray(plan.Tb @ C.T).T
+    sigma = np.asarray(plan.Ta @ C[:, columns])
+    if Ct is not None:
+        sigma += np.asarray(plan.Tb[columns] @ Ct).T
     return sigma
 
 
@@ -336,36 +349,6 @@ def column_blocks(n_columns: int, block_columns: int) -> list[tuple[int, int]]:
         (lo, min(lo + block_columns, n_columns))
         for lo in range(0, n_columns, block_columns)
     ]
-
-
-class _Scratch:
-    """Flat float64 buffers of one sweep, handed out as C-contiguous views.
-
-    A sweep allocates its buffers once, ``block_columns`` wide; a narrower
-    (ragged last) block takes a shorter prefix of the same memory, so every
-    block's DGEMM operands are contiguous whatever its width and no block
-    faults in fresh pages.
-    """
-
-    def __init__(self, *sizes: int):
-        self._flat = [np.empty(size) for size in sizes]
-
-    def views(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
-        return [
-            flat[: int(np.prod(shape))].reshape(shape)
-            for flat, shape in zip(self._flat, shapes)
-        ]
-
-
-def _fold_signs(C: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the signed, padded gather source [C, -C, 0] along
-    ``axis``: every +-1-weighted copy a gather makes, and the zero of a slot
-    nothing connects to, is then one element of one array."""
-    n = C.shape[axis]
-    out = np.moveaxis(out, axis, 0)
-    out[:n] = np.moveaxis(C, axis, 0)
-    np.negative(out[:n], out=out[n : 2 * n])
-    out[2 * n] = 0.0
 
 
 def _block_width(lo: int, hi: int, block_columns: int) -> int:
@@ -391,43 +374,52 @@ def same_spin_sigma(
 
     Acts on the *row* strings; the beta-beta term passes the transposed CI
     matrix, like the paper's Fig. 2a which works on transposed local C
-    and sigma blocks.  Per column block, three compiled calls:
+    and sigma blocks.  D and E are (NK, L, m): slot (K, l) is the l-th of
+    the L pairs open in N-2-electron string K (``splan``), so no row is a
+    structural zero.  Once per sweep the L x L blocks W[pairs_K, pairs_K] .
+    diag(sign_K) are cut from ``W`` - the phase of the gather rides on the
+    block's columns, so D is a plain copy; per column block, three compiled
+    calls:
 
-    * gather - D = rows ``splan.gather_index`` of the block's signed source
-      [C; -C; 0], one ``np.take`` that writes every row of D (no refill);
-    * E = W.D, one DGEMM into reused scratch;
+    * gather - D = rows ``splan.source`` of the block, one ``np.take``;
+    * E[K] = W_K . D[K] for every K, one stacked ``np.matmul`` (NK DGEMMs,
+      L x L x m each);
     * scatter - sigma = ``splan.scatter`` @ E, a CSR product that adds each
       string's entries left to right in table order, so a block's sums do
       not depend on the sweep around it.
 
     ``col_blocks`` restricts the sweep to a subset of the canonical
     :func:`column_blocks` (the shared-memory backend distributes whole
-    blocks across workers; each block's operands — and therefore its
-    rounding — are identical to the full serial sweep); any iterable,
+    blocks across workers; each block's operands - and therefore its
+    rounding - are identical to the full serial sweep); any iterable,
     consumed one block at a time.  ``out`` writes results into a
     caller-provided array (e.g. a shared-memory segment) instead of
-    allocating; only the swept blocks are touched.
+    allocating; only the swept blocks are touched.  D and E are allocated
+    once per sweep, ``block_columns`` wide; a narrower (ragged last) block
+    takes a prefix of the same memory, so every block's DGEMM operands are
+    contiguous whatever its width and no block faults in fresh pages.
     """
-    npair, NK, nstr = splan.n_pairs, splan.n_reduced, splan.n_strings
+    NK, L = splan.pairs.shape
     M = C_rows.shape[1]
     if out is None:
         out = np.zeros(C_rows.shape)
     if col_blocks is None:
         col_blocks = column_blocks(M, block_columns)
+    W_blocks = splan.w_blocks(W)
     width = min(block_columns, M)
-    scratch = _Scratch((2 * nstr + 1) * width, *[npair * NK * width] * 2)
+    D_flat, E_flat = np.empty((2, NK * L * width))
     for lo, hi in col_blocks:
         m = _block_width(lo, hi, width)
-        Cs, D, E = scratch.views((2 * nstr + 1, m), (npair * NK, m), (npair * NK, m))
-        _fold_signs(C_rows[:, lo:hi], 0, Cs)
+        D = D_flat[: NK * L * m].reshape(NK, L, m)
+        E = E_flat[: NK * L * m].reshape(NK, L, m)
         # "clip" because the default "raise" buffers `out`; the indices are
         # the plan's own and in range
-        np.take(Cs, splan.gather_index, axis=0, out=D, mode="clip")
-        np.matmul(W, D.reshape(npair, NK * m), out=E.reshape(npair, NK * m))
-        out[:, lo:hi] = splan.scatter @ E
+        np.take(C_rows[:, lo:hi], splan.source, axis=0, out=D.reshape(NK * L, m), mode="clip")
+        np.matmul(W_blocks, D, out=E)
+        out[:, lo:hi] = splan.scatter @ E.reshape(NK * L, m)
         if counters is not None:
-            counters.dgemm_flops += 2 * npair * npair * NK * m
-            counters.dgemm_calls += 1
+            counters.dgemm_flops += 2 * L * L * NK * m
+            counters.dgemm_calls += NK
             counters.gather_elements += splan.n_entries * m
             counters.scatter_elements += splan.n_entries * m
     return out
@@ -446,69 +438,73 @@ def mixed_spin_sigma(
 ) -> np.ndarray:
     """Mixed-spin (alpha-beta) term for one (n_rows, nb) CI matrix.
 
-    The signed source [C, -C, 0] (beta columns) is built once per sweep.
-    Per block of beta columns the intermediates are held pair-packed as
-    D[pair, J_alpha, k_beta] with the block column fastest:
+    Beta-major, one beta string k at a time, holding only what k's
+    occupation connects (``per`` = n_beta (n - n_beta + 1) of the n(n+1)/2
+    packed pairs):
 
-    * gather - D[{rs}] = columns ``gather_index[{rs}, lo:hi]`` of the signed
-      source, one ``np.take`` per pair slab; every slot is written, the
-      unconnected ones from the zero pad, so D is never refilled;
-    * E = G.D, one DGEMM over the (n(n+1)/2)^2 packed integrals, written
-      into reused scratch;
-    * scatter - sigma[:, lo:hi] += ``scatter`` @ E viewed (pair * J, k): a
-      CSR product whose row I adds the contiguous rows E[{pq}, J, :] of
-      target I's entries left to right in plan order.
+    * gather - D_k (per, n_rows) = rows ``source[k]`` of C^T, the transposed
+      copy made once per sweep: ``per`` contiguous row copies in one
+      ``np.take``, no element gather;
+    * E_k = (G[:, pairs_k] . diag(sign_k)) . D_k, one (npair x per) .
+      (per x n_rows) DGEMM - the signs ride on the ``per`` integral columns,
+      cut per string as rows of the signed table [G^T; -G^T];
+    * scatter - sigma[:, k] = ``scatter`` @ E_k raveled (pair * J): the
+      alpha half's CSR matrix as a mat-vec, whose row I adds target I's
+      entries left to right in plan order; the columns of a block are
+      collected transposed and flipped into ``out`` once per block.
+
+    Every beta column is its own DGEMM, so the result does not depend - to
+    the bit - on the block width, on which blocks a call sweeps or on the
+    rank that sweeps them.
 
     ``col_blocks``/``out`` have the same contract as in
     :func:`same_spin_sigma`: restrict the sweep to a subset of the
     canonical blocks (a lazily consumed iterable - a rank's generator
     claims its next task only when the sweep asks for the next block)
-    and/or accumulate into a caller-provided buffer, with per-block
-    arithmetic unchanged.  ``scatter`` replaces the plan's alpha half when
-    ``C`` holds only some alpha rows (a simulated rank's task: the rows it
-    fetched, and the targets it owns with sources numbered into those
-    rows); sigma then has one row per target of it.
+    and/or accumulate into a caller-provided buffer.  ``scatter`` replaces
+    the plan's alpha half when ``C`` holds only some alpha rows (a
+    simulated rank's task: the rows it fetched, and the targets it owns
+    with sources numbered into those rows); sigma then has one row per
+    target of it.
 
     ``half`` (only for C = eps * C^T on a closed-shell plan, see the module
-    docstring) returns Y with Y + eps * Y^T the mixed-spin term: the same
-    gather and the same scatter around ``plan.g_half`` instead of G - the
-    pair sum restricted to rs <= pq, the diagonal counted half - as one
-    triangular multiply.  DTRMM overwrites its operand, and D viewed
-    (n_rows * m, pair) is Fortran-contiguous, which is the layout the BLAS
-    wrapper works on in place: E *is* D afterwards, so the half sweep
-    needs no E scratch and makes no copy.
+    docstring) returns Y = sigma^ab / 2, the same sweep with the signs
+    halved, for the caller's Y + eps * Y^T.
     """
     n_rows, nb = C.shape
     gb = plan.gather_b
     sa = plan.scatter_a if scatter is None else scatter
-    G = plan.g_matrix
-    npair = G.shape[0]
+    S = sa.scatter
+    npair = plan.g_matrix.shape[0]
     if out is None:
-        out = np.zeros((sa.scatter.shape[0], nb))
+        out = np.zeros((S.shape[0], nb))
     if not gb.per or not sa.per:
         return out  # a spin without electrons has no single excitations
     if col_blocks is None:
         col_blocks = column_blocks(nb, block_columns)
-    Cs = np.empty((n_rows, 2 * nb + 1))
-    _fold_signs(C, 1, Cs)
+    Ct = np.ascontiguousarray(C.T)
+    Gt = np.ascontiguousarray(plan.g_matrix.T) * (0.5 if half else 1.0)
+    signed_G = np.concatenate([Gt, -Gt])
+    source = gb.source.reshape(nb, gb.per)
+    signed_pair = (gb.pair + npair * (gb.sign < 0)).reshape(nb, gb.per)
+    A = np.empty((gb.per, npair))
+    D = np.empty((gb.per, n_rows))
+    E = np.empty((npair, n_rows))
     width = min(block_columns, nb)
-    n_buffers = 1 if half else 2  # the triangular multiply is in place
-    scratch = _Scratch(*[npair * n_rows * width] * n_buffers)
+    columns = np.empty((width, S.shape[0]))
     for lo, hi in col_blocks:
         m = _block_width(lo, hi, width)
-        buffers = scratch.views(*[(npair, n_rows, m)] * n_buffers)
-        for slab, columns in zip(buffers[0], gb.gather_index[:, lo:hi]):
-            np.take(Cs, columns, axis=1, out=slab, mode="clip")
-        D = buffers[0].reshape(npair, n_rows * m)
-        if half:
-            # E^T = D^T . g_half^T
-            E = dtrmm(1.0, plan.g_half, D.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
-        else:
-            E = np.matmul(G, D, out=buffers[1].reshape(npair, n_rows * m))
-        out[:, lo:hi] += sa.scatter @ E.reshape(npair * n_rows, m)
+        for k in range(lo, hi):
+            # "clip" because the default "raise" buffers `out`; the indices
+            # are the plan's own and in range
+            np.take(Ct, source[k], axis=0, out=D, mode="clip")
+            np.take(signed_G, signed_pair[k], axis=0, out=A, mode="clip")
+            np.matmul(A.T, D, out=E)
+            columns[k - lo] = S @ E.ravel()
+        out[:, lo:hi] += columns[:m].T
         if counters is not None:
-            counters.dgemm_flops += (npair + 1 if half else 2 * npair) * npair * m * n_rows
-            counters.dgemm_calls += 1
+            counters.dgemm_flops += 2 * npair * gb.per * n_rows * m
+            counters.dgemm_calls += m
             counters.gather_elements += m * gb.per * n_rows
             counters.scatter_elements += sa.n_entries * m
     return out
@@ -536,8 +532,9 @@ class DgemmKernel:
     ``block_columns`` defaults to the plan's cache-sized block width
     (:meth:`SigmaPlan.default_block_columns`).  One accumulation sequence
     for every input; where C = eps * C^T exactly (:func:`transpose_parity`)
-    three of its steps do half the work and the transpose supplies the rest
-    (module docstring).  Nothing selects this but the bits of C.
+    its beta steps are skipped, the mixed term is halved and the transpose
+    supplies the rest (module docstring).  Nothing selects this but the
+    bits of C.
     """
 
     def __init__(self, plan: SigmaPlan, *, block_columns: int | None = None):
@@ -560,15 +557,14 @@ class DgemmKernel:
         # transpose of its alpha twin, so accumulate only the alpha half Z
         # and complete sigma = Z + eps * Z^T - the paper's "vector symm" step
         eps = transpose_parity(plan, C)
+        Ct = None if eps else np.ascontiguousarray(C.T)
         # accumulation order, shared with every rank program: one-electron
         # alpha, one-electron beta, alpha-alpha, beta-beta, mixed
-        sigma = one_electron_sigma(plan, C, half=bool(eps))
+        sigma = one_electron_sigma(plan, C, Ct)
         if plan.same_a is not None:
             sigma += same_spin_sigma(plan.same_a, plan.w_matrix, C, bc, counters)
         if plan.same_b is not None and not eps:
-            sigma += same_spin_sigma(
-                plan.same_b, plan.w_matrix, np.ascontiguousarray(C.T), bc, counters
-            ).T
+            sigma += same_spin_sigma(plan.same_b, plan.w_matrix, Ct, bc, counters).T
         sigma += mixed_spin_sigma(plan, C, bc, counters, half=bool(eps))
         if eps:
             sigma = add_transpose(sigma, eps)
@@ -730,13 +726,12 @@ class MocKernel:
         plan = self.plan
         problem = plan.problem
         C = as_ci_matrix(C, plan.shape)
-        sigma = one_electron_sigma(plan, C)
+        Ct = np.ascontiguousarray(C.T)
+        sigma = one_electron_sigma(plan, C, Ct)
         if problem.n_alpha >= 2:
             sigma += moc_same_spin_sigma(problem.space_a, plan.w_matrix, C, counters)
         if problem.n_beta >= 2:
-            sigma += moc_same_spin_sigma(
-                problem.space_b, plan.w_matrix, np.ascontiguousarray(C.T), counters
-            ).T
+            sigma += moc_same_spin_sigma(problem.space_b, plan.w_matrix, Ct, counters).T
         sigma += moc_mixed_sigma(plan, C, counters, self.row_block)
         return sigma
 

@@ -6,25 +6,24 @@ gather / DGEMM / scatter.  A :class:`SigmaPlan` is that precomputation made
 explicit: for one :class:`~repro.core.problem.CIProblem` it compiles
 
 * the one-electron CSR operators T_sigma[I,J] = sum_pq h_pq <I|E_pq|J>,
-* the mixed-spin gather/scatter tables re-sorted by target string (so the
-  kernels can slice whole blocks of beta columns / alpha rows with constant
-  segment length, paper eqs. 4-6),
-* the same-spin ``key`` arrays (pair * NK + target) addressing the packed
-  (pairs x N-2-strings) intermediate, with float signs (paper eqs. 7-9),
-* from each of those entry lists the two tables the sweeps actually walk:
-  a *gather index* with one slot per row/column of the dense intermediate D
-  into the sign-folded, zero-padded source [C, -C, 0], and a +-1 CSR
-  *scatter matrix* in entry order - so a column block's gather is
-  ``np.take`` and its scatter one sparse product, both compiled loops,
+* the mixed-spin single-excitation entries re-sorted by target string - a
+  constant ``per`` entries per target, so entry arrays reshape to (target,
+  entry): the beta half is read a row at a time (the ``per`` source strings,
+  packed pairs and signs of one beta string: paper eqs. 4-6), and the alpha
+  half also as a +-1 CSR *scatter matrix* in entry order,
+* the same-spin tables indexed by *N-2-electron string, then the pairs that
+  string allows*: only the L = C(n-k+2, 2) orbital pairs unoccupied in K
+  can be created on it, so the intermediates have NK * L rows, not
+  n_pairs * NK (paper eqs. 7-9) - per slot the source string and sign, per
+  string its pair list, and a +-1 CSR scatter matrix over the slots,
 * the W supermatrix W[(p>r),(q>s)] = (pq|rs) - (ps|rq) and the pair-packed
   chemists-notation G matrix G[(p>=q),(r>=s)] = (pq|rs),
-* for a closed-shell problem, ``g_half``: the lower triangle of G with a
-  halved diagonal - the operand of the triangular multiply that evaluates
-  half of the mixed-spin term when C = +-C^T (:func:`build_g_half`),
 
 and caches all of it on the problem (``SigmaPlan.for_problem``), so every
 solver iteration and every simulated MSP rank reuses one immutable plan
-instead of re-deriving tables in the hot path.
+instead of re-deriving tables in the hot path.  No table holds a structural
+zero: a sweep gathers, multiplies and scatters only what the occupation of
+a string allows, and the signs ride on the small integral blocks.
 
 The plan is consumed by :mod:`repro.core.kernels` (the ``SigmaKernel``
 implementations) and by :class:`repro.parallel.pfci.ParallelSigma`, which
@@ -47,16 +46,18 @@ __all__ = [
     "pair_index",
     "build_w_matrix",
     "build_g_matrix",
-    "build_g_half",
     "one_electron_csr",
     "DEFAULT_BLOCK_BUDGET_MB",
 ]
 
 DEFAULT_BLOCK_BUDGET_MB = 256
-_MAX_BLOCK_COLUMNS = 1024
-# D + E of one column block: small enough to stay in the last-level cache
-# between the gather, the DGEMM and the scatter that each walk them once
-_SCRATCH_TARGET_BYTES = 32 * 2**20
+# past this width the small same-spin DGEMMs gain nothing (measured flat from
+# 64 up to where the scratch leaves the cache), and the block is the unit the
+# parallel backends distribute: wider only means fewer tasks to balance
+_MAX_BLOCK_COLUMNS = 64
+# D + E of one same-spin column block: small enough to stay in the last-level
+# cache between the gather, the DGEMMs and the scatter that each walk them once
+_SCRATCH_TARGET_BYTES = 12 * 2**20
 
 
 def build_w_matrix(g: np.ndarray) -> np.ndarray:
@@ -95,41 +96,11 @@ def build_g_matrix(g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(g[p[:, None], q[:, None], p[None, :], q[None, :]])
 
 
-def build_g_half(G: np.ndarray) -> np.ndarray:
-    """Lower triangle of the pair-packed G with a halved diagonal, Fortran order.
-
-    For C = eps * C^T on a closed-shell space the mixed-spin term is
-    Y + eps * Y^T with Y summed over pair indices rs <= pq only, the
-    diagonal pq = rs counted half (see :mod:`repro.core.kernels`): exactly
-    ``g_half`` times the gathered intermediate, which BLAS evaluates as a
-    triangular multiply (DTRMM) at half the flops of the full DGEMM.
-    Fortran order because that is the layout the BLAS wrapper takes without
-    copying; the strict upper triangle is zero and never read.
-    """
-    half = np.tril(G)
-    half[np.diag_indices_from(half)] *= 0.5
-    return np.asfortranarray(half)
-
-
 def one_electron_csr(h: np.ndarray, table: SingleExcitationTable) -> sp.csr_matrix:
     """Sparse one-electron operator T[I,J] = sum_pq h_pq <I|E_pq|J>."""
     vals = h[table.p, table.q] * table.sign
     n = table.space.size
     return sp.csr_matrix((vals, (table.target, table.source)), shape=(n, n))
-
-
-def _signed_gather_index(slots, source, sign, n_slots: int, n_sources: int) -> np.ndarray:
-    """Which element of the sign-folded, zero-padded source [C, -C, 0] each
-    slot of a dense intermediate copies.
-
-    Entry e fills slot ``slots[e]`` (unique per entry) with ``+C[source[e]]``
-    - index ``source[e]`` - or ``-C[source[e]]`` - index ``n_sources +
-    source[e]``; a slot no excitation connects reads the zero pad at
-    ``2 * n_sources``.  ``intp``, the one dtype ``np.take`` uses as given.
-    """
-    gidx = np.full(n_slots, 2 * n_sources, dtype=np.intp)
-    gidx[slots] = np.where(sign > 0, source, n_sources + source)
-    return gidx
 
 
 def _signed_scatter_matrix(columns, sign, per: int, shape: tuple[int, int]) -> sp.csr_matrix:
@@ -146,70 +117,94 @@ def _signed_scatter_matrix(columns, sign, per: int, shape: tuple[int, int]) -> s
 
 @dataclass
 class SameSpinPlan:
-    """Precompiled addressing for one same-spin (alpha-alpha or beta-beta) term.
+    """Precompiled addressing for one same-spin (alpha-alpha or beta-beta) term,
+    indexed by N-2-electron string K, then by the pairs K allows.
 
-    ``key = pair * NK + target`` is unique per table entry, so the packed
-    (n_pairs * NK, m) intermediate D has one source per row: ``gather_index``
-    (one slot per D row) makes the gather a single ``np.take`` of rows from
-    [C; -C; 0], and ``scatter`` (n_strings x n_pairs * NK, column ``key``,
-    value ``sign``, ``pairs_per_string`` entries per row in table order)
-    makes the scatter one CSR product - no indexed accumulate.
+    A pair (q > s) can be created on K only when both orbitals are empty in
+    it: L = C(n - k + 2, 2) of the n(n-1)/2 packed pairs, the same number
+    for every K.  The intermediates D and E are therefore (NK, L, m), slot
+    (K, l) standing for K's l-th open pair in ascending packed order:
+
+    * ``pairs[K, l]`` is that pair's packed index - the rows and columns of
+      W the string's L x L block is cut from;
+    * ``source[K * L + l]`` is the string K + {q, s} whose row of C slot
+      (K, l) copies, and ``sign[K, l]`` the phase <J| a+_q a+_s |K> of that
+      copy, which the sweep folds into the W block's columns;
+    * ``scatter`` (n_strings x NK * L, one column per slot, value the same
+      phase, ``pairs_per_string`` entries per row in table order) makes the
+      scatter one CSR product - no indexed accumulate.
     """
 
-    key: np.ndarray  # pair * NK + target, int64, one per table entry
-    source: np.ndarray  # source string of each entry
-    sign: np.ndarray  # float64 signs (pre-cast once)
-    n_pairs: int  # n(n-1)/2 packed orbital pairs
+    pairs: np.ndarray  # (NK, L) packed q(q-1)/2 + s of each string's open pairs
+    source: np.ndarray  # (NK * L,) intp, the row of C each D slot copies
+    sign: np.ndarray  # (NK, L) float64 phase of that copy
     n_reduced: int  # NK: size of the N-2-electron intermediate space
+    open_pairs: int  # L = C(n-k+2, 2)
     n_strings: int
     pairs_per_string: int  # k(k-1)/2
-    n_entries: int
-    gather_index: np.ndarray  # (n_pairs * NK,) intp into the rows of [C; -C; 0]
-    scatter: sp.csr_matrix  # (n_strings, n_pairs * NK)
+    n_entries: int  # NK * L = n_strings * pairs_per_string
+    scatter: sp.csr_matrix  # (n_strings, NK * L)
 
     @classmethod
     def from_table(cls, table: DoubleAnnihilationTable) -> "SameSpinPlan":
-        k = table.space.k
+        n, k = table.space.n, table.space.k
         NK = table.reduced_space.size
         nstr = table.space.size
-        kk2 = k * (k - 1) // 2
-        key = table.pair * NK + table.target
+        L = (n - k + 2) * (n - k + 1) // 2
+        # every K is the target of exactly L entries: sorted by (K, pair),
+        # an entry's rank *is* its slot K * L + l
+        order = np.lexsort((table.pair, table.target))
+        slot = np.empty(table.n_entries, dtype=np.intp)
+        slot[order] = np.arange(table.n_entries)
         sign = table.sign.astype(np.float64)
-        n_slots = table.n_pairs * NK
+        kk2 = k * (k - 1) // 2
         return cls(
-            key=key,
-            source=table.source,
-            sign=sign,
-            n_pairs=table.n_pairs,
+            pairs=table.pair[order].reshape(NK, L),
+            source=table.source[order].astype(np.intp),
+            sign=sign[order].reshape(NK, L),
             n_reduced=NK,
+            open_pairs=L,
             n_strings=nstr,
             pairs_per_string=kk2,
             n_entries=table.n_entries,
-            gather_index=_signed_gather_index(key, table.source, sign, n_slots, nstr),
-            scatter=_signed_scatter_matrix(key, sign, kk2, (nstr, n_slots)),
+            # the table lists each string's k(k-1)/2 entries together
+            scatter=_signed_scatter_matrix(slot, sign, kk2, (nstr, NK * L)),
         )
+
+    def w_blocks(self, W: np.ndarray) -> np.ndarray:
+        """(NK, L, L): W[pairs_K, pairs_K] . diag(sign_K) for every K, so that
+        E[K] = w_blocks[K] @ D[K] with D a plain, unsigned copy of rows of C.
+
+        NK * L^2 doubles (3.1 MB at FCI(6,12)), cut by each sweep rather
+        than held by the plan: they are L/3 times everything else a
+        same-spin plan holds and the one piece that grows like L^2
+        (2.6 GB at FCI(8+1,20), whose CI vector is 20 MB), a sweep takes
+        W as an argument, and cutting them is 1.7 ms of a 50 ms sweep.
+        """
+        return W[self.pairs[:, :, None], self.pairs[:, None, :]] * self.sign[:, None, :]
 
 
 @dataclass
 class MixedSpinHalfPlan:
     """One spin side of the mixed-spin term, re-sorted by target string.
 
-    Every target string has the same number of entries (``per``), so sorted
-    order lets the kernels slice whole blocks of targets: column blocks of
-    ``gather_index`` on the beta side, rows of ``scatter`` on the alpha side.
+    Every target string has the same number of entries (``per`` = k(n-k+1):
+    the orbitals it can have gained times those it can have lost), so the
+    sorted entry arrays reshape to (n_targets, per) and a sweep reads the
+    beta side one target - one row of ``source`` / ``pair`` / ``sign`` - at
+    a time: the D of that beta string is ``per`` whole rows of C^T, never a
+    row of zeros.
 
-    ``pair`` addresses the pair-packed intermediates.  For a fixed target
+    ``pair`` addresses the pair-packed integrals.  For a fixed target
     string at most one of E_pq / E_qp connects (p must be occupied in the
     target and q empty, or the reverse), so (pair, target) is unique per
-    entry and folding D[pq] + D[qp] into one row is still a plain
-    copy with unchanged signs.  ``gather_index[pair, target]`` is therefore
-    one column of [C, -C, 0] per D slot (the pad where nothing connects),
-    and ``scatter`` (n_targets x n_pairs * n_sources, column ``pair *
-    n_sources + source``, value ``sign``, ``per`` entries per row in sorted
-    entry order) reads E viewed as (pair * J, k).
+    entry and folding D[pq] + D[qp] into one row is still a plain copy with
+    unchanged signs.  ``scatter`` (n_targets x n_pairs * n_sources, column
+    ``pair * n_sources + source``, value ``sign``, ``per`` entries per row
+    in sorted entry order) reads the E of one beta string raveled (pair * J).
     """
 
-    source: np.ndarray
+    source: np.ndarray  # intp: np.take uses it as given
     target: np.ndarray
     p: np.ndarray
     q: np.ndarray
@@ -217,7 +212,6 @@ class MixedSpinHalfPlan:
     sign: np.ndarray  # float64 signs (pre-cast once)
     per: int  # entries per target string
     n_entries: int
-    gather_index: np.ndarray  # (n_pairs, n_targets) intp into the columns of [C, -C, 0]
     scatter: sp.csr_matrix  # (n_targets, n_pairs * n_sources)
 
     @classmethod
@@ -231,7 +225,7 @@ class MixedSpinHalfPlan:
         n_pairs = n * (n + 1) // 2
         per = source.size // n_targets
         return cls(
-            source=source,
+            source=source.astype(np.intp, copy=False),
             target=target,
             p=p,
             q=q,
@@ -239,9 +233,6 @@ class MixedSpinHalfPlan:
             sign=sign,
             per=per,
             n_entries=source.size,
-            gather_index=_signed_gather_index(
-                pair * n_targets + target, source, sign, n_pairs * n_targets, n_sources
-            ).reshape(n_pairs, n_targets),
             scatter=_signed_scatter_matrix(
                 pair * n_sources + source, sign, per, (n_targets, n_pairs * n_sources)
             ),
@@ -310,9 +301,6 @@ class SigmaPlan:
         self.singles_b = singles_b
         self.w_matrix = w
         self.g_matrix = build_g_matrix(problem.mo.g)
-        # only a closed-shell plan (alpha and beta tables shared) can meet a
-        # C = +-C^T it may evaluate by halves
-        self.g_half = build_g_half(self.g_matrix) if singles_b is singles_a else None
         h = problem.mo.h
         self.Ta = one_electron_csr(h, singles_a)
         self.Tb = self.Ta if singles_b is singles_a else one_electron_csr(h, singles_b)
@@ -346,16 +334,23 @@ class SigmaPlan:
         return plan
 
     @property
+    def closed_shell(self) -> bool:
+        """n_alpha = n_beta: one set of tables serves both spins - the only
+        kind of space on which C = +-C^T means anything."""
+        return self.singles_b is self.singles_a
+
+    @property
     def nbytes(self) -> int:
         """Total bytes held by the plan's compiled arrays.
 
         The cache-accounting figure for content-addressed plan stores (the
         service layer's artifact cache budgets and reports eviction on it):
-        the W/G supermatrices (and ``g_half``), the one-electron CSR operators, every
-        excitation entry array, and the gather index and CSR scatter matrix
-        compiled from them, counted once per distinct array (shared
-        alpha/beta halves are not double counted, nor is a ``sign`` array
-        that is also its scatter matrix's ``data``).
+        the W/G supermatrices, the one-electron CSR operators, every
+        excitation entry array and the CSR scatter matrix compiled from
+        them, counted once per distinct array (shared alpha/beta halves are
+        not double counted, nor is a ``sign`` array that is also its scatter
+        matrix's ``data``).  The same-spin W blocks are *not* here: a sweep
+        cuts them from ``w_matrix`` (:func:`repro.core.kernels.same_spin_sigma`).
         """
         seen: set[int] = set()
         total = 0
@@ -374,16 +369,15 @@ class SigmaPlan:
 
         add(self.w_matrix)
         add(self.g_matrix)
-        add(self.g_half)
         add_csr(self.Ta)
         add_csr(self.Tb)
         for half in (self.scatter_a, self.gather_b):
-            for name in ("source", "target", "p", "q", "pair", "sign", "gather_index"):
+            for name in ("source", "target", "p", "q", "pair", "sign"):
                 add(getattr(half, name))
             add_csr(half.scatter)
         for splan in (self.same_a, self.same_b):
             if splan is not None:
-                for name in ("key", "source", "sign", "gather_index"):
+                for name in ("pairs", "source", "sign"):
                     add(getattr(splan, name))
                 add_csr(splan.scatter)
         return total
@@ -394,18 +388,19 @@ class SigmaPlan:
         memory_budget_mb: int = DEFAULT_BLOCK_BUDGET_MB,
         resident_bytes: int | None = None,
     ) -> int:
-        """Column-block width sized so the D/E intermediates stay in cache.
+        """Column-block width sized so the same-spin D/E stay in cache.
 
-        The dominant scratch is the mixed-spin pipeline's pair of dense
-        intermediates D and E, each (n(n+1)/2, n_alpha_strings, m) float64
-        for the one vector a sweep takes; the same-spin pipeline needs
-        (n_pairs * NK, m) for each.
-        A block is gathered, multiplied and scattered in turn, so the
-        sweep runs fastest when D + E of one block stay cache-resident:
-        the returned ``m`` fits them in a fixed ~32 MiB, clamped to
-        [1, 1024] (measured on FCI(6+6,12), where it gives 29, seconds per
-        apply by ``m``: 8: 0.74, 16: 0.71, 29: 0.67, 48: 0.70, 64: 0.71,
-        126: 0.81, 232: 0.87).
+        Only the same-spin sweeps still hold block-wide intermediates: D and
+        E, each (NK * L, m) float64 - one row per open pair of each
+        N-2-electron string.  A block is gathered, multiplied (NK small
+        L x L x m DGEMMs) and scattered in turn, so the sweep runs fastest
+        when D + E of one block stay cache-resident and m is still wide
+        enough for the small DGEMMs: the returned ``m`` fits them in a fixed
+        ~12 MiB, clamped to [1, 64].  The mixed-spin sweep multiplies one
+        beta string at a time whatever ``m`` is - its block-wide scratch is
+        one (m, n_alpha_strings) buffer of finished sigma columns - so its
+        time does not depend on the width (DESIGN.md section 3b has the
+        measured sweep).
         This is the default used by
         :class:`~repro.core.kernels.DgemmKernel`,
         :class:`~repro.core.solver.FCISolver`, and
@@ -418,14 +413,15 @@ class SigmaPlan:
         :class:`~repro.core.vectors.CIVectorStore` reports
         (``resident_nbytes``), not the logical vector size.  Changing the
         block width never changes what a kernel computes beyond the
-        rounding of a differently shaped DGEMM; every execution mode of one
+        rounding of a differently shaped same-spin DGEMM (the mixed-spin
+        term does not depend on it to the bit); every execution mode of one
         problem uses the same width.
         """
         na, _ = self.shape
-        per_col = 2 * 8 * self.g_matrix.shape[0] * na  # D + E
+        per_col = 8 * na  # the mixed sweep's buffer of finished columns
         for splan in (self.same_a, self.same_b):
             if splan is not None:
-                per_col = max(per_col, 2 * 8 * splan.n_pairs * splan.n_reduced)
+                per_col = max(per_col, 2 * 8 * splan.n_entries)  # D + E
         budget = int(memory_budget_mb) * 2**20
         if resident_bytes:
             # never starve the kernel completely: keep at least 1 MiB of

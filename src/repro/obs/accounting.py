@@ -23,7 +23,8 @@ name                      kind       meaning
 sigma.<algo>.calls        counter    sigma evaluations accounted
 sigma.<algo>.flops        counter    kernel floating-point operations
 sigma.<algo>.seconds      timer      wall seconds per evaluation
-sigma.dgemm.gemm_calls    counter    dense DGEMM invocations (E = W.D / G.D)
+sigma.dgemm.gemm_calls    counter    dense DGEMMs (E_K = W_K.D_K per N-2 string
+                                     and block, E_k = G_k.D_k per beta string)
 sigma.dgemm.gather_elems  counter    vector-gather traffic (elements)
 sigma.dgemm.scatter_elems counter    vector-scatter traffic (elements)
 sigma.moc.indexed_ops     counter    indexed multiply-add updates
@@ -47,6 +48,7 @@ x1.aggregate_tflops       gauge      aggregate rate of the last run
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Any, Mapping
 
 from .metrics import MetricsRegistry
@@ -76,30 +78,45 @@ def gflops_rate(flops: float, seconds: float) -> float:
 # -- closed-form operation counts (the audited Table-1 model) ----------------
 
 
-def dgemm_mixed_spin_flops(n_orbitals: int, nci: float) -> float:
+def dgemm_mixed_spin_flops(n_orbitals: int, n_beta: int, nci: float) -> float:
     """Exact DGEMM FLOPs of the mixed-spin routine on an unblocked space.
 
-    The paper's Table-1 entry is the order-of-magnitude ~ Nci n^2 n_a n_b,
-    whose dense-intermediate realisation is an (n^2 x n^2) @ (n^2 x Nci)
-    product, 2 n^4 Nci.  The kernel multiplies the *pair-packed* integrals
-    instead - (pq|rs) = (qp|rs) = (pq|sr), one row per unordered pair - so
-    E = G.D is (npair x npair) @ (npair x Nci) with npair = n(n+1)/2,
-    evaluated in column blocks: 2 npair^2 Nci, which is what
-    ``SigmaCounters.dgemm_flops`` accumulates for the alpha-beta term
-    (3.41x fewer than 2 n^4 Nci at n = 12).
+    The paper's Table-1 entry is ~ Nci n^2 n_a n_b: a determinant meets only
+    the excitations its occupation allows, not the n^2 x n^2 product a dense
+    D over all orbital pairs would need (2 n^4 Nci).  The kernel multiplies
+    exactly that: for each beta string, the ``per_b`` = n_b (n - n_b + 1)
+    single excitations that reach it (n_b orbitals it can have gained times
+    the n - n_b + 1 it can have lost, p = q included) against the
+    *pair-packed* integrals - (pq|rs) = (qp|rs) = (pq|sr), npair =
+    n(n+1)/2 rows - so E_k = G[:, pairs_k] . D_k is (npair x per_b) @
+    (per_b x n_alpha_strings) and the sweep 2 npair per_b Nci, which is
+    what ``SigmaCounters.dgemm_flops`` accumulates for the alpha-beta term:
+    n (n+1) n_b (n - n_b + 1) Nci against Table 1's order of magnitude
+    n^2 n_a n_b Nci (0.54 of the full pair-packed product 2 npair^2 Nci at
+    FCI(6+6,12), 0.16 of 2 n^4 Nci).
     """
-    npair = n_orbitals * (n_orbitals + 1) // 2
-    return 2.0 * float(npair) ** 2 * float(nci)
+    n = int(n_orbitals)
+    npair = n * (n + 1) // 2
+    per_b = int(n_beta) * (n - int(n_beta) + 1)
+    return 2.0 * npair * per_b * float(nci)
 
 
-def dgemm_same_spin_flops(n_pairs: int, n_reduced: int, n_columns: float) -> float:
+def dgemm_same_spin_flops(n_orbitals: int, n_electrons: int, n_columns: float) -> float:
     """Exact DGEMM FLOPs of one same-spin routine call.
 
-    E = W.D with W (n_pairs x n_pairs) and D (n_pairs x n_reduced*n_columns):
-    2 * n_pairs^2 * NK * M multiply-adds, the quantity
-    ``SigmaCounters.dgemm_flops`` accumulates for each same-spin term.
+    For each of the NK = C(n, k-2) N-2-electron strings K, E_K = W_K . D_K
+    with W_K the L x L block of W over the L = C(n-k+2, 2) orbital pairs
+    empty in K and D_K (L x n_columns): 2 L^2 NK M multiply-adds, the
+    quantity ``SigmaCounters.dgemm_flops`` accumulates for each same-spin
+    term (the full pair space would be 2 C(n,2)^2 NK M: 5.6x more at
+    n = 12, k = 6).  Table 1 has no same-spin row - the paper counts the
+    alpha-beta routine, which dominates.
     """
-    return 2.0 * float(n_pairs) ** 2 * float(n_reduced) * float(n_columns)
+    n, k = int(n_orbitals), int(n_electrons)
+    if k < 2:
+        return 0.0
+    open_pairs = comb(n - k + 2, 2)
+    return 2.0 * open_pairs**2 * comb(n, k - 2) * float(n_columns)
 
 
 def moc_mixed_spin_ops(n_orbitals: int, n_alpha: int, n_beta: int, nci: float) -> float:

@@ -13,16 +13,23 @@ it, and the parent's left-to-right reduction of the four owned outputs
 accumulation order — which together make the result bitwise-identical to
 ``sigma_dgemm`` for any worker count.
 
+The one-electron term is distributed like the alpha-alpha one: each rank
+writes the columns of its owned ``aa_blocks`` into ``one`` (a CSR product
+adds a row's entries left to right column by column, so a column slice is
+bitwise those columns of the serial product), and the mixed-spin term does
+not depend on the blocking at all — every beta column is its own DGEMM
+(:func:`repro.core.kernels.mixed_spin_sigma`).
+
 For C = ε·Cᵀ on a closed-shell space the serial kernel evaluates only the
 alpha half Z of sigma and completes σ = Z + ε·Zᵀ
 (:mod:`repro.core.kernels`), and so do the ranks: each evaluates the same
 exact :func:`~repro.core.kernels.transpose_parity` on the C it holds — the
 same bits everywhere, so all ranks and the parent agree with no change to
-the ``("sigma", seq)`` message — and then rank 0 writes the alpha
-one-electron term only, nobody touches ``bb``, and every mixed-spin block
-runs the triangular multiply; the parent's reduction adds the transpose
-(the paper's "vector symm" step).  Same blocks, same operands, same
-order: still bitwise-identical to the serial kernel.
+the ``("sigma", seq)`` message — and then writes the alpha one-electron
+term only, leaves ``bb`` alone, and runs every mixed-spin block with its
+signs halved; the parent's reduction adds the transpose (the paper's
+"vector symm" step).  Same blocks, same operands, same order: still
+bitwise-identical to the serial kernel.
 
 This module is that shared decomposition, the per-rank program and the
 worker process that serves it (:func:`worker_main`) in one place, so a
@@ -161,16 +168,17 @@ def run_rank_sigma(
     # C = eps * C^T: the alpha half only, as in the serial kernel; the
     # parent completes sigma by transpose
     half = bool(transpose_parity(plan, C))
+    Ct = None if half else np.ascontiguousarray(C.T)
 
-    # one-electron alpha + beta: rank 0, exactly the serial prologue
-    if rank == 0:
-        t0 = time.perf_counter()
-        outs["one"][...] = one_electron_sigma(plan, C, half=half)
-        phase_times["one-electron"] = time.perf_counter() - t0
-
-    # alpha-alpha doubles: this rank's round-robin share of the beta-axis
-    # column blocks, stored into disjoint owned windows of `aa`
+    # one-electron alpha + beta and alpha-alpha doubles: this rank's
+    # round-robin share of the beta-axis column blocks, stored into disjoint
+    # owned windows of `one` and `aa`
     my_aa = decomposition.owned_aa_blocks(rank)
+    if my_aa:
+        t0 = time.perf_counter()
+        for lo, hi in my_aa:
+            outs["one"][:, lo:hi] = one_electron_sigma(plan, C, Ct, slice(lo, hi))
+        phase_times["one-electron"] = time.perf_counter() - t0
     if plan.same_a is not None and my_aa:
         t0 = time.perf_counter()
         same_spin_sigma(
@@ -184,18 +192,12 @@ def run_rank_sigma(
     if plan.same_b is not None and my_bb and not half:
         t0 = time.perf_counter()
         same_spin_sigma(
-            plan.same_b,
-            plan.w_matrix,
-            np.ascontiguousarray(C.T),
-            bc,
-            counters,
-            col_blocks=my_bb,
-            out=outs["bb"],
+            plan.same_b, plan.w_matrix, Ct, bc, counters, col_blocks=my_bb, out=outs["bb"]
         )
         phase_times["beta-beta"] = time.perf_counter() - t0
 
     # mixed-spin: dynamic task pool over column-block spans, fed to ONE sweep
-    # (one signed source, one scratch per rank per sigma) by a generator
+    # (one transposed copy of C, one scratch per rank per sigma) by a generator
     # that claims the next task only when the sweep asks for its next block
     claimed: list[int] = []
 
@@ -280,10 +282,9 @@ def _run_sigma(rank: int, comm, payload: dict) -> RankStats:
         # disjoint — then fence with quiet before reporting done
         t0 = time.perf_counter()
         rows = slice(None)
-        if rank == 0:
-            comm.acc("one", (rows, rows), outs["one"])
-        if plan.same_a is not None:
-            for lo, hi in decomp.owned_aa_blocks(rank):
+        for lo, hi in decomp.owned_aa_blocks(rank):
+            comm.acc("one", (rows, slice(lo, hi)), outs["one"][:, lo:hi])
+            if plan.same_a is not None:
                 comm.acc("aa", (rows, slice(lo, hi)), outs["aa"][:, lo:hi])
         if "beta-beta" in phase_times:  # not run for C = eps * C^T
             for lo, hi in decomp.owned_bb_blocks(rank):

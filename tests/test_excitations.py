@@ -291,13 +291,17 @@ class TestLinkIndexTables:
         ):
             if splan is None:
                 continue
-            NK = splan.n_reduced
+            L = splan.open_pairs
             red = StringSpace(n, space.k - 2)
+            # row j of the scatter matrix: string j's k(k-1)/2 entries, each
+            # naming the slot (K, l) of the N-2 string and pair it came from
             rows = (splan.n_strings, splan.pairs_per_string)
-            keys, signs = splan.key.reshape(rows), splan.sign.reshape(rows)
+            slots = splan.scatter.indices.reshape(rows)
+            signs = splan.scatter.data.reshape(rows)
             for j in range(space.size):
-                for key, sgn in zip(keys[j], signs[j]):
-                    pair, tgt = int(key) // NK, int(key) % NK
+                for slot, sgn in zip(slots[j], signs[j]):
+                    tgt, l = divmod(int(slot), L)
+                    pair = int(splan.pairs[tgt, l])
                     # invert pair = q(q-1)/2 + s
                     q = 1
                     while (q + 1) * q // 2 <= pair:
@@ -307,6 +311,9 @@ class TestLinkIndexTables:
                     m2, s2 = apply_annihilation(m1, s)
                     assert red.index(m2) == tgt
                     assert s1 * s2 == sgn
+                    # the same slot read as a gather: copy string j, same phase
+                    assert splan.source[slot] == j
+                    assert splan.sign[tgt, l] == sgn
 
 
 # closed shell (alpha/beta share every table), open shell, one beta electron
@@ -321,22 +328,12 @@ def _space_id(space):
 
 @pytest.mark.parametrize("n,na,nb", TABLE_SPACES, ids=map(_space_id, TABLE_SPACES))
 class TestGatherScatterTables:
-    """The two tables a sweep walks - the gather index into the signed,
-    padded source [C, -C, 0] and the +-1 CSR scatter matrix - loop-built
-    from the excitation tables, slot for slot and entry for entry."""
+    """The compressed tables a sweep walks - per string, only the pairs its
+    occupation allows: source rows, pairs, signs, the integral blocks cut
+    with them and the +-1 CSR scatter matrix - loop-built from the
+    excitation tables, slot for slot and entry for entry."""
 
     _plan = TestLinkIndexTables._plan
-
-    @staticmethod
-    def _expected_gather(slot_source_sign, n_slots, n_sources):
-        """One (source, sign) per connected slot; the pad everywhere else."""
-        expected = np.full(n_slots, 2 * n_sources, dtype=np.intp)
-        filled = set()
-        for slot, source, sign in slot_source_sign:
-            assert slot not in filled  # a slot has one source: a copy, not a sum
-            filled.add(slot)
-            expected[slot] = source if sign > 0 else n_sources + source
-        return expected
 
     @staticmethod
     def _assert_scatter(S, columns, sign, per, shape):
@@ -358,35 +355,40 @@ class TestGatherScatterTables:
             (plan.scatter_a, plan.singles_a),
             (plan.gather_b, plan.singles_b),
         ):
-            nstr = table.space.size
-            entries = [
-                (int(pair_index(p, q)), int(t), int(s), int(sg))
-                for s, t, p, q, sg in zip(
-                    table.source, table.target, table.p, table.q, table.sign
-                )
-            ]
-            expected = self._expected_gather(
-                ((pair * nstr + t, s, sg) for pair, t, s, sg in entries),
-                n_pairs * nstr,
-                nstr,
+            nstr, k = table.space.size, table.space.k
+            # every string is reached by k (gained) x n-k+1 (lost) singles
+            assert half.per == k * (n - k + 1)
+            assert half.n_entries == table.n_entries == nstr * half.per
+            by_target = [[] for _ in range(nstr)]
+            for s, t, p, q, sg in zip(
+                table.source, table.target, table.p, table.q, table.sign
+            ):
+                by_target[int(t)].append((int(s), int(pair_index(p, q)), int(sg)))
+            rows = (nstr, half.per)
+            source, pair, sign = (
+                getattr(half, name).reshape(rows) for name in ("source", "pair", "sign")
             )
-            assert half.gather_index.dtype == np.intp
-            assert np.array_equal(half.gather_index, expected.reshape(n_pairs, nstr))
-            pad = half.gather_index == 2 * nstr
-            assert np.count_nonzero(pad) == n_pairs * nstr - table.n_entries
-
-            # row t of the scatter matrix: target t's entries in table order
-            by_target = sorted(range(len(entries)), key=lambda e: entries[e][1])
-            columns = [entries[e][0] * nstr + entries[e][2] for e in by_target]
-            sign = [entries[e][3] for e in by_target]
+            assert half.source.dtype == np.intp  # np.take uses it as given
+            for t, entries in enumerate(by_target):
+                # row t: target t's entries in table order - whole rows of
+                # C^T to copy, the integral columns and their signs
+                assert [tuple(e) for e in zip(source[t], pair[t], sign[t])] == entries
+                # at most one of E_pq / E_qp reaches t: a copy, not a sum
+                assert len({pr for _, pr, _ in entries}) == half.per
+            flat = [e for entries in by_target for e in entries]
             self._assert_scatter(
-                half.scatter, columns, sign, half.per, (nstr, n_pairs * nstr)
+                half.scatter,
+                [pr * nstr + s for s, pr, _ in flat],
+                [sg for _, _, sg in flat],
+                half.per,
+                (nstr, n_pairs * nstr),
             )
-            assert np.array_equal(half.scatter.indices, half.pair * nstr + half.source)
-            assert np.array_equal(half.scatter.data, half.sign)
 
     def test_same_spin_plans(self, n, na, nb):
+        from math import comb
+
         plan = self._plan(n, na, nb)
+        W = plan.w_matrix
         for splan, k, space in (
             (plan.same_a, na, plan.problem.space_a),
             (plan.same_b, nb, plan.problem.space_b),
@@ -395,38 +397,63 @@ class TestGatherScatterTables:
                 assert splan is None
                 continue
             table = DoubleAnnihilationTable(space)
-            NK, nstr = table.reduced_space.size, space.size
-            n_slots = table.n_pairs * NK
-            slots = [int(pr) * NK + int(t) for pr, t in zip(table.pair, table.target)]
-            expected = self._expected_gather(
-                zip(slots, map(int, table.source), map(int, table.sign)), n_slots, nstr
-            )
-            assert splan.gather_index.dtype == np.intp
-            assert np.array_equal(splan.gather_index, expected)
-            assert np.count_nonzero(splan.gather_index == 2 * nstr) == (
-                n_slots - table.n_entries
-            )
+            reduced = table.reduced_space
+            NK, nstr, L = reduced.size, space.size, comb(n - k + 2, 2)
+            assert (splan.n_reduced, splan.open_pairs, splan.n_strings) == (NK, L, nstr)
+            assert splan.n_entries == table.n_entries == NK * L
+            # slot (K, l): the l-th pair, in ascending packed order, of those
+            # the table says can be created on K ...
+            by_target = [[] for _ in range(NK)]
+            for e in range(table.n_entries):
+                by_target[int(table.target[e])].append(
+                    (int(table.pair[e]), int(table.source[e]), int(table.sign[e]), e)
+                )
+            slot_of_entry = np.empty(table.n_entries, dtype=int)
+            for K, entries in enumerate(by_target):
+                entries.sort()
+                # ... which are exactly the pairs (q > s) both empty in K
+                free = [o for o in range(n) if not (int(reduced.masks[K]) >> o) & 1]
+                assert [pr for pr, *_ in entries] == sorted(
+                    q * (q - 1) // 2 + s for q in free for s in free if q > s
+                )
+                for l, (pr, src, sg, e) in enumerate(entries):
+                    assert splan.pairs[K, l] == pr
+                    assert splan.source[K * L + l] == src
+                    assert splan.sign[K, l] == sg
+                    slot_of_entry[e] = K * L + l
+            assert splan.source.dtype == np.intp
+            # the integral block of K: W over its pairs, the phase of the
+            # gathered row on the column that multiplies it
+            blocks = splan.w_blocks(W)
+            assert blocks.shape == (NK, L, L)
+            for K, entries in enumerate(by_target):
+                for i, (pr_i, *_) in enumerate(entries):
+                    for j, (pr_j, _, sg_j, _) in enumerate(entries):
+                        assert blocks[K, i, j] == W[pr_i, pr_j] * sg_j
             # the table lists each source string's k(k-1)/2 entries together
             assert np.array_equal(
                 table.source, np.repeat(np.arange(nstr), splan.pairs_per_string)
             )
             self._assert_scatter(
-                splan.scatter, slots, table.sign, splan.pairs_per_string, (nstr, n_slots)
+                splan.scatter, slot_of_entry, table.sign, splan.pairs_per_string,
+                (nstr, NK * L),
             )
-            assert np.array_equal(splan.scatter.indices, splan.key)
-            assert np.array_equal(splan.scatter.data, splan.sign)
 
-    def test_sweeps_leave_a_read_only_vector_untouched(self, n, na, nb):
+    def test_sweeps_leave_a_read_only_vector_untouched(self, n, na, nb, tmp_path):
         from repro.core.kernels import DgemmKernel
 
         plan = self._plan(n, na, nb)
         C = plan.problem.random_vector(3)
         frozen = C.copy()
         frozen.flags.writeable = False
+        np.save(tmp_path / "c.npy", C)
+        on_disk = np.load(tmp_path / "c.npy", mmap_mode="r")
         for block_columns in (None, 2):
             kern = DgemmKernel(plan, block_columns=block_columns)
-            assert np.array_equal(kern.apply(frozen), kern.apply(C))
-        assert np.array_equal(frozen, C)
+            expected = kern.apply(C)
+            for given in (frozen, on_disk):
+                assert np.array_equal(kern.apply(given), expected)
+        assert np.array_equal(frozen, C) and np.array_equal(on_disk, C)
 
     def test_nbytes_counts_each_distinct_array_once(self, n, na, nb):
         plan = self._plan(n, na, nb)
@@ -436,10 +463,6 @@ class TestGatherScatterTables:
             if part is not None
         ]
         held = [plan.w_matrix, plan.g_matrix]
-        # the triangular operand of the half sweep, closed shell only
-        assert (plan.g_half is not None) == (na == nb)
-        if plan.g_half is not None:
-            held.append(plan.g_half)
         for csr in (plan.Ta, plan.Tb, *(part.scatter for part in parts)):
             held += [csr.data, csr.indices, csr.indptr]
         for part in parts:
@@ -449,5 +472,5 @@ class TestGatherScatterTables:
         # closed shell shares every alpha/beta table (counted once); open
         # shell holds two halves and up to two same-spin plans
         n_tables = {(6, 3, 3): 2, (7, 4, 3): 4, (8, 4, 1): 3, (7, 3, 0): 3}[n, na, nb]
-        for name in ("gather_index", "scatter"):
-            assert len({id(getattr(part, name)) for part in parts}) == n_tables
+        assert len({id(part.scatter) for part in parts}) == n_tables
+        assert plan.closed_shell == (na == nb)

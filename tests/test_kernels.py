@@ -113,8 +113,8 @@ class TestBatchedCounters:
 
 
 class TestScratchReuse:
-    """D and E (and the same-spin signed source) are reused across blocks:
-    nothing of one block, vector or call may leak into the next."""
+    """D and E are reused across blocks (and across beta strings): nothing
+    of one block, vector or call may leak into the next."""
 
     BLOCK = 4  # nb = 15 -> blocks of 4, 4, 4 and a ragged 3
 
@@ -155,9 +155,9 @@ class TestScratchReuse:
         assert np.array_equal(out, full)
 
     def test_col_blocks_is_consumed_one_block_at_a_time(self, problem):
-        """What a rank's mixed phase does: one sweep (one signed source, one
-        scratch) over a generator that claims work only when asked - every
-        earlier block is finished before the next one is requested."""
+        """What a rank's mixed phase does: one sweep (one transposed copy of
+        C, one scratch) over a generator that claims work only when asked -
+        every earlier block is finished before the next one is requested."""
         plan = SigmaPlan.for_problem(problem)
         C = problem.random_vector(22)
         full = mixed_spin_sigma(plan, C, self.BLOCK, None)
@@ -182,6 +182,91 @@ class TestScratchReuse:
     def test_batch_of_three_on_ragged_blocks(self, problem):
         kern = DgemmKernel(SigmaPlan.for_problem(problem), block_columns=self.BLOCK)
         assert_batch_is_the_loop(kern, stack_of_vectors(problem, 3, seed=31))
+
+
+def _edge_spaces(n):
+    """(n, n_alpha, n_beta) with each spin's electron count at an edge of the
+    compressed layout: an empty spin (no singles at all), k = 1 (no
+    same-spin plan), k = 2 (one N-2 string that allows every pair: L =
+    C(n, 2)), k = n - 1 (L = 3) and the full shell (L = 1, one string)."""
+    edges = [0, 1, 2, n - 1, n]
+    return [(n, ka, kb) for ka in edges for kb in edges if ka >= kb]
+
+
+class TestOccupationCompressedSweeps:
+    """Only what a string's occupation allows is gathered, multiplied and
+    scattered - at every edge of 'allows', against the dense Hamiltonian."""
+
+    @pytest.mark.parametrize("block_columns", [1, 3, None])
+    @pytest.mark.parametrize(
+        "n,n_alpha,n_beta", _edge_spaces(5), ids=lambda v: str(v)
+    )
+    def test_edges_match_dense_hamiltonian(self, n, n_alpha, n_beta, block_columns):
+        prob = make_random_problem(n, n_alpha, n_beta, seed=11)
+        plan = SigmaPlan.for_problem(prob)
+        for splan, k in ((plan.same_a, n_alpha), (plan.same_b, n_beta)):
+            assert (splan is None) == (k < 2)
+        C = prob.random_vector(8)
+        sigma = DgemmKernel(plan, block_columns=block_columns).apply(C)
+        assert _close(sigma, _dense_sigma(prob, C))
+
+    @pytest.mark.parametrize("space", [(7, 6, 2), (6, 5, 2), (7, 6, 1), (6, 2, 2)],
+                             ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b")
+    def test_ragged_blocks_match_dense_hamiltonian(self, space):
+        # 7 x 21, 6 x 15, 7 x 7 and 15 x 15 determinants: width 4 leaves a
+        # ragged last block on both axes of each
+        prob = make_random_problem(*space, seed=12)
+        C = prob.random_vector(9)
+        dense = _dense_sigma(prob, C)
+        for block_columns in (1, 4, None):
+            kern = DgemmKernel(SigmaPlan.for_problem(prob), block_columns=block_columns)
+            assert _close(kern.apply(C), dense)
+
+    @pytest.mark.parametrize("space", [(5, 2, 2), (6, 3, 2), (5, 4, 1), (5, 5, 1)],
+                             ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b")
+    def test_mixed_term_does_not_depend_on_the_blocking(self, space):
+        """Every beta column is its own DGEMM: the mixed term is the same to
+        the bit at any width, over any subset of blocks, in any order."""
+        prob = make_random_problem(*space, seed=13)
+        plan = SigmaPlan.for_problem(prob)
+        C = prob.random_vector(10)
+        nb = plan.shape[1]
+        default = plan.default_block_columns()
+        full = mixed_spin_sigma(plan, C, default, None)
+        for width in (1, 4, default):
+            assert np.array_equal(mixed_spin_sigma(plan, C, width, None), full)
+            blocks = column_blocks(nb, width)
+            out = np.zeros_like(C)
+            for subset in (blocks[1::2][::-1], blocks[0::2]):
+                mixed_spin_sigma(plan, C, width, None, col_blocks=subset, out=out)
+            assert np.array_equal(out, full)
+
+    @pytest.mark.parametrize("space", [(5, 2, 2), (6, 3, 2), (5, 4, 1), (5, 2, 1)],
+                             ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b")
+    def test_row_subset_tasks_assemble_the_mixed_term(self, space):
+        """What a simulated rank's task does: fetch only the alpha rows its
+        targets connect to, scatter through its own slice of the alpha half
+        (sources renumbered into the fetched rows)."""
+        from repro.core.plans import MixedSpinHalfPlan
+
+        prob = make_random_problem(*space, seed=14)
+        plan = SigmaPlan.for_problem(prob)
+        C = prob.random_vector(11)
+        sa, na = plan.scatter_a, plan.shape[0]
+        full = mixed_spin_sigma(plan, C, 3, None)
+        scale = max(np.abs(full).max(), 1.0)
+        for start, stop in [(0, 1), (1, na // 2 + 1), (na // 2 + 1, na)]:
+            entries = slice(start * sa.per, stop * sa.per)
+            rows, local = np.unique(sa.source[entries], return_inverse=True)
+            task_half = MixedSpinHalfPlan.from_entries(
+                plan.n, rows.size, stop - start, local, sa.target[entries] - start,
+                sa.p[entries], sa.q[entries], sa.sign[entries],
+            )
+            for block_columns in (1, 3, None):
+                width = block_columns or plan.default_block_columns()
+                part = mixed_spin_sigma(plan, C[rows], width, None, scatter=task_half)
+                assert part.shape == (stop - start, plan.shape[1])
+                assert np.abs(part - full[start:stop]).max() <= 1e-12 * scale
 
 
 @contextmanager
@@ -283,22 +368,32 @@ class TestPlanCaching:
     def test_default_block_columns_heuristic(self, problem):
         plan = SigmaPlan.for_problem(problem)
         m = plan.default_block_columns()
-        assert 1 <= m <= 1024
+        assert 1 <= m <= 64
         # tiny budget clamps down, huge budget clamps at the ceiling
         assert plan.default_block_columns(memory_budget_mb=0) == 1
-        assert plan.default_block_columns(memory_budget_mb=10**6) == 1024
+        assert plan.default_block_columns(memory_budget_mb=10**6) == 64
 
     def test_default_block_is_cache_sized_not_budget_sized(self):
-        """D + E of one block fit ~32 MiB however large the memory budget;
-        the budget (less resident vectors) only ever narrows the block."""
-        plan = SigmaPlan.for_problem(make_random_problem(10, 5, 5, seed=1))
-        na, _ = plan.shape
-        per_column = 2 * 8 * plan.g_matrix.shape[0] * na
+        """The same-spin D + E of one block - one row per open pair of each
+        N-2 string - fit ~12 MiB however large the memory budget, and a block
+        is never wider than 64; the budget (less resident vectors) only ever
+        narrows it."""
+        # alpha strings of FCI(6+6,12) against 12 beta strings: 495 * 28 slots
+        plan = SigmaPlan.for_problem(make_random_problem(12, 6, 1, seed=1))
+        assert plan.same_b is None
+        per_column = 2 * 8 * plan.same_a.n_reduced * plan.same_a.open_pairs
+        assert per_column == 2 * 8 * 495 * 28
         m = plan.default_block_columns()
-        assert m * per_column <= 32 * 2**20 < (m + 1) * per_column
+        assert m * per_column <= 12 * 2**20 < (m + 1) * per_column
+        assert m == 56
         assert plan.default_block_columns(memory_budget_mb=10**6) == m
         assert plan.default_block_columns(memory_budget_mb=8) < m
         assert plan.default_block_columns(resident_bytes=250 * 2**20) < m
+        # 120 * 21 slots: 12 MiB would hold 312 columns of them
+        small = SigmaPlan.for_problem(make_random_problem(10, 5, 5, seed=1))
+        assert small.default_block_columns() == 64
+        narrowed = small.default_block_columns(memory_budget_mb=1)
+        assert narrowed * 16 * 120 * 21 <= 2**20 < (narrowed + 1) * 16 * 120 * 21
 
 
 class TestKernelRegistry:

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import pathlib
 import threading
+from math import comb
 
 import numpy as np
 import pytest
@@ -232,7 +233,8 @@ class TestFlopAccounting:
         counters = SigmaCounters()
         sigma_dgemm(problem, counters=counters, C=problem.random_vector(0))
         nci = problem.dimension
-        assert counters.dgemm_flops == dgemm_mixed_spin_flops(n, nci)
+        # per beta string: 10 packed pairs x the 4 singles that reach it
+        assert counters.dgemm_flops == dgemm_mixed_spin_flops(n, 1, nci) == 2 * 10 * 4 * nci
 
     def test_full_space_matches_closed_form(self):
         n = 6
@@ -241,21 +243,42 @@ class TestFlopAccounting:
         counters = SigmaCounters()
         sigma_dgemm(problem, problem.random_vector(1), counters=counters)
         na, nb = problem.shape
-        npair = problem.w_matrix.shape[0]
-        expected = dgemm_mixed_spin_flops(n, na * nb)
-        expected += dgemm_same_spin_flops(
-            npair, problem.doubles_a.reduced_space.size, nb
-        )
-        expected += dgemm_same_spin_flops(
-            npair, problem.doubles_b.reduced_space.size, na
-        )
+        expected = dgemm_mixed_spin_flops(n, 3, na * nb)
+        expected += dgemm_same_spin_flops(n, 3, nb)
+        expected += dgemm_same_spin_flops(n, 3, na)
         assert counters.dgemm_flops == expected
+        # mixed: 21 packed pairs x 3 * 4 singles per beta string; same-spin:
+        # the 6 one-electron strings each allow C(5, 2) = 10 pairs
+        assert expected == 2 * 21 * 12 * 400 + 2 * (2 * 10**2 * 6 * 20)
         # gather/scatter traffic counts table entries x block width, whatever
-        # the layout of the intermediates: pair packing must not move them
+        # the layout of the intermediates: neither pair packing nor dropping
+        # the structural zeros moves them
         plan = problem.sigma_plan
         same = plan.same_a.n_entries * nb + plan.same_b.n_entries * na
         assert counters.gather_elements == plan.gather_b.n_entries * na + same
         assert counters.scatter_elements == plan.scatter_a.n_entries * nb + same
+
+    def test_closed_forms_on_the_benchmark_spaces(self):
+        """What the kernel multiplies on the e2e workloads' spaces, from (n,
+        n_alpha, n_beta) alone, beside the full pair space it used to."""
+
+        def sigma_flops(n, n_alpha, n_beta):
+            na, nb = comb(n, n_alpha), comb(n, n_beta)
+            return (
+                dgemm_mixed_spin_flops(n, n_beta, na * nb)
+                + dgemm_same_spin_flops(n, n_alpha, nb)
+                + dgemm_same_spin_flops(n, n_beta, na)
+            )
+
+        assert sigma_flops(12, 6, 6) == 7_028_284_032  # was 18_358_135_488
+        assert sigma_flops(12, 6, 5) == 5_708_102_400  # was 14_091_067_584
+        assert sigma_flops(12, 4, 4) == 1_640_687_400  # was 3_550_706_280
+        # a spin with fewer than two electrons has no same-spin term
+        assert dgemm_same_spin_flops(8, 1, 70) == dgemm_same_spin_flops(8, 0, 70) == 0
+        # k = 2: the one empty string allows every pair - the whole of W
+        assert dgemm_same_spin_flops(8, 2, 70) == 2 * 28**2 * 70
+        # a full shell allows one pair per N-2 string
+        assert dgemm_same_spin_flops(8, 8, 70) == 2 * 1 * 28 * 70
 
     def test_telemetry_routes_through_registry(self):
         mo = make_random_mo(5, seed=2)

@@ -39,27 +39,28 @@ from repro.core import kernels, model_space, operator
 from repro.core.hamiltonian import det_matrix_element
 from repro.core.kernels import SigmaCounters, transpose_parity
 from repro.molecule import Molecule
+from repro.obs import dgemm_mixed_spin_flops, dgemm_same_spin_flops
 from tests.helpers import make_random_problem, make_symmetry_problem
 
 
-def general_flops(plan) -> int:
-    """DGEMM flops of one general sigma: alpha-alpha, beta-beta, full G."""
-    na, nb = plan.shape
-    flops = 2 * plan.g_matrix.shape[0] ** 2 * na * nb
-    for splan, columns in ((plan.same_a, nb), (plan.same_b, na)):
-        if splan is not None:
-            flops += 2 * splan.n_pairs**2 * splan.n_reduced * columns
-    return flops
-
-
 def half_flops(plan) -> int:
-    """... of one half sweep: alpha-alpha and the triangle of G."""
+    """DGEMM flops of one half sweep, from the closed forms in (n, n_alpha,
+    n_beta) - never from a run: alpha-alpha, and the whole mixed product
+    (its signs are halved, not its shape)."""
+    problem = plan.problem
     na, nb = plan.shape
-    npair = plan.g_matrix.shape[0]
-    flops = npair * (npair + 1) * na * nb
-    if plan.same_a is not None:
-        flops += 2 * plan.same_a.n_pairs**2 * plan.same_a.n_reduced * nb
-    return flops
+    return int(
+        dgemm_mixed_spin_flops(problem.n, problem.n_beta, na * nb)
+        + dgemm_same_spin_flops(problem.n, problem.n_alpha, nb)
+    )
+
+
+def general_flops(plan) -> int:
+    """... of one general sigma: beta-beta as well."""
+    problem = plan.problem
+    return half_flops(plan) + int(
+        dgemm_same_spin_flops(problem.n, problem.n_beta, plan.shape[0])
+    )
 
 
 @contextmanager
@@ -111,7 +112,8 @@ class TestHalfSweepOracle:
         "space", [(6, 1, 1), (7, 2, 2), (6, 3, 3)], ids=lambda s: f"{s[1]}+{s[2]}in{s[0]}"
     )
     def test_matches_dense_hamiltonian(self, space, block_columns, eps):
-        # (6, 1, 1) has no same-spin plan: the half sweep is T_a and G alone
+        # (6, 1, 1) has no same-spin plan: the half sweep is T_a and G alone,
+        # and costs the general sweep's flops
         problem, H = _space(*space)
         plan = SigmaPlan.for_problem(problem)
         C = _with_parity(problem.random_vector(5), eps)
@@ -179,12 +181,15 @@ class TestHalfSweepSelection:
         general, half = SigmaCounters(), SigmaCounters()
         kernel.apply(X, general)
         kernel.apply(X + X.T, half)
-        assert general.dgemm_flops == 3_550_706_280 == general_flops(kernel.plan)
-        assert half.dgemm_flops == 78 * 79 * 245_025 + 2 * 66**2 * 66 * 495
-        assert half.dgemm_flops == 1_794_465_090 == half_flops(kernel.plan)
-        assert (general.dgemm_calls, half.dgemm_calls) == (30, 20)
-        # every F_rs and every E_pq is still needed: the mixed gather and
-        # scatter do not shrink, only the beta-beta sweep's disappear
+        assert general.dgemm_flops == 1_640_687_400 == general_flops(kernel.plan)
+        assert half.dgemm_flops == 2 * 78 * 36 * 245_025 + 2 * 45**2 * 66 * 495
+        assert half.dgemm_flops == 1_508_373_900 == half_flops(kernel.plan)
+        # one DGEMM per beta string; per same-spin sweep one per N-2 string
+        # (66) and column block (8 of them, 64 wide)
+        assert kernel.block_columns == 64
+        assert (general.dgemm_calls, half.dgemm_calls) == (495 + 2 * 528, 495 + 528)
+        # the mixed sweep is the general one with halved signs: its gather
+        # and scatter do not shrink, only the beta-beta sweep's disappear
         bb = SigmaCounters()
         kernels.same_spin_sigma(
             kernel.plan.same_b, kernel.plan.w_matrix, X, kernel.block_columns, bb
@@ -220,7 +225,7 @@ class TestHalfSweepSelection:
         problem, H = _space(5, 3, 2)
         assert problem.shape == (10, 10)
         plan = SigmaPlan.for_problem(problem)
-        assert plan.g_half is None
+        assert not plan.closed_shell
         X = problem.random_vector(5)
         C = X + X.T
         assert transpose_parity(plan, C) == 0

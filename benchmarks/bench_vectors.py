@@ -1,19 +1,10 @@
-"""CI-vector storage layer: overhead gate + CDFCI-vs-Davidson table.
+"""CI-vector storage layer: the dense-vs-mmap overhead gate.
 
-Two gated results, written to ``BENCH_vectors.json``:
-
-1. **Dense-vs-mmap overhead** on an in-RAM size: the identical Davidson
-   solve run through plain ndarrays and through :class:`MmapStore` must
-   agree to 1e-10 and the out-of-core run must cost <10% extra — the
-   storage layer is a representation change, not a slowdown, when the
-   space still fits.
-2. **CDFCI vs Davidson on FCI(6+5,13)** (2.2M determinants, weakly
-   coupled synthetic integrals): iteration/energy/footprint table
-   comparing the sparse coordinate-descent solver against dense
-   Davidson — the "earns its keep" demonstration that a bounded-support
-   solver descends toward the dense answer while holding ~2% of the
-   vector.  Gated on the variational bound, monotone sweep energies,
-   and recovering a majority of the Davidson correlation energy.
+On an in-RAM size the identical Davidson solve is run through plain
+ndarrays and through :class:`MmapStore`; the two must agree to 1e-10 and
+the out-of-core run must cost <10% extra - the storage layer is a
+representation change, not a slowdown, when the space still fits.  The
+result is written to ``BENCH_vectors.json``.
 """
 
 import time
@@ -22,7 +13,6 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.core import CIProblem, ModelSpacePreconditioner, davidson_solve, sigma_dgemm
-from repro.core.cdfci import cdfci_solve
 from repro.core.vectors import MmapStore
 from repro.scf.mo import MOIntegrals
 
@@ -40,27 +30,11 @@ def _random_problem(n, na, nb, seed=0):
     return CIProblem(MOIntegrals(h=h, g=g, e_core=0.0, n_orbitals=n), na, nb)
 
 
-def _weakly_coupled_problem(n, na, nb, scale, seed=0):
-    # a spread orbital-energy ladder plus weak random couplings: the ground
-    # state concentrates on a compact set of determinants, which is the
-    # regime coordinate-descent FCI is built for (fully random integrals
-    # couple every determinant equally and defeat any bounded-support
-    # method long before it defeats Davidson)
-    rng = np.random.default_rng(seed)
-    h = np.diag(np.linspace(-2.0, 3.0, n)) + scale * rng.standard_normal((n, n))
-    h = 0.5 * (h + h.T)
-    g = scale * rng.standard_normal((n,) * 4)
-    g = g + g.transpose(1, 0, 2, 3)
-    g = g + g.transpose(0, 1, 3, 2)
-    g = g + g.transpose(2, 3, 0, 1)
-    return CIProblem(MOIntegrals(h=h, g=g, e_core=0.0, n_orbitals=n), na, nb)
-
-
 def test_bench_vectors(tmp_path):
     rows = []
     metrics = {}
 
-    # -- 1. dense-vs-mmap overhead on an in-RAM size (dim 44100) ------------
+    # dense-vs-mmap overhead on an in-RAM size (dim 44100)
     prob = _random_problem(10, 4, 4, seed=5)
     precond = ModelSpacePreconditioner(prob, 200)
     guess = precond.ground_state_guess()
@@ -107,90 +81,12 @@ def test_bench_vectors(tmp_path):
     metrics["mmap_overhead_frac"] = round(overhead, 4)
     metrics["in_ram_dimension"] = prob.dimension
 
-    # -- 2. CDFCI vs Davidson on FCI(6+5,13): 1716 x 1287 = 2.2M dets -------
-    big = _weakly_coupled_problem(13, 6, 5, scale=0.01, seed=7)
-    precond = ModelSpacePreconditioner(big, 50)
-    guess = precond.ground_state_guess()
-
-    def sigma_big(C):
-        return sigma_dgemm(big, C)
-
-    t0 = time.perf_counter()
-    dav = davidson_solve(
-        sigma_big, guess, precond, residual_tol=1e-4, max_iterations=25
-    )
-    t_dav = time.perf_counter() - t0
-
-    capacity = 50_000
-    t0 = time.perf_counter()
-    cd = cdfci_solve(
-        big,
-        guess=guess,
-        capacity=capacity,
-        updates_per_iteration=1000,
-        max_iterations=10,
-    )
-    t_cd = time.perf_counter() - t0
-
-    err = cd.energy - dav.energy
-    # fraction of the Davidson correlation energy (measured from cdfci's
-    # first full sweep) recovered within the fixed coordinate-update budget
-    e_first = cd.energies[0]
-    recovered = (e_first - cd.energy) / (e_first - dav.energy)
-    rows.append(
-        [
-            f"davidson ({dav.n_iterations} it)",
-            big.dimension,
-            "-",
-            f"{dav.energy:.8f}",
-            f"{t_dav:.1f}",
-        ]
-    )
-    rows.append(
-        [
-            f"cdfci ({cd.n_iterations} sweeps, cap {capacity})",
-            capacity,
-            f"{err:+.2e}",
-            f"{cd.energy:.8f}",
-            f"{t_cd:.1f}",
-        ]
-    )
-    metrics["fci_6p5_13"] = {
-        "dimension": big.dimension,
-        "davidson_energy": dav.energy,
-        "davidson_iterations": dav.n_iterations,
-        "cdfci_energy": cd.energy,
-        "cdfci_sweeps": cd.n_iterations,
-        "cdfci_capacity": capacity,
-        "cdfci_minus_davidson": err,
-        "cdfci_recovered_correlation_frac": round(recovered, 4),
-        "support_fraction": capacity / big.dimension,
-    }
-
     text = format_table(
         ["run", "held dets", "|dE| vs dense", "energy", "wall s"],
         rows,
-        title="CI-vector stores: mmap overhead (in-RAM) + CDFCI vs Davidson, FCI(6+5,13)",
+        title="CI-vector stores: mmap overhead on an in-RAM size",
     )
-    text += (
-        f"\nmmap overhead on in-RAM size: {100 * overhead:+.1f}% (gate: <10%)"
-        f"\ncdfci holds {100 * capacity / big.dimension:.1f}% of the 2.2M-det vector"
-        f" and recovers {100 * recovered:.1f}% of the Davidson correlation"
-        f" energy (gate: >50%)"
-    )
+    text += f"\nmmap overhead on in-RAM size: {100 * overhead:+.1f}% (gate: <10%)"
     write_result("BENCH_vectors", text, rows=rows, metrics=metrics)
 
-    # the gates
     assert overhead < 0.10, f"mmap overhead {100 * overhead:.1f}% exceeds 10%"
-    # a coordinate solver bounded to ~2% of the space never dips below the
-    # dense answer (variational bound; small slack because the Davidson
-    # reference itself stops at residual_tol=1e-4)...
-    assert err > -1e-3
-    # ...descends monotonically sweep over sweep...
-    sweeps = np.asarray(cd.energies)
-    assert np.all(np.diff(sweeps) <= 1e-9)
-    # ...and recovers most of the correlation energy within its fixed
-    # budget of 10k coordinate updates (measured ~69%; the tail of
-    # coordinate descent is linear-rate, so exact agreement is a test
-    # concern — see tests/test_vectors.py — not a benchmark gate)
-    assert recovered > 0.50, f"cdfci recovered only {100 * recovered:.1f}%"

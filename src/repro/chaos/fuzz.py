@@ -161,6 +161,13 @@ class FuzzCase:
         )
         if case.harness == "sigma" and case.plan is None:
             raise ValueError("a sigma case needs a 'plan'")
+        if case.harness == "solver":
+            method = case.knobs.get("method", "auto")
+            if method not in SolverHarness._METHODS:
+                raise ValueError(
+                    f"a solver case runs one of {', '.join(SolverHarness._METHODS)}; "
+                    f"got method {method!r}"
+                )
         return case
 
 
@@ -297,12 +304,10 @@ class _Killed(Exception):
 class SolverHarness:
     """Kills and resumes checkpointed solves; asserts exact replay.
 
-    Beyond the dense in-RAM methods, the lane covers the storage layer:
+    Beyond the in-RAM methods, the lane covers the storage layer:
     ``davidson-mmap`` runs Davidson with its held subspace in an
-    out-of-core :class:`~repro.core.vectors.MmapStore` (killed the same
-    way, via sigma-call counting), and ``cdfci`` runs the sparse-store
-    coordinate-descent solver - it evaluates no sigma at all, so the kill
-    fires from its per-sweep ``on_iteration`` hook instead.
+    out-of-core :class:`~repro.core.vectors.MmapStore`, killed the same
+    way, via sigma-call counting.
     """
 
     _METHODS = {
@@ -310,11 +315,6 @@ class SolverHarness:
         "auto": {},
         "davidson": {},
         "davidson-mmap": {},
-        # the synthetic problem's ~190 Ha spectral scale leaves cdfci's
-        # incrementally-maintained b = Hc a float plateau around |r| ~ 3e-5;
-        # the lane's invariant is resumed-vs-uninterrupted, so the looser
-        # residual gate costs nothing
-        "cdfci": dict(max_iterations=300, residual_tol=1e-4),
     }
 
     def __init__(self):
@@ -341,32 +341,11 @@ class SolverHarness:
 
         return sigma_dgemm(self.problem, C)
 
-    def _run_cdfci(self, ckpt, kill_at):
-        from ..core.cdfci import cdfci_solve
-
-        hook = None
-        if kill_at is not None:
-
-            def hook(iteration, _energy):
-                if iteration >= kill_at:
-                    raise _Killed
-
-        return cdfci_solve(
-            self.problem,
-            guess=self.guess,
-            checkpoint=ckpt,
-            on_iteration=hook,
-            **self._METHODS["cdfci"],
-        )
-
     def reference(self, method: str):
         if method not in self._refs:
-            if method == "cdfci":
-                res = self._run_cdfci(None, None)
-            else:
-                res = self._solvers[method](
-                    self._sigma, self.guess, self.precond, **self._METHODS[method]
-                )
+            res = self._solvers[method](
+                self._sigma, self.guess, self.precond, **self._METHODS[method]
+            )
             assert res.converged
             self._refs[method] = res
         return self._refs[method]
@@ -391,16 +370,6 @@ class SolverHarness:
             while attempts < _SOLVER_MAX_ATTEMPTS:
                 attempts += 1
                 this_kill = kill_at if attempts == 1 else None
-
-                if method == "cdfci":
-                    try:
-                        result = self._run_cdfci(ckpt, this_kill)
-                        break
-                    except (_Killed, OSError):
-                        continue
-                    except Exception as exc:
-                        return ("no_crash", f"{type(exc).__name__}: {exc}")
-
                 if this_kill is not None:
                     calls = [0]
 
@@ -445,11 +414,8 @@ class SolverHarness:
         err = abs(result.energy - ref.energy)
         if not err < _TOL:
             return ("solver_resume_energy", f"|E - E_ref| = {err:.3e} for {method}")
-        if method in ("olsen", "auto", "cdfci") and list(result.energies) != list(
-            ref.energies
-        ):
-            # the single-vector methods (and cdfci, whose checkpoint carries
-            # the exact coordinate state) replay their exact iteration
+        if method in ("olsen", "auto") and list(result.energies) != list(ref.energies):
+            # the single-vector methods replay their exact iteration
             # sequence from any checkpoint; davidson restarts from a
             # collapsed subspace (a few extra iterations are its contract),
             # so only the energy invariant above applies to it
@@ -624,7 +590,7 @@ def generate_case(seed: int, budget: FuzzBudget, env: ChaosEnv) -> FuzzCase:
         plan = budget.clamp(build_fault_plan(names, env, seed))
         return FuzzCase(seed=seed, harness="sigma", scenarios=names, plan=plan)
     if r < budget.w_sigma + budget.w_solver:
-        method = rng.choice(("olsen", "auto", "davidson", "davidson-mmap", "cdfci"))
+        method = rng.choice(tuple(SolverHarness._METHODS))
         kill_frac = round(rng.uniform(0.2, 0.9), 3) if rng.random() < 0.7 else None
         # every save failure kills the attempt, so survival over an
         # ~25-iteration solve goes like (1-p)^25: keep p where finishing

@@ -43,14 +43,11 @@ from .vectors import (
     CIVectorStore,
     DenseStore,
     MmapStore,
-    SparseStore,
-    as_dense_array,
     make_store,
     publish_store_metrics,
     register_store,
     store_kinds,
 )
-from .cdfci import HamiltonianColumns, cdfci_solve
 from .spin import SpinOperator, apply_s2, s_plus, s_squared
 from .rdm import natural_orbitals, one_rdm
 from .multiroot import MultiRootResult, davidson_multiroot
@@ -109,14 +106,10 @@ __all__ = [
     "CIVectorStore",
     "DenseStore",
     "MmapStore",
-    "SparseStore",
-    "as_dense_array",
     "make_store",
     "publish_store_metrics",
     "register_store",
     "store_kinds",
-    "HamiltonianColumns",
-    "cdfci_solve",
     "SpinOperator",
     "apply_s2",
     "s_plus",

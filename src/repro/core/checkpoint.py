@@ -28,8 +28,6 @@ under ``solver.checkpoint.store_mismatch``) instead of silently pulling a
 bigger-than-RAM vector into memory; an mmap-backed restart resumes from a
 ``<path>.vec.npy`` sidecar that is CRC-verified in streamed chunks and then
 memory-mapped read-only, so resume never materializes the full vector.
-Solvers with extra restart payloads (CDFCI's coordinate arrays) ride along
-in ``CheckpointState.arrays``, each CRC-verified like the vector.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ class CheckpointError(RuntimeError):
 class CheckpointState:
     """Everything needed to resume an iterative eigensolve."""
 
-    method: str  # "olsen" | "auto" | "davidson" | "cdfci"
+    method: str  # "olsen" | "auto" | "davidson"
     iteration: int  # completed iterations
     n_sigma: int  # sigma evaluations so far
     vector: np.ndarray  # current CI iterate (post-update, normalized)
@@ -65,7 +63,6 @@ class CheckpointState:
     energies: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     store_kind: str = "dense"  # CI-vector storage backend that wrote this
-    arrays: dict = field(default_factory=dict)  # extra named restart arrays
 
 
 def _stream_crc32(path: str, chunk: int = 1 << 22) -> int:
@@ -165,9 +162,6 @@ class Checkpointer:
             )
         vec = np.ascontiguousarray(state.vector)
         out_of_core = state.store_kind == "mmap"
-        extras = {
-            name: np.ascontiguousarray(arr) for name, arr in state.arrays.items()
-        }
         header = {
             "version": _FORMAT_VERSION,
             "method": state.method,
@@ -179,11 +173,10 @@ class Checkpointer:
             "shape": list(vec.shape),
             "dtype": str(vec.dtype),
             "store": state.store_kind,
-            "arrays": {name: zlib.crc32(a.tobytes()) for name, a in extras.items()},
         }
         if out_of_core:
             # vector payload goes to the sidecar so a resume can map it
-            # instead of loading it; the npz keeps header + small arrays
+            # instead of loading it; the npz keeps the header
             header["crc32"] = self._write_sidecar(vec)
             header["vector_file"] = os.path.basename(self.sidecar_path)
             payload = np.zeros(0)
@@ -193,12 +186,7 @@ class Checkpointer:
         blob = json.dumps(header).encode()
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as f:
-            np.savez(
-                f,
-                vector=payload,
-                header=np.frombuffer(blob, dtype=np.uint8),
-                **{f"arr_{name}": a for name, a in extras.items()},
-            )
+            np.savez(f, vector=payload, header=np.frombuffer(blob, dtype=np.uint8))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, self.path)
@@ -232,7 +220,9 @@ class Checkpointer:
         An out-of-core ("mmap") checkpoint keeps its vector in the
         ``<path>.vec.npy`` sidecar: the CRC is verified by streaming the
         file in chunks and the vector is returned as a *read-only memory
-        map* - resume never loads the full payload into RAM.
+        map* - resume never loads the full payload into RAM.  Members other
+        than the vector and the header (an older format's extra restart
+        arrays) are not read.
         """
         if not os.path.exists(self.path):
             return None
@@ -240,10 +230,6 @@ class Checkpointer:
             with np.load(self.path) as z:
                 vec = np.array(z["vector"])
                 header = json.loads(bytes(z["header"].tobytes()).decode())
-                extras = {
-                    name: np.array(z[f"arr_{name}"])
-                    for name in header.get("arrays", {})
-                }
         except Exception as exc:  # torn write, not an npz, bad JSON, ...
             raise CheckpointError(f"unreadable checkpoint {self.path!r}: {exc}") from exc
         if header.get("version") != _FORMAT_VERSION:
@@ -264,11 +250,6 @@ class Checkpointer:
             vec = np.lib.format.open_memmap(sidecar, mode="r")
         elif zlib.crc32(vec.tobytes()) != header["crc32"]:
             raise CheckpointError(f"checkpoint {self.path!r} failed CRC32 verification")
-        for name, crc in header.get("arrays", {}).items():
-            if zlib.crc32(extras[name].tobytes()) != crc:
-                raise CheckpointError(
-                    f"checkpoint {self.path!r} array {name!r} failed CRC32 verification"
-                )
         return CheckpointState(
             method=header["method"],
             iteration=header["iteration"],
@@ -278,7 +259,6 @@ class Checkpointer:
             energies=header["energies"],
             residual_norms=header["residual_norms"],
             store_kind=store_kind,
-            arrays=extras,
         )
 
     def restore(

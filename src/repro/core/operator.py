@@ -33,7 +33,6 @@ from .kernels import (
 )
 from .plans import SigmaPlan
 from .spin import SpinOperator
-from .vectors import as_dense_array
 
 __all__ = ["HamiltonianOperator", "SigmaFn"]
 
@@ -120,13 +119,11 @@ class HamiltonianOperator:
     def apply(self, C) -> np.ndarray:
         """sigma for one (na, nb) CI vector.
 
-        ``C`` may be a plain ndarray or any
-        :class:`repro.core.vectors.CIVectorStore` - dense and mmap stores
-        pass their backing array through zero-copy (an ``np.memmap`` *is*
-        an ndarray, so the kernels stream its pages block by block), a
-        sparse store is densified first.
+        ``C`` is an ndarray; a store-backed vector is passed as the store's
+        ``as_ndarray()`` (an ``np.memmap`` *is* an ndarray, so the kernels
+        stream its pages block by block).
         """
-        C = np.asarray(as_dense_array(C))
+        C = np.asarray(C)
         sigma = self._decorate(
             C, timed_apply(self.kernel, C, self.counters, self.telemetry)
         )

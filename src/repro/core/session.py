@@ -1,6 +1,6 @@
 """One solve session: everything around an eigensolver that is not its math.
 
-Every dense iterative solver (:mod:`~repro.core.olsen`,
+Every iterative solver (:mod:`~repro.core.olsen`,
 :mod:`~repro.core.auto_single`, :mod:`~repro.core.davidson`,
 :mod:`~repro.core.multiroot`) runs inside one :class:`SolveSession`, which
 owns what they share and the four parameters that configure it:

@@ -47,7 +47,7 @@ logger = logging.getLogger(__name__)
 # -- eigensolver method registry ------------------------------------------
 # Mirrors the kernel registry in repro.core.kernels: methods register a
 # dispatch function and FCISolver validates/routes by name, so adding a
-# solver (the way cdfci does below) never edits the driver's if/elif chain.
+# solver never edits the driver's if/elif chain.
 _METHODS: dict = {}
 
 
@@ -90,25 +90,6 @@ def _dispatch_olsen(solver, problem, sigma_fn, guess, precond, store, kwargs):
 def _dispatch_olsen_damped(solver, problem, sigma_fn, guess, precond, store, kwargs):
     return olsen_solve(
         sigma_fn, guess, precond, step=solver.olsen_step, store=store, **kwargs
-    )
-
-
-@register_method("cdfci")
-def _dispatch_cdfci(solver, problem, sigma_fn, guess, precond, store, kwargs):
-    from .cdfci import cdfci_solve
-
-    kwargs = dict(kwargs)
-    kwargs.pop("telemetry", None)
-    kwargs.pop("checkpoint", None)
-    opts = dict(solver.vector_store or {})
-    opts.pop("kind", None)
-    return cdfci_solve(
-        problem,
-        guess=guess,
-        telemetry=solver.telemetry,
-        checkpoint=solver.checkpoint,
-        **opts,
-        **kwargs,
     )
 
 
@@ -162,21 +143,18 @@ class FCISolver:
     method:
         A registered eigensolver method (:func:`method_names`): "auto"
         (paper's automatically adjusted single-vector method), "davidson",
-        "olsen", "olsen-damped", or "cdfci" (coordinate-descent FCI on a
-        sparse store; incompatible with ``spin_penalty`` and ``parallel``).
+        "olsen" or "olsen-damped".
     vector_store:
         CI-vector storage backend for the solver's held vectors: a
         registered store kind (:func:`repro.core.vectors.store_kinds` -
-        "dense", "mmap", "sparse") or an option dict such as
+        "dense", "mmap") or an option dict such as
         ``{"kind": "mmap", "directory": "/scratch"}``.  The default None
         keeps plain in-RAM arrays (bitwise identical to the
         pre-storage-layer behaviour, including the kernel block-width
         heuristic).  "mmap" keeps Davidson's subspace / the single-vector
         iterate out of core, and the kernel block budget is recomputed
-        from the store's *resident* footprint.  ``method="cdfci"`` always
-        solves on sparse stores; extra keys of the dict (e.g.
-        ``capacity``) are forwarded to
-        :func:`repro.core.cdfci.cdfci_solve`.
+        from the store's *resident* footprint.  The dict's other keys are
+        the store's constructor options.
     block_columns:
         Column-block width of the sigma kernel's dense intermediates; the
         default None sizes it to keep them cache-resident via
@@ -259,24 +237,6 @@ class FCISolver:
                     f"vector_store kind must be one of "
                     f"{', '.join(store_kinds())}; got {vector_store['kind']!r}"
                 )
-        if method == "cdfci":
-            if vector_store is not None and vector_store["kind"] != "sparse":
-                raise ValueError(
-                    "cdfci solves on sparse stores; "
-                    f"vector_store={vector_store['kind']!r} cannot apply"
-                )
-            if spin_penalty:
-                raise ValueError(
-                    "cdfci assembles bare Hamiltonian columns; it does not "
-                    "support a spin penalty"
-                )
-            if parallel is not None:
-                raise ValueError("cdfci does not run through ParallelSigma")
-        elif vector_store is not None and vector_store["kind"] == "sparse":
-            raise ValueError(
-                "sparse stores back the cdfci method; dense iterative solvers "
-                "need a dense or mmap vector_store"
-            )
         self.vector_store = vector_store
         if parallel is not None:
             if algorithm not in ("dgemm", "compiled"):
@@ -403,11 +363,10 @@ class FCISolver:
         """The run's CI-vector store template, or None for plain arrays.
 
         ``None`` (the default backend) deliberately bypasses the store layer
-        entirely so the solvers execute the exact pre-refactor code path;
-        cdfci manages its own sparse stores.  On exit the store's footprint
-        is published and the template closed.
+        entirely so the solvers execute the exact pre-refactor code path.
+        On exit the store's footprint is published and the template closed.
         """
-        if self.vector_store is None or self.method == "cdfci":
+        if self.vector_store is None:
             yield None
             return
         opts = {k: v for k, v in self.vector_store.items() if k != "kind"}

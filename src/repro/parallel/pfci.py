@@ -211,10 +211,10 @@ class ParallelSigma:
             if isinstance(vector_store, str):
                 vector_store = {"kind": vector_store}
             kind = vector_store.get("kind")
-            if kind not in store_kinds() or kind == "sparse":
+            if kind not in store_kinds():
                 raise ValueError(
-                    "vector_store must be a dense-layout store kind "
-                    f"(dense, mmap); got {kind!r}"
+                    f"vector_store must be one of {', '.join(store_kinds())}; "
+                    f"got {kind!r}"
                 )
             if self.backend.name != "simulated":
                 raise ValueError(

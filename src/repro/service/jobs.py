@@ -107,11 +107,12 @@ class JobSpec:
     and ``vector_store`` option dicts are frozen to tuples of sorted
     ``(option, value)`` pairs (a bare store kind string stays a string) so
     the spec stays hashable; :meth:`solver_kwargs` converts them back to
-    what :class:`~repro.core.solver.FCISolver` takes.  ``vector_store`` is
-    answer-affecting on purpose: dense and mmap backends are bitwise
-    interchangeable, but a cdfci ``capacity`` changes the convergence path,
-    so the safe canonical rule is "different storage config, different job
-    key".  ``label`` is a display name only and is excluded from the
+    what :class:`~repro.core.solver.FCISolver` takes.  ``vector_store``
+    stays part of the job key although the dense and mmap backends are
+    bitwise interchangeable: dropping it from the digest would re-key every
+    existing job and orphan its cached result, so "different storage
+    config, different job key" holds until a change makes that migration
+    on purpose.  ``label`` is a display name only and is excluded from the
     digests.  ``kernel`` is likewise answer-neutral: "dgemm" and its alias
     "compiled" (a retired lane's name) are one sigma sweep, so two
     submissions differing only in ``kernel`` share one job key (and one

@@ -373,6 +373,10 @@ class FCIService:
         over; the checkpointed energy is honored even when the remaining
         iteration budget is zero.  ``timeout`` replaces the job's budget
         for the retry (None removes it); by default the old one is kept.
+
+        Raises :class:`ValueError`, leaving the record untouched, when the
+        journaled spec can no longer be built (e.g. a method this version
+        does not register) - the check :meth:`submit` makes at the door.
         """
         with self._lock:
             rec = self.get(key)
@@ -383,6 +387,7 @@ class FCIService:
                 if priority is not None:
                     rec.priority, rec.tier = str(priority), self._tier(priority)
                 return rec
+            self.executor.validate(rec.spec)
             if priority is not None:
                 rec.priority, rec.tier = str(priority), self._tier(priority)
             if timeout is not _KEEP_TIMEOUT:

@@ -67,7 +67,7 @@ class DDIArray:
         faults=None,
         store=None,
     ):
-        """``store`` (a dense-layout :class:`repro.core.vectors.CIVectorStore`
+        """``store`` (a :class:`repro.core.vectors.CIVectorStore`
         of shape (n_rows, n_cols)) backs the distributed array: every rank's
         segment becomes a row-block *view* into the store's array, so an
         out-of-core ``MmapStore`` puts the whole distributed vector on disk

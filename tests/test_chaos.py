@@ -160,6 +160,15 @@ class TestGeneration:
         kinds = {runner.case_for_seed(s).harness for s in range(60)}
         assert kinds == {"sigma", "solver", "service"}
 
+    def test_solver_cases_draw_only_runnable_methods(self, runner):
+        methods = {
+            runner.case_for_seed(s).knobs["method"]
+            for s in range(200)
+            if runner.case_for_seed(s).harness == "solver"
+        }
+        assert methods == set(fuzz_mod.SolverHarness._METHODS)
+        assert methods == {"olsen", "auto", "davidson", "davidson-mmap"}
+
 
 class TestInvariantsHold:
     """A small deterministic batch of the CI invariants (the full 200-seed
@@ -257,8 +266,19 @@ class TestCLI:
             ('{"seed": 1, "harness": "sigma", "plan": null}', "needs a 'plan'"),
             ('{"seed": 1, "harness": "sigma", "plan": {"drop_get": 7}}', "probabilities"),
             ("[1, 2]", "JSON object"),
+            (
+                '{"seed": 1, "harness": "solver", "knobs": {"method": "cdfci"}}',
+                "olsen, auto, davidson, davidson-mmap; got method 'cdfci'",
+            ),
         ],
-        ids=["malformed", "no-harness", "null-plan", "bad-probability", "not-an-object"],
+        ids=[
+            "malformed",
+            "no-harness",
+            "null-plan",
+            "bad-probability",
+            "not-an-object",
+            "unknown-solver-method",
+        ],
     )
     def test_replay_file_bad_input_is_exit_2(self, tmp_path, capsys, text, match):
         path = tmp_path / "case.json"

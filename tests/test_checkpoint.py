@@ -30,7 +30,6 @@ from repro.core import (
     NonFiniteIterateError,
     DenseStore,
     auto_adjusted_solve,
-    cdfci_solve,
     davidson_multiroot,
     davidson_solve,
     make_store,
@@ -244,17 +243,14 @@ class TestFinalStateDurability:
         assert res.n_sigma == 7
 
 
-    @pytest.mark.parametrize("name,solve,kw", _SOLVERS + [("cdfci", None, {})])
+    @pytest.mark.parametrize("name,solve,kw", _SOLVERS)
     def test_exhausted_budget_saved_off_grid(self, ci, tmp_path, name, solve, kw):
         # the other half of the final-state rule: a budget that runs out on
         # an iteration the ``every`` grid skips still leaves its last state
         problem, precond, guess = ci
         cp = Checkpointer(tmp_path / f"{name}.npz", every=10**6)
-        if name == "cdfci":
-            res = cdfci_solve(problem, max_iterations=3, checkpoint=cp)
-        else:
-            kw = {**kw, "max_iterations": 3}
-            res = solve(lambda C: sigma_dgemm(problem, C), guess, precond, checkpoint=cp, **kw)
+        kw = {**kw, "max_iterations": 3}
+        res = solve(lambda C: sigma_dgemm(problem, C), guess, precond, checkpoint=cp, **kw)
         assert not res.converged and res.n_iterations == 3
         header = cp.peek()
         assert header["iteration"] == 3

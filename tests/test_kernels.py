@@ -448,8 +448,9 @@ class TestInputCoercion:
         given = _as_input(kind, C, tmp_path)
         kern = make_kernel(name, SigmaPlan.for_problem(problem))
         expected = kern.apply(C)
-        if kind in ("dense", "mmap"):  # vector stores enter through the operator
-            assert np.array_equal(HamiltonianOperator(problem, kern)(given), expected)
+        if kind in ("dense", "mmap"):  # a store's array enters through the operator
+            op = HamiltonianOperator(problem, kern)
+            assert np.array_equal(op(given.as_ndarray()), expected)
             given.close()
         else:
             sigma = kern.apply(given)

@@ -328,6 +328,55 @@ class TestDurability:
         finally:
             svc2.close()
 
+    def test_resume_refuses_a_journaled_spec_that_no_longer_builds(
+        self, workdir, h2, heh_plus
+    ):
+        # a workdir written by an older version may journal a method this
+        # one no longer registers: resume must reject it the way submit
+        # would, not hand it to a worker to fail there
+        with FCIService(workdir, max_workers=1) as svc1:
+            job = svc1.submit(molecule=h2, basis="sto-3g", timeout=0.0)
+            assert svc1.wait(job.key, timeout=300).state == JobState.TIMED_OUT
+        journal = workdir / "jobs" / f"{job.key}.json"
+        data = json.loads(journal.read_text())
+        data["spec"]["method"] = "cdfci"
+        journal.write_text(json.dumps(data))
+
+        svc2 = FCIService(workdir, max_workers=1)
+        try:
+            with pytest.raises(ValueError, match="auto, davidson, olsen, olsen-damped"):
+                svc2.resume(job.key)
+            rec = svc2.get(job.key)
+            assert rec.state == JobState.TIMED_OUT
+            assert json.loads(journal.read_text())["state"] == JobState.TIMED_OUT
+            fresh = svc2.submit(molecule=heh_plus, basis="sto-3g")
+            assert svc2.wait(fresh.key, timeout=300).state == JobState.COMPLETED
+            assert svc2.stats()["solves_executed"] == 1
+        finally:
+            svc2.close()
+
+    def test_resume_refuses_a_journaled_store_that_no_longer_exists(
+        self, workdir, h2
+    ):
+        # the store kind is checked by the same validate() as the method
+        svc1 = FCIService(workdir, max_workers=1, autostart=False)
+        job = svc1.submit(molecule=h2, basis="sto-3g")
+        del svc1  # dies with the job still queued
+        journal = workdir / "jobs" / f"{job.key}.json"
+        data = json.loads(journal.read_text())
+        data["spec"]["vector_store"] = "sparse"
+        journal.write_text(json.dumps(data))
+
+        svc2 = FCIService(workdir, max_workers=1)
+        try:
+            assert svc2.get(job.key).state == JobState.PREEMPTED
+            with pytest.raises(ValueError, match="one of dense, mmap; got 'sparse'"):
+                svc2.resume(job.key)
+            assert svc2.get(job.key).state == JobState.PREEMPTED
+            assert svc2.stats()["solves_executed"] == 0
+        finally:
+            svc2.close()
+
     def test_crash_on_injected_io_error_then_restart_and_resume(
         self, workdir, water, water_reference
     ):

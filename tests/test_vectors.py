@@ -1,22 +1,23 @@
-"""Storage-layer tests: store conformance, typed checkpoints, CDFCI.
+"""Storage-layer tests: store conformance, typed checkpoints, out-of-core solves.
 
 Three groups:
 
 * a **conformance suite** run against every registered CI-vector store
-  backend — the protocol contract (blocks, axpy/dot/norm, nonzeros,
+  backend — the protocol contract (write/read-back, axpy/dot/norm,
   resident-byte semantics) that lets solvers stay backend-agnostic;
-* **store-typed checkpoints** — a dense restart refuses an out-of-core
-  checkpoint instead of silently loading it, and the mmap sidecar
+* **store-typed checkpoints** — a dense restart refuses a checkpoint
+  written by another store (out-of-core, or a format this version no
+  longer writes) instead of silently loading it, and the mmap sidecar
   round-trips as a read-only memory map;
 * **differential solves** — mmap-backed Davidson under a tiny block
-  budget matches the dense run to 1e-10, and CDFCI matches dense FCI on
-  two molecules to 1e-6 while every sweep energy respects the
-  variational bound.
+  budget matches the dense run to 1e-10.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -31,20 +32,21 @@ from repro.core import (
 from repro.core.checkpoint import CheckpointState
 from repro.core.solver import _METHODS, method_names, register_method
 from repro.core.vectors import (
+    _REGISTRY,
     CIVectorStore,
     DenseStore,
     MmapStore,
-    SparseStore,
-    as_dense_array,
     make_store,
     publish_store_metrics,
+    register_store,
     store_kinds,
 )
 from repro.obs import Telemetry
 from tests.helpers import make_random_problem, model_space_guesses
 
 SHAPE = (6, 4)
-KINDS = ("dense", "mmap", "sparse")
+KINDS = ("dense", "mmap")
+METHODS = ("auto", "davidson", "olsen", "olsen-damped")
 
 
 def _make(kind, tmp_path):
@@ -56,7 +58,7 @@ def _make(kind, tmp_path):
 def _payload(seed=3):
     rng = np.random.default_rng(seed)
     arr = rng.standard_normal(SHAPE)
-    arr[rng.random(SHAPE) < 0.4] = 0.0  # leave genuine zeros for sparse paths
+    arr[rng.random(SHAPE) < 0.4] = 0.0
     return arr
 
 
@@ -65,16 +67,29 @@ def _payload(seed=3):
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert store_kinds() == ("dense", "mmap", "sparse")
+        assert store_kinds() == ("dense", "mmap")
 
     def test_unknown_kind_lists_registry(self):
-        with pytest.raises(ValueError, match="dense, mmap, sparse"):
+        with pytest.raises(ValueError, match="registered stores: dense, mmap$"):
             make_store("hdf5", SHAPE)
 
     def test_make_store_constructs_the_named_class(self, tmp_path):
         assert isinstance(make_store("dense", SHAPE), DenseStore)
         assert isinstance(make_store("mmap", SHAPE, directory=tmp_path), MmapStore)
-        assert isinstance(make_store("sparse", SHAPE), SparseStore)
+
+    def test_register_store_names_the_class_and_lists_it(self):
+        @register_store("probe")
+        class _Probe(DenseStore):
+            pass
+
+        try:
+            assert _Probe.kind == "probe"
+            assert store_kinds() == ("dense", "mmap", "probe")
+            store = make_store("probe", SHAPE)
+            assert isinstance(store, _Probe) and store.kind == "probe"
+        finally:
+            del _REGISTRY["probe"]
+        assert store_kinds() == ("dense", "mmap")
 
 
 # -- protocol conformance (every backend) -------------------------------------
@@ -94,17 +109,6 @@ class TestStoreConformance:
         arr = _payload()
         store.write(arr)
         assert np.array_equal(np.asarray(store.as_ndarray()).reshape(SHAPE), arr)
-        assert np.array_equal(as_dense_array(store).reshape(SHAPE), arr)
-        store.close()
-
-    def test_block_views_tile_the_vector(self, kind, tmp_path):
-        store = _make(kind, tmp_path)
-        arr = _payload()
-        store.write(arr)
-        tiled = np.hstack(
-            [store.to_dense_block(lo, min(lo + 3, SHAPE[1])) for lo in range(0, SHAPE[1], 3)]
-        )
-        assert np.array_equal(tiled, arr)
         store.close()
 
     def test_axpy_dot_norm_match_numpy(self, kind, tmp_path):
@@ -123,17 +127,6 @@ class TestStoreConformance:
         store.close()
         other.close()
 
-    def test_iter_nonzero_matches_dense_nonzeros(self, kind, tmp_path):
-        arr = _payload()
-        store = _make(kind, tmp_path)
-        store.write(arr)
-        got = dict(store.iter_nonzero())
-        want = {
-            (int(i), int(j)): arr[i, j] for i, j in zip(*np.nonzero(arr))
-        }
-        assert got == want
-        store.close()
-
     def test_allocate_gives_fresh_zeroed_sibling(self, kind, tmp_path):
         store = _make(kind, tmp_path)
         store.write(_payload())
@@ -147,6 +140,69 @@ class TestStoreConformance:
         store = _make(kind, tmp_path)
         store.write(_payload())
         store.flush()
+        store.close()
+
+    def test_write_preserves_every_bit(self, kind, tmp_path):
+        arr = _payload()
+        arr[0, 0] = -0.0
+        arr[0, 1] = 5e-324  # smallest subnormal
+        arr[0, 2] = np.nextafter(1.0, 2.0)
+        store = _make(kind, tmp_path)
+        store.write(arr)
+        got = np.asarray(store.as_ndarray()).reshape(SHAPE)
+        assert got.tobytes() == arr.tobytes()
+        store.close()
+
+    def test_write_accepts_a_flat_payload(self, kind, tmp_path):
+        arr = _payload()
+        store = _make(kind, tmp_path)
+        store.write(arr.ravel())
+        assert np.array_equal(np.asarray(store.as_ndarray()).reshape(SHAPE), arr)
+        with pytest.raises(ValueError):
+            store.write(np.zeros(SHAPE[0] * SHAPE[1] + 1))
+        store.close()
+
+    def test_unit_axpy_is_plain_addition(self, kind, tmp_path):
+        a, b = _payload(4), _payload(5)
+        store = _make(kind, tmp_path)
+        store.write(a)
+        store.axpy(1.0, b)
+        got = np.asarray(store.as_ndarray()).reshape(SHAPE)
+        assert got.tobytes() == (a + b).tobytes()
+        store.close()
+
+    def test_arithmetic_across_backends(self, kind, tmp_path):
+        # a solver may mix a dense iterate with an out-of-core sibling
+        other_kind = "mmap" if kind == "dense" else "dense"
+        a, b = _payload(6), _payload(7)
+        store = _make(kind, tmp_path)
+        other = _make(other_kind, tmp_path)
+        store.write(a)
+        other.write(b)
+        assert store.dot(other) == pytest.approx(np.vdot(a, b), abs=1e-14)
+        assert other.dot(store) == pytest.approx(np.vdot(a, b), abs=1e-14)
+        store.axpy(2.0, other)
+        assert np.allclose(np.asarray(store.as_ndarray()), a + 2.0 * b, atol=1e-15)
+        store.close()
+        other.close()
+
+    def test_nbytes_is_the_logical_payload(self, kind, tmp_path):
+        store = _make(kind, tmp_path)
+        assert store.nbytes == 8 * SHAPE[0] * SHAPE[1]
+        assert 0 <= store.resident_nbytes <= store.nbytes
+        store.close()
+
+    def test_allocated_sibling_is_independent(self, kind, tmp_path):
+        arr = _payload()
+        store = _make(kind, tmp_path)
+        store.write(arr)
+        sibling = store.allocate()
+        assert sibling.kind == kind
+        sibling.write(np.ones(SHAPE))
+        assert np.array_equal(np.asarray(store.as_ndarray()).reshape(SHAPE), arr)
+        sibling.axpy(-1.0, store)
+        assert np.array_equal(np.asarray(sibling.as_ndarray()), 1.0 - arr)
+        sibling.close()
         store.close()
 
 
@@ -165,13 +221,6 @@ class TestResidentBytes:
         assert store.resident_nbytes == 0
         store.close()
 
-    def test_sparse_scales_with_occupancy(self):
-        store = make_store("sparse", SHAPE)
-        empty = store.resident_nbytes
-        store.scatter_add([0, 5, 9], [1.0, 2.0, 3.0])
-        assert store.resident_nbytes > empty
-        assert store.resident_nbytes == store.nbytes
-
     def test_metrics_report_resident_vs_total(self, tmp_path):
         tele = Telemetry()
         stores = [
@@ -188,6 +237,24 @@ class TestResidentBytes:
             8 * SHAPE[0] * SHAPE[1]
         )
         stores[0].close()
+
+
+class TestDenseStore:
+    def test_wrap_shares_the_buffer(self):
+        arr = _payload()
+        store = DenseStore.wrap(arr)
+        assert store.as_ndarray() is arr
+        store.axpy(1.0, np.ones(SHAPE))
+        assert arr[0, 0] == store.as_ndarray()[0, 0]
+        assert np.shares_memory(arr, store.as_ndarray())
+
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError, match="store shape"):
+            DenseStore((3, 3), array=np.zeros((3, 4)))
+
+    def test_rejects_a_non_float64_payload(self):
+        with pytest.raises(ValueError, match="float64"):
+            DenseStore.wrap(np.zeros(SHAPE, dtype=np.float32))
 
 
 class TestMmapStore:
@@ -222,76 +289,37 @@ class TestMmapStore:
             MmapStore((3, 3), path=first.path, mode="r+")
         first.close()
 
+    def test_read_only_reopen_cannot_be_written(self, tmp_path):
+        arr = _payload()
+        first = make_store("mmap", SHAPE, directory=tmp_path)
+        first.write(arr)
+        first.flush()
+        view = MmapStore(SHAPE, path=first.path, mode="r")
+        assert not view.as_ndarray().flags.writeable
+        with pytest.raises(ValueError):
+            view.write(np.zeros(SHAPE))
+        assert np.array_equal(np.asarray(view.as_ndarray()), arr)
+        view.close()
+        first.close()
 
-class TestSparseStore:
-    def test_scatter_add_accumulates_duplicates(self):
-        store = make_store("sparse", SHAPE)
-        store.scatter_add([4, 4, 7], [1.0, 2.0, 5.0])
-        assert store.get(4) == 3.0
-        assert store.get(7) == 5.0
-        assert store.get(0) == 0.0
-        assert store.nnz == 2
+    def test_siblings_land_in_the_same_directory(self, tmp_path):
+        store = make_store("mmap", SHAPE, directory=tmp_path)
+        sibling = store.allocate()
+        assert os.path.dirname(sibling.path) == os.path.dirname(store.path)
+        assert sibling.path != store.path
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(p) for p in (store.path, sibling.path)
+        )
+        sibling.close()
+        store.close()
+        assert os.listdir(tmp_path) == []
 
-    def test_get_many_returns_zero_for_absent_keys(self):
-        store = make_store("sparse", SHAPE)
-        store.set(3, 1.5)
-        assert np.array_equal(store.get_many([3, 11, 3]), [1.5, 0.0, 1.5])
-
-    def test_sibling_shares_slot_order(self):
-        c = make_store("sparse", SHAPE)
-        b = c.sibling()
-        c.scatter_add([9, 2, 17], [1.0, 2.0, 3.0])
-        b.scatter_add([2, 9], [20.0, 10.0])
-        assert np.array_equal(c.keys, b.keys)  # one index, one slot order
-        assert np.array_equal(b.values, [10.0, 20.0, 0.0])
-
-    def test_compact_keeps_topk_and_reindexes_siblings(self):
-        c = make_store("sparse", SHAPE, capacity=2)
-        b = c.sibling()
-        c.scatter_add([1, 2, 3, 4], [0.1, -5.0, 0.2, 4.0])
-        b.scatter_add([1, 2, 3, 4], [10.0, 20.0, 30.0, 40.0])
-        dropped = c.compact()
-        assert dropped == 2
-        assert set(c.keys.tolist()) == {2, 4}
-        assert sorted(b.values.tolist()) == [20.0, 40.0]
-        assert b.get(1) == 0.0  # dropped in the sibling too
-
-    def test_compact_is_deterministic_under_ties(self):
-        runs = []
-        for _ in range(2):
-            store = make_store("sparse", SHAPE)
-            store.scatter_add([5, 1, 9, 3], [1.0, 1.0, 1.0, 1.0])
-            store.compact(2)
-            runs.append(store.keys.tolist())
-        assert runs[0] == runs[1]
-
-    def test_compact_slots_honors_explicit_ranking(self):
-        store = make_store("sparse", SHAPE)
-        store.scatter_add([1, 2, 3], [9.0, 1.0, 5.0])
-        store.compact_slots(np.array([0, 2]))
-        assert store.keys.tolist() == [1, 3]
-        assert store.values.tolist() == [9.0, 5.0]
-
-    def test_fill_only_clears(self):
-        store = make_store("sparse", SHAPE)
-        store.set(5, 2.0)
-        store.fill(0.0)
-        assert store.norm() == 0.0
-        with pytest.raises(ValueError, match="cleared"):
-            store.fill(1.0)
-
-    def test_dot_across_representations(self):
-        a, b = _payload(4), _payload(5)
-        sa = make_store("sparse", SHAPE)
-        sa.write(a)
-        aligned = sa.sibling()
-        aligned.axpy(1.0, b)
-        foreign = make_store("sparse", SHAPE)
-        foreign.write(b)
-        want = float(np.vdot(a, b))
-        assert sa.dot(aligned) == pytest.approx(want, abs=1e-13)
-        assert sa.dot(foreign) == pytest.approx(want, abs=1e-13)
-        assert sa.dot(b) == pytest.approx(want, abs=1e-13)
+    def test_private_directory_removed_on_close(self):
+        store = MmapStore(SHAPE)
+        directory = os.path.dirname(store.path)
+        assert os.path.isdir(directory)
+        store.close()
+        assert not os.path.exists(directory)
 
 
 # -- store-typed checkpoints --------------------------------------------------
@@ -343,14 +371,51 @@ class TestStoreTypedCheckpoints:
         cp2.save(_state(vec, "dense"))
         assert cp2.restore("auto", store_kind="dense") is not None
 
-    def test_extra_arrays_roundtrip_with_crc(self, tmp_path):
+    def test_saved_checkpoint_holds_only_header_and_vector(self, tmp_path):
         cp = Checkpointer(tmp_path / "ck.npz")
-        state = _state(np.ones(4), "sparse")
-        state.arrays = {"keys": np.array([3, 1, 4]), "c": np.array([0.1, 0.2, 0.3])}
-        cp.save(state)
-        back = cp.load()
-        assert np.array_equal(back.arrays["keys"], [3, 1, 4])
-        assert np.array_equal(back.arrays["c"], [0.1, 0.2, 0.3])
+        cp.save(_state(_payload(), "dense"))
+        with np.load(cp.path) as npz:
+            assert sorted(npz.files) == ["header", "vector"]
+            header = json.loads(npz["header"].tobytes().decode())
+        assert "arrays" not in header
+        assert header["store"] == "dense"
+
+    def test_old_coordinate_descent_checkpoint_is_refused_safely(self, tmp_path):
+        # the format an earlier version's coordinate-descent solver wrote:
+        # store "sparse", method "cdfci", extra CRC-mapped arr_* members
+        vec = _payload()
+        extras = {"keys": np.array([3, 1, 4]), "c": np.array([0.1, 0.2, 0.3])}
+        header = {
+            "version": 1,
+            "method": "cdfci",
+            "iteration": 7,
+            "n_sigma": 7000,
+            "meta": {},
+            "energies": [-1.0],
+            "residual_norms": [0.1],
+            "shape": list(vec.shape),
+            "dtype": "float64",
+            "store": "sparse",
+            "arrays": {name: zlib.crc32(a.tobytes()) for name, a in extras.items()},
+            "crc32": zlib.crc32(vec.tobytes()),
+        }
+        path = tmp_path / "ck.npz"
+        with open(path, "wb") as f:
+            np.savez(
+                f,
+                vector=vec,
+                header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                **{f"arr_{name}": a for name, a in extras.items()},
+            )
+        cp = Checkpointer(path, telemetry=Telemetry())
+        peeked = cp.peek()
+        assert (peeked["method"], peeked["store"], peeked["iteration"]) == ("cdfci", "sparse", 7)
+        state = cp.load()
+        assert np.array_equal(state.vector, vec)
+        assert (state.method, state.store_kind) == ("cdfci", "sparse")
+        assert cp.restore("auto", store_kind="dense") is None
+        reg = cp.telemetry.registry
+        assert reg.get("solver.checkpoint.store_mismatch").value == 1.0
 
 
 # -- the eigensolver method registry ------------------------------------------
@@ -358,7 +423,7 @@ class TestStoreTypedCheckpoints:
 
 class TestMethodRegistry:
     def test_builtin_methods_registered(self):
-        assert set(method_names()) >= {"auto", "davidson", "olsen", "olsen-damped", "cdfci"}
+        assert method_names() == ("auto", "davidson", "olsen", "olsen-damped")
 
     def test_register_method_extends_the_driver(self, h2):
         @register_method("probe")
@@ -381,14 +446,19 @@ class TestMethodRegistry:
     def test_store_kind_validation(self, h2):
         with pytest.raises(ValueError, match="store kind"):
             FCISolver(h2, "sto-3g", vector_store="hdf5")
-        with pytest.raises(ValueError, match="sparse stores back the cdfci"):
-            FCISolver(h2, "sto-3g", vector_store="sparse")
-        with pytest.raises(ValueError, match="cdfci solves on sparse"):
-            FCISolver(h2, "sto-3g", method="cdfci", vector_store="mmap")
-        with pytest.raises(ValueError, match="spin penalty"):
-            FCISolver(h2, "sto-3g", method="cdfci", spin_penalty=0.4)
-        with pytest.raises(ValueError, match="ParallelSigma"):
-            FCISolver(h2, "sto-3g", method="cdfci", parallel="simulated")
+
+    @pytest.mark.parametrize(
+        "option,value,match",
+        [
+            ("method", "cdfci", r"\(auto, davidson, olsen, olsen-damped\); got 'cdfci'"),
+            ("vector_store", "sparse", "one of dense, mmap; got 'sparse'"),
+        ],
+    )
+    def test_retired_names_are_rejected_with_the_registry(self, h2, option, value, match):
+        # an older workdir or script may still name the coordinate-descent
+        # solver or its sparse store: a clean ValueError, not a KeyError
+        with pytest.raises(ValueError, match=match):
+            FCISolver(h2, "sto-3g", **{option: value})
 
 
 # -- differential solves ------------------------------------------------------
@@ -426,6 +496,28 @@ class TestOutOfCoreSolves:
             res = FCISolver(h2, "sto-3g", method=method, vector_store="mmap").run()
             assert res.solve.converged
             assert abs(res.energy - dense_reference["H2"].energy) < 1e-10
+
+    @pytest.mark.parametrize("name", ["H2", "HeH+"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_mmap_never_violates_variational_bound(
+        self, name, method, h2, heh_plus, dense_reference
+    ):
+        mol = {"H2": h2, "HeH+": heh_plus}[name]
+        res = FCISolver(mol, "sto-3g", method=method, vector_store="mmap").run()
+        exact = dense_reference[name].solve.energy
+        assert res.solve.converged
+        assert all(e >= exact - 1e-10 for e in res.solve.energies)
+        assert abs(res.energy - dense_reference[name].energy) < 1e-10
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_mmap_vector_is_normalized_singlet(self, method, h2, dense_reference):
+        res = FCISolver(h2, "sto-3g", method=method, vector_store="mmap").run()
+        assert isinstance(res.vector, np.ndarray)
+        assert not isinstance(res.vector, np.memmap)  # outlives the store
+        assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
+        assert res.s_squared == pytest.approx(0.0, abs=1e-10)
+        overlap = abs(np.vdot(res.vector, dense_reference["H2"].vector))
+        assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_store_metrics_published(self, h2, tmp_path):
         tele = Telemetry()
@@ -488,52 +580,3 @@ class TestOutOfCoreSolves:
         assert np.array_equal(res.history, ref.history)
         assert np.array_equal(res.vectors, ref.vectors)
         assert (res.n_sigma, res.n_iterations) == (ref.n_sigma, ref.n_iterations)
-
-
-class TestCDFCI:
-    @pytest.mark.parametrize("name", ["H2", "HeH+"])
-    def test_matches_dense_fci(self, name, h2, heh_plus, dense_reference):
-        mol = {"H2": h2, "HeH+": heh_plus}[name]
-        res = FCISolver(mol, "sto-3g", method="cdfci").run()
-        ref = dense_reference[name]
-        assert res.solve.converged
-        assert res.solve.method == "cdfci"
-        assert abs(res.energy - ref.energy) < 1e-6
-
-    @pytest.mark.parametrize("name", ["H2", "HeH+"])
-    def test_never_violates_variational_bound(self, name, h2, heh_plus, dense_reference):
-        mol = {"H2": h2, "HeH+": heh_plus}[name]
-        res = FCISolver(mol, "sto-3g", method="cdfci").run()
-        ref = dense_reference[name]
-        sweeps = np.asarray(res.solve.energies) + res.mo.e_core
-        assert np.all(sweeps >= ref.energy - 1e-9)
-
-    def test_capacity_bound_still_matches(self, heh_plus, dense_reference):
-        res = FCISolver(
-            heh_plus,
-            "sto-3g",
-            method="cdfci",
-            vector_store={"kind": "sparse", "capacity": 12},
-        ).run()
-        assert res.solve.converged
-        assert abs(res.energy - dense_reference["HeH+"].energy) < 1e-6
-
-    def test_checkpoint_resume_replays_exactly(self, h2, tmp_path):
-        from repro.core.cdfci import cdfci_solve
-
-        problem, _, _ = FCISolver(h2, "sto-3g").build_problem()
-        full = cdfci_solve(problem)
-        assert full.converged
-
-        path = tmp_path / "cd.npz"
-        partial = cdfci_solve(problem, checkpoint=Checkpointer(path), max_iterations=1)
-        assert not partial.converged
-        resumed = cdfci_solve(problem, checkpoint=Checkpointer(path))
-        assert resumed.converged
-        assert resumed.energy == full.energy
-        assert list(resumed.energies) == list(full.energies)
-
-    def test_normalized_vector_and_spin(self, h2):
-        res = FCISolver(h2, "sto-3g", method="cdfci").run()
-        assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-10)
-        assert res.s_squared == pytest.approx(0.0, abs=1e-8)

@@ -19,10 +19,10 @@ import time
 
 import numpy as np
 
-from repro.chaos import ChaosEnv, FuzzBudget, FuzzRunner, build_fault_plan, shrink
-from repro.chaos import fuzz as fuzz_mod
 from repro.core import sigma_dgemm
-from repro.faults import FaultInjector, ServiceFaultInjector, ServiceFaultPlan
+from repro.faults import ChaosConfig, FaultInjector, ServiceFaultInjector, ServiceFaultPlan
+from repro.faults import fuzz as fuzz_mod
+from repro.faults.fuzz import FuzzBudget, FuzzRunner, shrink
 from repro.molecule import Molecule
 from repro.parallel import ParallelSigma
 from repro.service import JobRecord, JobSpec
@@ -101,10 +101,11 @@ def test_chaos_fuzz_and_overhead(tmp_path):
     healthy_passes = runner.run_case(shrunk) is None
 
     # --- composed chaos recovery ledger --------------------------------------
-    env = ChaosEnv(n_ranks=4, horizon=runner.sigma.horizon, n_spans=8)
-    plan = build_fault_plan(
-        ["correlated_failures", "adversarial_stalls", "flaky_interconnect"], env, 7
-    )
+    plan = ChaosConfig(
+        ["correlated_failures", "adversarial_stalls", "flaky_interconnect"],
+        seed=7,
+        horizon=runner.sigma.horizon,
+    ).build_plan()
     fi = FaultInjector(plan)
     out = ParallelSigma(runner.sigma.problem, X1Config(n_msps=4), faults=fi)(
         runner.sigma.C

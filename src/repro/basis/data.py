@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..registry import Registry
 from .shell import BasisSet, Shell
 
 __all__ = [
@@ -63,6 +64,10 @@ _STO3G_ZETA = {
 }
 
 
+_BASIS_SETS = Registry("basis", "basis sets")
+
+
+@_BASIS_SETS.register("sto-3g")
 def _sto3g_shells(symbol: str, center: np.ndarray, atom_index: int) -> list[Shell]:
     sym = symbol.capitalize()
     if sym not in _STO3G_ZETA:
@@ -142,6 +147,7 @@ _631G: dict[str, list[tuple[str, list[float], list[float], list[float] | None]]]
 }
 
 
+@_BASIS_SETS.register("6-31g")
 def _631g_shells(symbol: str, center: np.ndarray, atom_index: int) -> list[Shell]:
     sym = symbol.capitalize()
     if sym not in _631G:
@@ -182,24 +188,18 @@ def even_tempered_shells(
     return shells
 
 
-_BUILDERS = {
-    "sto-3g": _sto3g_shells,
-    "6-31g": _631g_shells,
-}
-
-
 def available_basis_sets() -> list[str]:
-    return sorted(_BUILDERS)
+    return list(_BASIS_SETS.names())
 
 
 def build_basis(atoms: list[tuple[str, np.ndarray]], name: str = "sto-3g") -> BasisSet:
     """Build a :class:`BasisSet` for ``atoms`` = [(symbol, xyz-in-bohr), ...]."""
     key = name.strip().lower()
-    if key not in _BUILDERS:
+    if key not in _BASIS_SETS:
         raise KeyError(
             f"unknown basis {name!r}; available: {available_basis_sets()}"
         )
-    builder = _BUILDERS[key]
+    builder = _BASIS_SETS[key]
     shells: list[Shell] = []
     for idx, (sym, xyz) in enumerate(atoms):
         shells.extend(builder(sym, np.asarray(xyz, dtype=float), idx))

@@ -113,6 +113,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..obs.accounting import account_sigma_dgemm, account_sigma_moc
+from ..registry import Registry
 from .plans import MixedSpinHalfPlan, SameSpinPlan, SigmaPlan
 
 __all__ = [
@@ -185,15 +186,15 @@ class MOCCounters:
 
 # -- registry -----------------------------------------------------------------
 
-_REGISTRY: dict[str, type] = {}
+_REGISTRY = Registry("sigma kernel", "kernels")
 
 
 def register_kernel(name: str):
     """Class decorator: register a SigmaKernel implementation under ``name``."""
 
     def deco(cls):
+        _REGISTRY.register(name, cls)
         cls.name = name
-        _REGISTRY[name] = cls
         return cls
 
     return deco
@@ -201,19 +202,12 @@ def register_kernel(name: str):
 
 def kernel_names() -> tuple[str, ...]:
     """Names of all registered sigma kernels (sorted)."""
-    return tuple(sorted(_REGISTRY))
+    return _REGISTRY.names()
 
 
 def make_kernel(name: str, plan: SigmaPlan, *, block_columns: int | None = None):
     """Construct a registered kernel by name, or raise listing the registry."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sigma kernel {name!r}; registered kernels: "
-            f"{', '.join(kernel_names())}"
-        ) from None
-    return cls(plan, block_columns=block_columns)
+    return _REGISTRY[name](plan, block_columns=block_columns)
 
 
 @runtime_checkable
@@ -576,7 +570,7 @@ class DgemmKernel:
 # The "compiled" lane (numba gather/scatter loops around these same DGEMMs)
 # only ever ran on its NumPy fallback and is retired; the name still resolves,
 # to the one DGEMM kernel, for callers and job specs that carry it.
-_REGISTRY["compiled"] = DgemmKernel
+_REGISTRY.register("compiled", DgemmKernel)
 
 
 # -- MOC kernel pieces --------------------------------------------------------

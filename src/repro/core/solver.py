@@ -18,6 +18,7 @@ import numpy as np
 
 from ..molecule.geometry import Molecule
 from ..molecule.symmetry import PointGroup, ao_representation, assign_orbital_irreps
+from ..registry import Registry
 from ..scf.mo import MOIntegrals, freeze_core, transform
 from ..scf.rhf import AOIntegrals, SCFResult, compute_ao_integrals, rhf
 from ..scf.rohf import rohf
@@ -45,10 +46,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 # -- eigensolver method registry ------------------------------------------
-# Mirrors the kernel registry in repro.core.kernels: methods register a
-# dispatch function and FCISolver validates/routes by name, so adding a
-# solver never edits the driver's if/elif chain.
-_METHODS: dict = {}
+# Methods register a dispatch function and FCISolver validates/routes by
+# name, so adding a solver never edits the driver's if/elif chain.
+_METHODS = Registry("eigensolver method", "methods")
 
 
 def register_method(name: str):
@@ -58,17 +58,12 @@ def register_method(name: str):
     ``fn(solver, problem, sigma_fn, guess, precond, store, kwargs)`` and
     must return a :class:`~repro.core.olsen.SolveResult`.
     """
-
-    def decorate(fn):
-        _METHODS[name] = fn
-        return fn
-
-    return decorate
+    return _METHODS.register(name)
 
 
 def method_names() -> tuple[str, ...]:
     """Registered eigensolver method names, sorted."""
-    return tuple(sorted(_METHODS))
+    return _METHODS.names()
 
 
 @register_method("davidson")

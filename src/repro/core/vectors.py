@@ -34,6 +34,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..registry import Registry
+
 __all__ = [
     "CIVectorStore",
     "DenseStore",
@@ -85,15 +87,15 @@ class CIVectorStore(Protocol):
 
 # -- registry -----------------------------------------------------------------
 
-_REGISTRY: dict[str, type] = {}
+_REGISTRY = Registry("CI-vector store", "stores")
 
 
 def register_store(name: str):
     """Class decorator: register a CIVectorStore backend under ``name``."""
 
     def deco(cls):
+        _REGISTRY.register(name, cls)
         cls.kind = name
-        _REGISTRY[name] = cls
         return cls
 
     return deco
@@ -101,19 +103,12 @@ def register_store(name: str):
 
 def store_kinds() -> tuple[str, ...]:
     """Names of all registered CI-vector storage backends (sorted)."""
-    return tuple(sorted(_REGISTRY))
+    return _REGISTRY.names()
 
 
 def make_store(kind: str, shape, **options):
     """Construct a registered store by name, or raise listing the registry."""
-    try:
-        cls = _REGISTRY[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown CI-vector store {kind!r}; registered stores: "
-            f"{', '.join(store_kinds())}"
-        ) from None
-    return cls(tuple(int(s) for s in shape), **options)
+    return _REGISTRY[kind](tuple(int(s) for s in shape), **options)
 
 
 def _other_array(other) -> np.ndarray:

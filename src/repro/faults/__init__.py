@@ -1,27 +1,45 @@
-"""repro.faults: deterministic fault injection and chaos scenarios.
+"""repro.faults: deterministic fault injection, chaos scenarios, and a fuzzer.
 
 The paper's 65-billion-determinant campaigns only succeed because the
 single-vector solver carries a tiny restart state (one CI vector) and the
-DDI/SHMEM layer tolerates contention.  This subsystem lets the simulated
-X1 *prove* the same discipline: a seeded :class:`FaultInjector` perturbs
-the discrete-event engine with rank stalls, rank death at a virtual time,
-dropped or delayed one-sided transfers, mutex-grant jitter, transient I/O
-errors, and payload corruption (NaN or bit-flip) in numeric mode, while
-:class:`ChaosConfig` composes the named scenarios the CI chaos matrix
-runs (``slow_rank``, ``dead_rank``, ``flaky_network``, ``corrupt_payload``).
+DDI/SHMEM layer tolerates contention.  This package lets the stack *prove*
+the same discipline, in three layers:
+
+* **mechanisms** - a seeded :class:`FaultInjector` perturbs the simulated
+  X1 with rank stalls, rank death at a virtual time, dropped or delayed
+  one-sided transfers, mutex-grant jitter, transient I/O errors, and
+  payload corruption (NaN or bit-flip); :class:`ServiceFaultInjector`
+  does the same to the job service (worker deaths, torn journals, result
+  rot, telemetry blackouts).
+* **scenarios** - named generators in three registries (:data:`SCENARIOS`
+  for the X1, :data:`SERVICE_SCENARIOS`, :data:`BACKEND_SCENARIOS`) that
+  compose, seeded, into one declarative plan; :class:`ChaosConfig` names
+  the run being broken and builds its :class:`FaultPlan`.
+* **search** - :mod:`repro.faults.fuzz` draws random plans inside a
+  budget grammar, runs them through the parallel-sigma, checkpointed-solver
+  and service harnesses, checks the recovery invariants, and shrinks any
+  failure to a minimal JSON reproducer.  ``python -m repro.faults
+  {fuzz,replay,scenarios,scenario}`` is its command line; neither the
+  fuzzer nor the CLI is imported by ``import repro``.
 
 Every injected fault is counted under ``faults.injected.*`` and every
 recovery action (DDI retry, mutex-lease revocation, task requeue,
 checkpoint restart) under ``faults.recovered.*`` in a
 :class:`repro.obs.MetricsRegistry`, so a chaos run tells a complete,
-Perfetto-viewable story of what broke and how it healed.
-
-The subsystem only depends on :mod:`repro.obs`; the engine and DDI layers
-accept an injector duck-typed, so nothing here imports the simulator.
+Perfetto-viewable story of what broke and how it healed.  The engine and
+DDI layers accept an injector duck-typed, so nothing here but the fuzzer's
+harnesses imports the simulator.
 """
 
 from .injector import DEFAULT_MUTEX_LEASE, FaultInjector, FaultPlan, StallWindow
-from .scenarios import SCENARIOS, ChaosConfig, register_scenario, scenario_names
+from .scenarios import (
+    BACKEND_SCENARIOS,
+    SCENARIOS,
+    SERVICE_SCENARIOS,
+    ChaosConfig,
+    build_backend_plan,
+    build_service_plan,
+)
 from .service import ServiceFaultInjector, ServiceFaultPlan, WorkerCrashed
 
 __all__ = [
@@ -30,8 +48,10 @@ __all__ = [
     "StallWindow",
     "ChaosConfig",
     "SCENARIOS",
-    "scenario_names",
-    "register_scenario",
+    "SERVICE_SCENARIOS",
+    "BACKEND_SCENARIOS",
+    "build_service_plan",
+    "build_backend_plan",
     "ServiceFaultPlan",
     "ServiceFaultInjector",
     "WorkerCrashed",

@@ -1,4 +1,4 @@
-"""``python -m repro.chaos`` - fuzz, replay, and inspect chaos scenarios.
+"""``python -m repro.faults`` - fuzz, replay, and inspect chaos scenarios.
 
 Subcommands:
 
@@ -15,21 +15,23 @@ Subcommands:
     Re-run one case: ``replay 1234`` regenerates seed 1234's case from
     scratch; ``replay --file repro.json`` loads a persisted reproducer
     (the shrunk case when present).  Exit 1 if the invariant is (still)
-    violated - so a fixed bug replays to exit 0; exit 2 (one line on
-    stderr, no traceback) if the file is unreadable or not a valid case.
+    violated - so a fixed bug replays to exit 0.
 
 ``scenarios``
-    List the registered fixed, X1, service and backend chaos scenarios.
+    List the registered X1, service and backend chaos scenarios.
 
 ``scenario``
-    The CI chaos matrix: ``scenario NAME --seeds 0 1 2`` runs one named
-    scenario - a fixed one from :data:`repro.faults.SCENARIOS` or a seeded
-    generator from :data:`CHAOS_SCENARIOS` - through the resilient
+    The CI chaos matrix: ``scenario NAME --seeds 0 1 2`` runs one X1
+    scenario from :data:`~repro.faults.SCENARIOS` through the resilient
     ``--n-msps``-rank parallel sigma once per seed, prints each seed's
     ``max|diff|`` against the serial sigma and its fault counters, and
     with ``--trace-dir`` writes the first seed's Chrome trace (one track
     per MSP, ``fault:*`` markers, requeued work).  Exit 1 if any seed
     breaks its invariant.
+
+Exit 1 always means "an invariant was violated".  Input the command cannot
+run - an unreadable reproducer, a negative seed, no ranks, a plan that
+kills every rank - is exit 2 with one line on stderr, before any case runs.
 """
 
 from __future__ import annotations
@@ -42,22 +44,23 @@ import sys
 
 import numpy as np
 
-from ..faults import SCENARIOS, ChaosConfig, scenario_names
 from ..obs import ChromeTracer
 from .fuzz import FuzzBudget, FuzzCase, FuzzRunner, SigmaHarness
-from .plans import (
-    CHAOS_SCENARIOS,
-    ChaosEnv,
-    backend_scenario_names,
-    build_fault_plan,
-    chaos_scenario_names,
-    service_scenario_names,
-)
+from .scenarios import BACKEND_SCENARIOS, SCENARIOS, SERVICE_SCENARIOS, ChaosConfig
 
 __all__ = ["main"]
 
 
+def _refuse(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _cmd_fuzz(args) -> int:
+    if args.seeds < 1:
+        return _refuse(f"--seeds must be at least 1; got {args.seeds}")
+    if args.start < 0:
+        return _refuse(f"--start must be a non-negative seed; got {args.start}")
     runner = FuzzRunner(FuzzBudget())
     seeds = range(args.start, args.start + args.seeds)
     report = runner.fuzz(
@@ -81,12 +84,10 @@ def _cmd_fuzz(args) -> int:
             )
         return 1
     if args.min_executed and report.executed < args.min_executed:
-        print(
+        return _refuse(
             f"only {report.executed} cases executed "
-            f"(< --min-executed {args.min_executed})",
-            file=sys.stderr,
+            f"(< --min-executed {args.min_executed})"
         )
-        return 2
     print(
         f"ok: {report.executed} cases, 0 violations ({report.elapsed_s:.1f}s)",
         file=sys.stderr,
@@ -105,17 +106,15 @@ def _cmd_replay(args) -> int:
             case_dict = payload.get("shrunk") or payload.get("case") or payload
             case = FuzzCase.from_dict(case_dict)
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            print(
-                f"{args.file}: not a fuzz case ({type(exc).__name__}: {exc})", file=sys.stderr
-            )
-            return 2
+            return _refuse(f"{args.file}: not a fuzz case ({type(exc).__name__}: {exc})")
         print(f"replaying persisted case (seed {case.seed}, {case.harness})")
-    elif args.seed is not None:
+    elif args.seed is None:
+        return _refuse("replay needs a seed or --file")
+    elif args.seed < 0:
+        return _refuse(f"replay seed must be non-negative; got {args.seed}")
+    else:
         case = runner.case_for_seed(args.seed)
         print(f"replaying seed {args.seed}: {case.harness} {list(case.scenarios)}")
-    else:
-        print("replay needs a seed or --file", file=sys.stderr)
-        return 2
     failure = runner.run_case(case)
     if failure is None:
         print("ok: all invariants held")
@@ -127,44 +126,46 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_scenarios(_args) -> int:
-    print("fixed X1 scenarios (ChaosConfig; `scenario NAME` runs them too):")
-    for name in scenario_names():
-        print(f"  {name}")
-    print("X1 chaos scenarios (compose into a FaultPlan):")
-    for name in chaos_scenario_names():
-        print(f"  {name}")
-    print("service chaos scenarios (compose into a ServiceFaultPlan):")
-    for name in service_scenario_names():
-        print(f"  {name}")
-    print("backend chaos scenarios (compose into a real-process knob dict):")
-    for name in backend_scenario_names():
-        print(f"  {name}")
+    for title, registry in (
+        ("X1 scenarios (ChaosConfig -> FaultPlan; `scenario NAME` runs one)", SCENARIOS),
+        ("service scenarios (-> ServiceFaultPlan)", SERVICE_SCENARIOS),
+        ("backend scenarios (-> real-process knob dict)", BACKEND_SCENARIOS),
+    ):
+        print(f"{title}:")
+        for name in registry:
+            print(f"  {name}")
     return 0
 
 
 def _cmd_scenario(args) -> int:
     name, n_msps = args.name, args.n_msps
-    if name not in SCENARIOS and name not in CHAOS_SCENARIOS:
-        print(
-            f"unknown scenario {name!r}; fixed: {scenario_names()}; "
-            f"generators: {chaos_scenario_names()}",
-            file=sys.stderr,
-        )
-        return 2
+    if n_msps < 1:
+        return _refuse(f"--n-msps must be at least 1; got {n_msps}")
+    if any(seed < 0 for seed in args.seeds):
+        return _refuse(f"--seeds must be non-negative; got {args.seeds}")
+    try:
+        SCENARIOS.require([name])
+    except ValueError as exc:
+        return _refuse(str(exc))
     harness = SigmaHarness(n_ranks=n_msps)
+    plans = [
+        ChaosConfig(
+            [name], seed=seed, victim=seed % n_msps, horizon=harness.horizon, n_ranks=n_msps
+        ).build_plan()
+        for seed in args.seeds
+    ]
+    for seed, plan in zip(args.seeds, plans):
+        if set(range(n_msps)) <= set(plan.deaths):
+            return _refuse(
+                f"seed {seed}: {name} kills rank(s) {sorted(plan.deaths)} of "
+                f"{n_msps}, leaving no survivor to recover the work"
+            )
     print(
         f"scenario={name} n_msps={n_msps} "
         f"fault-free horizon={harness.horizon:.3e} virtual s"
     )
-    env = ChaosEnv(n_msps, harness.horizon, FuzzBudget().n_spans)
     failures = 0
-    for i, seed in enumerate(args.seeds):
-        if name in SCENARIOS:
-            plan = ChaosConfig(
-                [name], seed=seed, victim=seed % n_msps, at=0.5, horizon=harness.horizon
-            ).build_plan()
-        else:
-            plan = build_fault_plan([name], env, seed)
+    for i, (seed, plan) in enumerate(zip(args.seeds, plans)):
         tracer = ChromeTracer() if args.trace_dir and i == 0 else None
         out, injector, failure = harness.execute(plan, tracer)
         failures += failure is not None
@@ -187,7 +188,7 @@ def _cmd_scenario(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.chaos",
+        prog="python -m repro.faults",
         description="property-based fuzzing of the fault/recovery machinery",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_scenarios)
 
     p = sub.add_parser("scenario", help="run one named scenario over a few seeds")
-    p.add_argument("name", help="fixed scenario or generator name (see `scenarios`)")
+    p.add_argument("name", help="X1 scenario name (see `scenarios`)")
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     p.add_argument("--n-msps", type=int, default=4)
     p.add_argument("--trace-dir", default=None, help="write the first seed's Chrome trace here")

@@ -26,7 +26,7 @@ service   a chaotic :class:`FCIService` (worker deaths, torn journals,
 
 Everything is derived from one integer seed (virtual time makes even the
 fault *schedules* machine-independent), so a failure is replayable with
-``python -m repro.chaos replay <seed>``.  On failure the case is **shrunk**
+``python -m repro.faults replay <seed>``.  On failure the case is **shrunk**
 greedily - drop one death, zero one probability, simplify one knob at a
 time, keeping the move only if the violation survives - down to a minimal
 reproducer persisted as JSON next to its seed.
@@ -40,23 +40,18 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..faults import FaultInjector, FaultPlan, ServiceFaultInjector, ServiceFaultPlan
-from .plans import (
-    ChaosEnv,
-    build_fault_plan,
-    build_service_plan,
-    chaos_scenario_names,
-    service_scenario_names,
-)
+from .injector import FaultInjector, FaultPlan
+from .scenarios import SCENARIOS, SERVICE_SCENARIOS, ChaosConfig, build_service_plan
+from .service import ServiceFaultInjector, ServiceFaultPlan
 
 __all__ = [
     "FuzzBudget",
     "FuzzCase",
-    "Violation",
     "FuzzReport",
     "FuzzRunner",
     "shrink",
@@ -93,7 +88,6 @@ class FuzzBudget:
     """
 
     n_ranks: int = 4
-    n_spans: int = 8
     max_deaths: int = 2  # always leaves a survivor on 4 ranks
     max_drop: float = 0.12  # P(9 consecutive drops) ~ 5e-9 << one per batch
     max_delay_prob: float = 0.2
@@ -172,32 +166,12 @@ class FuzzCase:
 
 
 @dataclass
-class Violation:
-    """A broken invariant, with enough context to replay and shrink it."""
-
-    seed: int
-    harness: str
-    invariant: str
-    detail: str
-    case: dict  # FuzzCase.to_dict() of the case that broke it
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "harness": self.harness,
-            "invariant": self.invariant,
-            "detail": self.detail,
-            "case": self.case,
-        }
-
-
-@dataclass
 class FuzzReport:
     """Outcome of one fuzz batch."""
 
     executed: int = 0
     by_harness: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)  # Violation dicts (shrunk)
+    violations: list = field(default_factory=list)  # one dict per broken seed
     fault_counters: dict = field(default_factory=dict)
     shrink_iterations: int = 0
     elapsed_s: float = 0.0
@@ -310,27 +284,11 @@ class SolverHarness:
     way, via sigma-call counting.
     """
 
-    _METHODS = {
-        "olsen": dict(step=0.7, max_iterations=250),
-        "auto": {},
-        "davidson": {},
-        "davidson-mmap": {},
-    }
+    _METHODS = ("olsen", "auto", "davidson", "davidson-mmap")
 
     def __init__(self):
-        from ..core import (
-            ModelSpacePreconditioner,
-            auto_adjusted_solve,
-            davidson_solve,
-            olsen_solve,
-        )
+        from ..core import ModelSpacePreconditioner
 
-        self._solvers = {
-            "olsen": olsen_solve,
-            "auto": auto_adjusted_solve,
-            "davidson": davidson_solve,
-            "davidson-mmap": davidson_solve,
-        }
         self.problem = _random_problem()
         self.precond = ModelSpacePreconditioner(self.problem, 50)
         self.guess = self.precond.ground_state_guess()
@@ -341,11 +299,19 @@ class SolverHarness:
 
         return sigma_dgemm(self.problem, C)
 
+    def _solve(self, method: str, sigma, **options):
+        from ..core import auto_adjusted_solve, davidson_solve, olsen_solve
+
+        if method == "olsen":
+            options.update(step=0.7, max_iterations=250)
+            solve = olsen_solve
+        else:
+            solve = auto_adjusted_solve if method == "auto" else davidson_solve
+        return solve(sigma, self.guess, self.precond, **options)
+
     def reference(self, method: str):
         if method not in self._refs:
-            res = self._solvers[method](
-                self._sigma, self.guess, self.precond, **self._METHODS[method]
-            )
+            res = self._solve(method, self._sigma)
             assert res.converged
             self._refs[method] = res
         return self._refs[method]
@@ -387,14 +353,7 @@ class SolverHarness:
                     else None
                 )
                 try:
-                    result = self._solvers[method](
-                        sig,
-                        self.guess,
-                        self.precond,
-                        checkpoint=ckpt,
-                        store=store,
-                        **self._METHODS[method],
-                    )
+                    result = self._solve(method, sig, checkpoint=ckpt, store=store)
                     break
                 except (_Killed, OSError):
                     continue  # injected death or checkpoint I/O crash: retry
@@ -580,17 +539,17 @@ class ServiceHarness:
 # -- generation ---------------------------------------------------------------
 
 
-def generate_case(seed: int, budget: FuzzBudget, env: ChaosEnv) -> FuzzCase:
+def generate_case(seed: int, budget: FuzzBudget, env: ChaosConfig) -> FuzzCase:
     """The case for one seed - a pure function of (seed, budget, env)."""
     rng = random.Random(seed)
     r = rng.random()
     if r < budget.w_sigma:
-        pool = chaos_scenario_names()
+        pool = SCENARIOS.names()
         names = tuple(rng.sample(pool, 1 + rng.randrange(budget.max_scenarios)))
-        plan = budget.clamp(build_fault_plan(names, env, seed))
+        plan = budget.clamp(replace(env, scenarios=list(names), seed=seed).build_plan())
         return FuzzCase(seed=seed, harness="sigma", scenarios=names, plan=plan)
     if r < budget.w_sigma + budget.w_solver:
-        method = rng.choice(tuple(SolverHarness._METHODS))
+        method = rng.choice(SolverHarness._METHODS)
         kill_frac = round(rng.uniform(0.2, 0.9), 3) if rng.random() < 0.7 else None
         # every save failure kills the attempt, so survival over an
         # ~25-iteration solve goes like (1-p)^25: keep p where finishing
@@ -603,7 +562,7 @@ def generate_case(seed: int, budget: FuzzBudget, env: ChaosEnv) -> FuzzCase:
             plan=FaultPlan(seed=seed, io_error=io_error),
             knobs={"method": method, "kill_frac": kill_frac},
         )
-    pool = service_scenario_names()
+    pool = SERVICE_SCENARIOS.names()
     names = tuple(rng.sample(pool, 1 + rng.randrange(2)))
     return FuzzCase(
         seed=seed,
@@ -698,7 +657,7 @@ class FuzzRunner:
         self._sigma: SigmaHarness | None = None
         self._solver: SolverHarness | None = None
         self._service: ServiceHarness | None = None
-        self._env: ChaosEnv | None = None
+        self._env: ChaosConfig | None = None
 
     @property
     def sigma(self) -> SigmaHarness:
@@ -707,14 +666,10 @@ class FuzzRunner:
         return self._sigma
 
     @property
-    def env(self) -> ChaosEnv:
+    def env(self) -> ChaosConfig:
         """The generation environment (probed once; virtual time, so stable)."""
         if self._env is None:
-            self._env = ChaosEnv(
-                n_ranks=self.budget.n_ranks,
-                horizon=self.sigma.horizon,
-                n_spans=self.budget.n_spans,
-            )
+            self._env = ChaosConfig(horizon=self.sigma.horizon, n_ranks=self.budget.n_ranks)
         return self._env
 
     def case_for_seed(self, seed: int) -> FuzzCase:
@@ -745,7 +700,7 @@ class FuzzRunner:
         """Run a batch of seeds; shrink and persist every violation."""
         report = FuzzReport()
         t0 = time.monotonic()
-        counters: dict[str, float] = {}
+        counters: Counter = Counter()
         for seed in seeds:
             if time_budget is not None and time.monotonic() - t0 > time_budget:
                 report.truncated = True
@@ -772,16 +727,15 @@ class FuzzRunner:
                 shrink(case, self.run_case) if do_shrink else (case, 0)
             )
             report.shrink_iterations += iters
-            violation = Violation(
-                seed=seed,
-                harness=case.harness,
-                invariant=invariant,
-                detail=detail,
-                case=case.to_dict(),
-            )
-            payload = violation.to_dict()
-            payload["shrunk"] = shrunk.to_dict()
-            payload["shrink_iterations"] = iters
+            payload = {
+                "seed": seed,
+                "harness": case.harness,
+                "invariant": invariant,
+                "detail": detail,
+                "case": case.to_dict(),
+                "shrunk": shrunk.to_dict(),
+                "shrink_iterations": iters,
+            }
             report.violations.append(payload)
             if reproducer_dir is not None:
                 os.makedirs(reproducer_dir, exist_ok=True)
@@ -789,31 +743,19 @@ class FuzzRunner:
                 with open(path, "w") as f:
                     json.dump(payload, f, indent=2, sort_keys=True)
                 logger.error("minimal reproducer written to %s", path)
-        report.fault_counters = counters
+        report.fault_counters = dict(counters)
         report.elapsed_s = time.monotonic() - t0
         return report
 
-    def _collect_counters(self, case: FuzzCase, counters: dict) -> None:
-        """Re-derive a case's injected-fault ledger for the batch report.
-
-        Sigma runs consume their injector inside the harness, so the cheap,
-        exact way to aggregate is to count one representative re-run; to
-        keep the batch fast we only aggregate the *plan's* static shape
-        (deaths, stall windows) plus the per-kind booleans, not per-op
-        draws.
-        """
-        plan = case.plan
+    def _collect_counters(self, case: FuzzCase, counters: Counter) -> None:
+        """Tally a case's plan shape for the batch report: deaths, stall
+        windows, and how many plans switch each fault kind on (the per-op
+        draws happen inside the harness and are not re-run)."""
+        plan, service_plan = case.plan, case.service_plan
         if plan is not None:
-            counters["deaths"] = counters.get("deaths", 0) + len(plan.deaths)
-            counters["stall_windows"] = counters.get("stall_windows", 0) + len(plan.stalls)
-            for name in _PROB_FIELDS:
-                if getattr(plan, name):
-                    counters[f"plans_with.{name}"] = (
-                        counters.get(f"plans_with.{name}", 0) + 1
-                    )
-        if case.service_plan is not None:
-            for name in _SERVICE_PROB_FIELDS:
-                if getattr(case.service_plan, name):
-                    counters[f"plans_with.{name}"] = (
-                        counters.get(f"plans_with.{name}", 0) + 1
-                    )
+            counters["deaths"] += len(plan.deaths)
+            counters["stall_windows"] += len(plan.stalls)
+        for p, fields in ((plan, _PROB_FIELDS), (service_plan, _SERVICE_PROB_FIELDS)):
+            for name in fields if p is not None else ():
+                if getattr(p, name):
+                    counters[f"plans_with.{name}"] += 1

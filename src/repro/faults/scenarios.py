@@ -1,17 +1,27 @@
 """Named chaos scenarios and their composition into one fault plan.
 
-A scenario is a generator ``(env, rng) -> dict`` of plan-field overrides:
-``env`` is whatever describes the run being broken (a :class:`ChaosConfig`
-for the fixed scenarios here, a :class:`repro.chaos.ChaosEnv` for the
-seeded generators of :mod:`repro.chaos.plans`), ``rng`` a
-``random.Random(seed)`` the shaped generators draw from.  Registries are
-plain ``name -> generator`` dicts; :func:`register`, :func:`names` and
-:func:`compose` are the one implementation every registry and every
-``build_*plan`` uses (so ``["dead_rank", "flaky_network"]`` kills a rank
-*on* a lossy network the same way the fuzzer merges its schedules).
-Scenario parameters with physical meaning - who dies (``victim``), when
-(``at`` as a fraction of the expected ``horizon`` in virtual seconds) -
-live on the config so tests and the CI chaos matrix can sweep them.
+A scenario is a generator ``(cfg, rng) -> dict`` of plan-field overrides:
+``cfg`` is the :class:`ChaosConfig` describing the run being broken,
+``rng`` a ``random.Random(seed)`` the shaped generators draw from, so the
+same seed always produces the same schedule.  Three registries:
+
+* :data:`SCENARIOS` - simulated-X1 fault schedules, composed by
+  :meth:`ChaosConfig.build_plan` into a :class:`FaultPlan`.  Six are
+  fixed single-knob cases whose physical parameters (who dies, when, how
+  slow) live on the config so tests and the CI matrix can sweep them; the
+  rest are *shaped*: ranks sharing a blade failing together, heavy-tailed
+  latency, stalls aligned to task-pool span boundaries, I/O brownouts.
+* :data:`SERVICE_SCENARIOS` - service-layer faults, composed by
+  :func:`build_service_plan` into a :class:`ServiceFaultPlan`.
+* :data:`BACKEND_SCENARIOS` - real-process backend faults (killed
+  workers, stragglers), composed by :func:`build_backend_plan` into a
+  plain knob dict because the real backends take keyword options.
+
+:func:`compose` merges scenarios left to right (deaths union, stall
+windows concatenate, scalar knobs override), so ``["dead_rank",
+"flaky_network"]`` kills a rank *on* a lossy network the same way the
+fuzzer merges its schedules.  Every plan round-trips through JSON, which
+is what lets the fuzzer persist a failing schedule as a reproducer.
 """
 
 from __future__ import annotations
@@ -22,54 +32,39 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..obs.metrics import MetricsRegistry
+from ..registry import Registry
 from .injector import FaultInjector, FaultPlan, StallWindow
+from .service import ServiceFaultPlan
 
 __all__ = [
     "ChaosConfig",
     "SCENARIOS",
-    "scenario_names",
-    "register_scenario",
-    "register",
-    "names",
+    "SERVICE_SCENARIOS",
+    "BACKEND_SCENARIOS",
     "compose",
+    "build_service_plan",
+    "build_backend_plan",
 ]
 
-Generator = Callable[[object, random.Random], dict]
+Generator = Callable[["ChaosConfig", random.Random], dict]
+
+SCENARIOS = Registry("X1 scenario", "X1 scenarios")
+SERVICE_SCENARIOS = Registry("service scenario", "service scenarios")
+BACKEND_SCENARIOS = Registry("backend scenario", "backend scenarios")
 
 
-def register(registry: dict, name: str, fn: Generator) -> Generator:
-    """Add generator ``fn`` to ``registry`` under a new ``name``."""
-    if not name or not isinstance(name, str):
-        raise ValueError("scenario name must be a non-empty string")
-    if name in registry:
-        raise ValueError(f"scenario {name!r} is already registered")
-    registry[name] = fn
-    return fn
-
-
-def names(registry: dict) -> list[str]:
-    """The names registered in ``registry``, sorted."""
-    return sorted(registry)
-
-
-def _require_known(registry: dict, scenarios) -> None:
-    unknown = [s for s in scenarios if s not in registry]
-    if unknown:
-        raise ValueError(f"unknown scenario(s) {unknown}; registered: {names(registry)}")
-
-
-def compose(registry: dict, scenarios, env, seed: int) -> dict:
+def compose(registry: Registry, scenarios, cfg: "ChaosConfig", seed: int) -> dict:
     """Merge the named scenarios, left to right, into one override dict:
     deaths union, stall windows concatenate, scalar knobs override.  The
     generators share one ``random.Random(seed)`` stream, so a seed fixes
     the whole schedule."""
-    _require_known(registry, scenarios)
+    registry.require(scenarios)
     rng = random.Random(seed)
     deaths: dict[int, float] = {}
     stalls: list[StallWindow] = []
     merged: dict = {}
     for name in scenarios:
-        overrides = dict(registry[name](env, rng))
+        overrides = dict(registry[name](cfg, rng))
         deaths.update(overrides.pop("deaths", {}))
         stalls.extend(overrides.pop("stalls", []))
         merged.update(overrides)
@@ -80,19 +75,81 @@ def compose(registry: dict, scenarios, env, seed: int) -> dict:
     return merged
 
 
-def _slow_rank(cfg: "ChaosConfig", _rng) -> dict:
+@dataclass
+class ChaosConfig:
+    """The run being broken, and the scenarios that break it.
+
+    Parameters
+    ----------
+    scenarios:
+        Names from :data:`SCENARIOS`, merged left to right (later scenarios
+        override scalar fields; deaths and stalls are unioned).
+    seed:
+        Seed of the generators' draws and of the injector's random stream,
+        so one integer reproduces both the schedule and the per-op coin
+        flips.
+    victim:
+        Rank targeted by ``slow_rank`` / ``dead_rank``.
+    at, horizon:
+        The victim dies at ``at * horizon`` virtual seconds; ``horizon``
+        is typically a fault-free run's elapsed time (the simulated X1 is
+        deterministic, so this is a stable, machine-independent number).
+    slowdown, corrupt_prob:
+        ``slow_rank``'s factor and the corrupt-payload probability.
+    n_ranks, n_spans:
+        Rank count and task-pool span count the shaped schedules draw
+        victims from and align their windows to.
+    """
+
+    scenarios: list[str] = field(default_factory=list)
+    seed: int = 0
+    victim: int = 1
+    at: float = 0.5
+    horizon: float = 1.0
+    slowdown: float = 4.0
+    corrupt_prob: float = 0.05
+    n_ranks: int = 4
+    n_spans: int = 8
+
+    def __post_init__(self) -> None:
+        SCENARIOS.require(self.scenarios)
+
+    def build_plan(self) -> FaultPlan:
+        return FaultPlan(seed=self.seed, **compose(SCENARIOS, self.scenarios, self, self.seed))
+
+    def injector(self, registry: MetricsRegistry | None = None) -> FaultInjector:
+        return FaultInjector(self.build_plan(), registry=registry)
+
+
+def build_service_plan(names, cfg: ChaosConfig, seed: int) -> ServiceFaultPlan:
+    """Compose named service scenarios into one seeded :class:`ServiceFaultPlan`."""
+    return ServiceFaultPlan(seed=seed, **compose(SERVICE_SCENARIOS, names, cfg, seed))
+
+
+def build_backend_plan(names, cfg: ChaosConfig, seed: int) -> dict:
+    """Compose named backend scenarios into one plain knob dict:
+    ``kill_rank``/``kill_after_seconds`` drive the test harness's killer,
+    ``straggle_seconds`` passes through to the engine."""
+    return compose(BACKEND_SCENARIOS, names, cfg, seed)
+
+
+# -- X1: fixed scenarios --------------------------------------------------------
+
+
+@SCENARIOS.register("slow_rank")
+def _slow_rank(cfg: ChaosConfig, _rng) -> dict:
     """The victim MSP runs ``slowdown`` x slower for the whole run."""
-    return {
-        "stalls": [StallWindow(cfg.victim, 0.0, math.inf, cfg.slowdown)],
-    }
+    return {"stalls": [StallWindow(cfg.victim, 0.0, math.inf, cfg.slowdown)]}
 
 
-def _dead_rank(cfg: "ChaosConfig", _rng) -> dict:
+@SCENARIOS.register("dead_rank")
+def _dead_rank(cfg: ChaosConfig, _rng) -> dict:
     """Fail-stop of the victim at ``at * horizon`` virtual seconds."""
     return {"deaths": {cfg.victim: cfg.at * cfg.horizon}}
 
 
-def _flaky_network(cfg: "ChaosConfig", _rng) -> dict:
+@SCENARIOS.register("flaky_network")
+def _flaky_network(cfg: ChaosConfig, _rng) -> dict:
     """Lossy, jittery interconnect: drops, delays, and mutex-grant jitter."""
     return {
         "drop_get": 0.08,
@@ -104,72 +161,177 @@ def _flaky_network(cfg: "ChaosConfig", _rng) -> dict:
     }
 
 
-def _corrupt_payload(cfg: "ChaosConfig", _rng) -> dict:
+@SCENARIOS.register("corrupt_payload")
+def _corrupt_payload(cfg: ChaosConfig, _rng) -> dict:
     """Numeric-mode NaN poisoning of remote gets (detected by solver guards)."""
     return {"corrupt": cfg.corrupt_prob, "corrupt_mode": "nan"}
 
 
-def _bitflip_payload(cfg: "ChaosConfig", _rng) -> dict:
+@SCENARIOS.register("bitflip_payload")
+def _bitflip_payload(cfg: ChaosConfig, _rng) -> dict:
     """Single-bit corruption of remote gets (the sneaky variant)."""
     return {"corrupt": cfg.corrupt_prob, "corrupt_mode": "bitflip"}
 
 
-def _flaky_io(cfg: "ChaosConfig", _rng) -> dict:
+@SCENARIOS.register("flaky_io")
+def _flaky_io(cfg: ChaosConfig, _rng) -> dict:
     """Transient shared-filesystem errors on simulated I/O ops."""
     return {"io_error": 0.2}
 
 
-SCENARIOS: dict[str, Generator] = {
-    "slow_rank": _slow_rank,
-    "dead_rank": _dead_rank,
-    "flaky_network": _flaky_network,
-    "corrupt_payload": _corrupt_payload,
-    "bitflip_payload": _bitflip_payload,
-    "flaky_io": _flaky_io,
-}
+# -- X1: seeded shapes ----------------------------------------------------------
 
 
-def scenario_names() -> list[str]:
-    """The registered fixed chaos scenario names, sorted."""
-    return names(SCENARIOS)
+@SCENARIOS.register("correlated_failures")
+def _correlated_failures(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Ranks sharing a failure domain die together in one small window."""
+    k = 1 + rng.randrange(max(1, min(2, cfg.n_ranks - 1)))
+    victims = rng.sample(range(cfg.n_ranks), min(k, cfg.n_ranks - 1))
+    center = cfg.horizon * rng.uniform(0.2, 0.8)
+    spread = cfg.horizon * 0.05
+    return {
+        "deaths": {v: max(0.0, center + rng.uniform(-spread, spread)) for v in victims}
+    }
 
 
-def register_scenario(name: str, fn: Generator) -> None:
-    """Register a fixed scenario (``(cfg, rng) -> FaultPlan field overrides``)."""
-    register(SCENARIOS, name, fn)
+@SCENARIOS.register("heavy_tail_latency")
+def _heavy_tail_latency(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Remote-op latency with a Pareto tail, not a friendly mean."""
+    tail = 5e-6 * rng.paretovariate(1.5)  # alpha=1.5: finite mean, wild tail
+    return {
+        "delay_prob": rng.uniform(0.05, 0.15),
+        "delay_seconds": min(tail, 200e-6),
+        "op_timeout": 2e-3,
+    }
 
 
-@dataclass
-class ChaosConfig:
-    """Composition of named scenarios into one seeded fault plan.
+@SCENARIOS.register("adversarial_stalls")
+def _adversarial_stalls(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Stall windows aligned to task-pool span boundaries.
 
-    Parameters
-    ----------
-    scenarios:
-        Names from :data:`SCENARIOS`, merged left to right (later scenarios
-        override scalar fields; deaths and stalls are unioned).
-    seed:
-        Seed of the injector's random stream.
-    victim:
-        Rank targeted by ``slow_rank`` / ``dead_rank``.
-    at, horizon:
-        The victim dies at ``at * horizon`` virtual seconds; ``horizon``
-        is typically a fault-free run's elapsed time.
+    The dynamic load balancer hands out Fig-3 spans; a slowdown that
+    switches on exactly at a span boundary maximizes the work stranded on
+    the slow rank - the adversarial placement a uniform-random window
+    would only rarely find.
     """
+    dt = cfg.horizon / cfg.n_spans
+    windows = []
+    for _ in range(1 + rng.randrange(3)):
+        b = rng.randrange(cfg.n_spans)
+        windows.append(
+            StallWindow(
+                rank=rng.randrange(cfg.n_ranks),
+                t0=b * dt,
+                t1=(b + 1 + rng.randrange(2)) * dt,
+                slowdown=rng.uniform(2.0, 10.0),
+            )
+        )
+    return {"stalls": windows}
 
-    scenarios: list[str] = field(default_factory=list)
-    seed: int = 0
-    victim: int = 1
-    at: float = 0.5
-    horizon: float = 1.0
-    slowdown: float = 4.0
-    corrupt_prob: float = 0.05
 
-    def __post_init__(self) -> None:
-        _require_known(SCENARIOS, self.scenarios)
+@SCENARIOS.register("corruption_burst")
+def _corruption_burst(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """NaN-poisoned get payloads (detectable corruption: DDI refetches)."""
+    return {"corrupt": rng.uniform(0.05, 0.2), "corrupt_mode": "nan"}
 
-    def build_plan(self) -> FaultPlan:
-        return FaultPlan(seed=self.seed, **compose(SCENARIOS, self.scenarios, self, self.seed))
 
-    def injector(self, registry: MetricsRegistry | None = None) -> FaultInjector:
-        return FaultInjector(self.build_plan(), registry=registry)
+@SCENARIOS.register("silent_bitflips")
+def _silent_bitflips(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Single-bit payload flips - indistinguishable from data at the comms
+    layer, so the contract is seeded reproducibility, not exactness."""
+    return {"corrupt": rng.uniform(0.05, 0.2), "corrupt_mode": "bitflip"}
+
+
+@SCENARIOS.register("cascading_brownout")
+def _cascading_brownout(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Shared-filesystem brownout: I/O failures plus sympathetic delays."""
+    return {
+        "io_error": rng.uniform(0.1, 0.4),
+        "delay_prob": rng.uniform(0.05, 0.1),
+        "delay_seconds": 20e-6,
+        "op_timeout": 2e-3,
+    }
+
+
+@SCENARIOS.register("flaky_interconnect")
+def _flaky_interconnect(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Lossy network: symmetric drops, grant jitter, op timeouts."""
+    p = rng.uniform(0.02, 0.12)
+    return {
+        "drop_get": p,
+        "drop_put": p,
+        "mutex_jitter": rng.uniform(0.0, 5e-6),
+        "op_timeout": 2e-3,
+    }
+
+
+@SCENARIOS.register("calm")
+def _calm(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """No faults at all - the bitwise fault-free-identity lane."""
+    return {}
+
+
+# -- service layer --------------------------------------------------------------
+
+
+@SERVICE_SCENARIOS.register("worker_massacre")
+def _worker_massacre(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Worker threads die mid-solve; reap/resume must recover the jobs."""
+    return {"worker_crash": rng.uniform(0.1, 0.4)}
+
+
+@SERVICE_SCENARIOS.register("checkpoint_brownout")
+def _checkpoint_brownout(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Checkpoint writes fail transiently (the shared-filesystem story)."""
+    return {"checkpoint_io_error": rng.uniform(0.1, 0.4)}
+
+
+@SERVICE_SCENARIOS.register("result_rot")
+def _result_rot(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Persisted results rot on disk; CRC must turn damage into a miss."""
+    return {
+        "result_corrupt": rng.uniform(0.3, 1.0),
+        "result_corrupt_mode": rng.choice(["truncate", "bitflip", "header_only"]),
+    }
+
+
+@SERVICE_SCENARIOS.register("torn_journals")
+def _torn_journals(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """Journal writes tear mid-crash; restart recovery must skip, not die."""
+    return {"journal_torn_write": rng.uniform(0.2, 0.6)}
+
+
+@SERVICE_SCENARIOS.register("telemetry_blackout")
+def _telemetry_blackout(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """The telemetry stream's filesystem goes away; solves must not care."""
+    return {"telemetry_io_error": rng.uniform(0.3, 1.0)}
+
+
+# -- execution backends ---------------------------------------------------------
+
+
+def _worker_kill(backend: str, cfg: ChaosConfig, rng: random.Random) -> dict:
+    return {
+        "backend": backend,
+        "kill_rank": rng.randrange(max(1, cfg.n_ranks)),
+        "kill_after_seconds": rng.uniform(0.05, 0.25),
+        "straggle_seconds": rng.uniform(0.05, 0.2),
+    }
+
+
+@BACKEND_SCENARIOS.register("socket_worker_kill")
+def _socket_worker_kill(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """SIGKILL one real socket worker mid-span.
+
+    ``straggle_seconds`` (the engine's per-task chaos hook) widens the
+    mixed-spin span window so the kill reliably lands *inside* a span;
+    the engine must convert the death into a ``RuntimeError`` naming the
+    rank within its heartbeat budget — never a hang.
+    """
+    return _worker_kill("sockets", cfg, rng)
+
+
+@BACKEND_SCENARIOS.register("shm_worker_kill")
+def _shm_worker_kill(cfg: ChaosConfig, rng: random.Random) -> dict:
+    """SIGKILL one real shm worker mid-span (same contract as sockets)."""
+    return _worker_kill("shm", cfg, rng)

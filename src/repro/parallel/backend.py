@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..registry import Registry
 from ..x1.engine import RankStats
 from ..x1.machine import X1Config
 
@@ -124,15 +125,15 @@ class Backend(abc.ABC):
 
 # -- registry -----------------------------------------------------------------
 
-_REGISTRY: dict[str, type] = {}
+_REGISTRY = Registry("execution backend", "backends")
 
 
 def register_backend(name: str):
     """Class decorator: register a Backend implementation under ``name``."""
 
     def deco(cls):
+        _REGISTRY.register(name, cls)
         cls.name = name
-        _REGISTRY[name] = cls
         return cls
 
     return deco
@@ -140,7 +141,7 @@ def register_backend(name: str):
 
 def backend_names() -> tuple[str, ...]:
     """Names of all registered execution backends (sorted)."""
-    return tuple(sorted(_REGISTRY))
+    return _REGISTRY.names()
 
 
 def _reject_unknown_options(name: str, options, accepted) -> None:
@@ -154,14 +155,7 @@ def _reject_unknown_options(name: str, options, accepted) -> None:
 
 def make_backend(name: str, **options) -> Backend:
     """Construct a registered backend by name, or raise listing the registry."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown execution backend {name!r}; registered backends: "
-            f"{', '.join(backend_names())}"
-        ) from None
-    return cls(**options)
+    return _REGISTRY[name](**options)
 
 
 @register_backend("simulated")

@@ -39,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosEnv, build_backend_plan
+from repro.faults import ChaosConfig, build_backend_plan
 from repro.core import sigma_dgemm
 from repro.parallel import ParallelSigma, build_sigma_decomposition, make_backend
 from repro.parallel.shm.comm import ShmComm
@@ -359,7 +359,7 @@ class BackendConformanceSuite:
 
     def test_sigkill_mid_span_names_the_rank_within_deadline(self, adapter):
         problem = make_random_problem(5, 3, 2, seed=41)
-        plan = build_backend_plan([adapter.kill_scenario], ChaosEnv(n_ranks=2), seed=11)
+        plan = build_backend_plan([adapter.kill_scenario], ChaosConfig(n_ranks=2), seed=11)
         assert plan["backend"] == adapter.name
         victim_rank = plan["kill_rank"] % 2
         deadline = 30.0

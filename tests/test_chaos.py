@@ -1,4 +1,4 @@
-"""The chaos package: scenario composition, the fuzzer, and its shrinker.
+"""Chaos scenarios, their composition, the fuzzer, and its shrinker.
 
 The load-bearing test here is the *mutation-catch proof*: with the
 recovery machinery deliberately disabled (``_RECOVERY_ENABLED = False``),
@@ -12,27 +12,30 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.chaos import (
-    CHAOS_SCENARIOS,
-    ChaosEnv,
-    FuzzBudget,
-    FuzzCase,
-    FuzzRunner,
-    build_fault_plan,
+from repro.faults import (
+    BACKEND_SCENARIOS,
+    SCENARIOS,
+    SERVICE_SCENARIOS,
+    ChaosConfig,
+    FaultPlan,
+    ServiceFaultPlan,
     build_service_plan,
-    chaos_scenario_names,
-    register_chaos_scenario,
-    service_scenario_names,
-    shrink,
 )
-from repro.chaos import fuzz as fuzz_mod
-from repro.chaos.cli import main as chaos_main
-from repro.faults import FaultPlan, ServiceFaultPlan
+from repro.faults import fuzz as fuzz_mod
+from repro.faults.cli import main as chaos_main
+from repro.faults.fuzz import FuzzBudget, FuzzCase, FuzzRunner, shrink
 
-ENV = ChaosEnv(n_ranks=4, horizon=1e-3, n_spans=8)
+ENV = ChaosConfig(horizon=1e-3)  # 4 ranks, 8 spans
+CASE = object()  # stands for the reproducer file path in CLI argv rows
+
+
+def x1_plan(names, seed):
+    """The X1 plan ``names`` compose to on ENV's run."""
+    return replace(ENV, scenarios=list(names), seed=seed).build_plan()
 
 
 @pytest.fixture(scope="module")
@@ -42,46 +45,45 @@ def runner():
 
 class TestScenarioRegistry:
     def test_names_sorted_and_populated(self):
-        names = chaos_scenario_names()
-        assert names == sorted(names)
-        assert {"correlated_failures", "adversarial_stalls", "calm"} <= set(names)
-        assert {"worker_massacre", "torn_journals"} <= set(service_scenario_names())
+        names = SCENARIOS.names()
+        assert list(names) == sorted(names)
+        assert {"correlated_failures", "adversarial_stalls", "calm", "dead_rank"} <= set(names)
+        assert {"worker_massacre", "torn_journals"} <= set(SERVICE_SCENARIOS.names())
 
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ValueError, match="correlated_failures"):
-            build_fault_plan(["nope"], ENV, 1)
+            x1_plan(["nope"], 1)
         with pytest.raises(ValueError, match="torn_journals"):
             build_service_plan(["nope"], ENV, 1)
 
     def test_duplicate_registration_rejected(self):
-        name = chaos_scenario_names()[0]
+        name = SCENARIOS.names()[0]
         with pytest.raises(ValueError, match="already registered"):
-            register_chaos_scenario(name)(lambda env, rng: {})
+            SCENARIOS.register(name)(lambda env, rng: {})
 
-    def test_registration_roundtrip(self):
-        @register_chaos_scenario("_test_only")
+    def test_registration_roundtrip(self, monkeypatch):
+        monkeypatch.setattr(SCENARIOS, "_entries", dict(SCENARIOS._entries))
+
+        @SCENARIOS.register("_test_only")
         def _gen(env, rng):
             return {"io_error": 0.25}
 
-        try:
-            plan = build_fault_plan(["_test_only"], ENV, 0)
-            assert plan.io_error == 0.25
-        finally:
-            del CHAOS_SCENARIOS["_test_only"]
+        plan = x1_plan(["_test_only"], 0)
+        assert plan.io_error == 0.25
 
 
 class TestComposition:
     def test_same_seed_same_plan(self):
         names = ["correlated_failures", "adversarial_stalls", "flaky_interconnect"]
-        a = build_fault_plan(names, ENV, 7)
-        b = build_fault_plan(names, ENV, 7)
+        a = x1_plan(names, 7)
+        b = x1_plan(names, 7)
         assert a.to_dict() == b.to_dict()
-        c = build_fault_plan(names, ENV, 8)
+        c = x1_plan(names, 8)
         assert c.to_dict() != a.to_dict()
 
     def test_compose_merges_deaths_and_stalls(self):
-        plan = build_fault_plan(
-            ["correlated_failures", "adversarial_stalls", "heavy_tail_latency"], ENV, 3
+        plan = x1_plan(
+            ["correlated_failures", "adversarial_stalls", "heavy_tail_latency"], 3
         )
         assert plan.deaths  # correlated_failures contributed
         assert plan.stalls  # adversarial_stalls contributed
@@ -90,12 +92,12 @@ class TestComposition:
     def test_stalls_align_to_span_boundaries(self):
         dt = ENV.horizon / ENV.n_spans
         for seed in range(5):
-            plan = build_fault_plan(["adversarial_stalls"], ENV, seed)
+            plan = x1_plan(["adversarial_stalls"], seed)
             for w in plan.stalls:
                 assert abs(w.t0 / dt - round(w.t0 / dt)) < 1e-9
 
     def test_calm_is_empty(self):
-        assert not build_fault_plan(["calm"], ENV, 5).any_faults()
+        assert not x1_plan(["calm"], 5).any_faults()
 
     def test_service_plan_composes(self):
         plan = build_service_plan(["worker_massacre", "torn_journals"], ENV, 2)
@@ -105,8 +107,8 @@ class TestComposition:
 
 class TestPlanJSONRoundTrip:
     def test_fault_plan_roundtrip(self):
-        plan = build_fault_plan(
-            ["correlated_failures", "adversarial_stalls", "silent_bitflips"], ENV, 13
+        plan = x1_plan(
+            ["correlated_failures", "adversarial_stalls", "silent_bitflips"], 13
         )
         d = json.loads(json.dumps(plan.to_dict()))  # through real JSON
         back = FaultPlan.from_dict(d)
@@ -241,7 +243,8 @@ class TestCLI:
     def test_scenarios_command(self, capsys):
         assert chaos_main(["scenarios"]) == 0
         out = capsys.readouterr().out
-        assert "correlated_failures" in out and "worker_massacre" in out
+        for name in (*SCENARIOS, *SERVICE_SCENARIOS, *BACKEND_SCENARIOS):
+            assert f"  {name}\n" in out
 
     def test_fuzz_command_small_batch(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -259,17 +262,32 @@ class TestCLI:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "text, match",
+        "argv, text, match",
         [
-            ("{not json", "not a fuzz case"),
-            ('{"seed": 1}', "KeyError: 'harness'"),
-            ('{"seed": 1, "harness": "sigma", "plan": null}', "needs a 'plan'"),
-            ('{"seed": 1, "harness": "sigma", "plan": {"drop_get": 7}}', "probabilities"),
-            ("[1, 2]", "JSON object"),
+            (["replay", "--file", CASE], "{not json", "not a fuzz case"),
+            (["replay", "--file", CASE], '{"seed": 1}', "KeyError: 'harness'"),
             (
+                ["replay", "--file", CASE],
+                '{"seed": 1, "harness": "sigma", "plan": null}',
+                "needs a 'plan'",
+            ),
+            (
+                ["replay", "--file", CASE],
+                '{"seed": 1, "harness": "sigma", "plan": {"drop_get": 7}}',
+                "probabilities",
+            ),
+            (["replay", "--file", CASE], "[1, 2]", "JSON object"),
+            (
+                ["replay", "--file", CASE],
                 '{"seed": 1, "harness": "solver", "knobs": {"method": "cdfci"}}',
                 "olsen, auto, davidson, davidson-mmap; got method 'cdfci'",
             ),
+            (["fuzz", "--seeds", "-3"], None, "--seeds must be at least 1; got -3"),
+            (["fuzz", "--seeds", "0"], None, "--seeds must be at least 1; got 0"),
+            (["fuzz", "--start", "-1"], None, "--start must be a non-negative seed"),
+            (["replay", "-5"], None, "replay seed must be non-negative; got -5"),
+            (["scenario", "slow_rank", "--n-msps", "0"], None, "--n-msps must be at least 1"),
+            (["scenario", "slow_rank", "--seeds", "0", "-1"], None, "--seeds must be non-negative"),
         ],
         ids=[
             "malformed",
@@ -278,15 +296,24 @@ class TestCLI:
             "bad-probability",
             "not-an-object",
             "unknown-solver-method",
+            "fuzz-negative-seeds",
+            "fuzz-zero-seeds",
+            "fuzz-negative-start",
+            "replay-negative-seed",
+            "scenario-no-msps",
+            "scenario-negative-seed",
         ],
     )
-    def test_replay_file_bad_input_is_exit_2(self, tmp_path, capsys, text, match):
+    def test_bad_input_is_exit_2(self, tmp_path, capsys, argv, text, match):
         path = tmp_path / "case.json"
-        path.write_text(text)
-        assert chaos_main(["replay", "--file", str(path)]) == 2
-        err = capsys.readouterr().err
+        if text is not None:
+            path.write_text(text)
+        assert chaos_main([str(path) if a is CASE else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        err = captured.err
         assert match in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+        assert "max|diff|" not in captured.out  # refused before any case ran
 
     def test_replay_missing_file_is_exit_2(self, tmp_path, capsys):
         assert chaos_main(["replay", "--file", str(tmp_path / "absent.json")]) == 2
@@ -305,6 +332,15 @@ class TestCLI:
         assert trace["traceEvents"]
         assert not (tmp_path / f"{name}-seed1.json").exists()
 
+    def test_scenario_without_survivor_is_refused(self, capsys):
+        """One MSP and a dead victim is outside the recovery contract: refused
+        up front, naming the dead rank, not reported as a broken invariant."""
+        assert chaos_main(["scenario", "dead_rank", "--n-msps", "1", "--seeds", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "kills rank(s) [0] of 1" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "FAIL" not in captured.out and "max|diff|" not in captured.out
+
     def test_scenario_command_unknown_name(self, capsys):
         assert chaos_main(["scenario", "meteor_strike"]) == 2
         err = capsys.readouterr().err
@@ -319,7 +355,7 @@ class TestCLI:
 
     def test_module_entrypoint(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.chaos", "scenarios"],
+            [sys.executable, "-m", "repro.faults", "scenarios"],
             capture_output=True,
             text=True,
             timeout=120,

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosEnv, build_backend_plan
+from repro.faults import ChaosConfig, build_backend_plan
 from repro.core import FCISolver, HamiltonianOperator, sigma_dgemm
 from repro.parallel import ParallelSigma, backend_names
 from repro.parallel.backend import SocketsBackend
@@ -275,7 +275,7 @@ class TestChaosKillMidSpan:
 
     def test_scenario_composes_to_a_knob_dict(self):
         plan = build_backend_plan(
-            ["socket_worker_kill"], ChaosEnv(n_ranks=2), seed=5
+            ["socket_worker_kill"], ChaosConfig(n_ranks=2), seed=5
         )
         assert plan["backend"] == "sockets"
         assert 0 <= plan["kill_rank"] < 2
@@ -283,11 +283,11 @@ class TestChaosKillMidSpan:
 
     def test_unknown_backend_scenario_lists_registry(self):
         with pytest.raises(ValueError, match="socket_worker_kill"):
-            build_backend_plan(["meteor_strike"], ChaosEnv(), seed=0)
+            build_backend_plan(["meteor_strike"], ChaosConfig(), seed=0)
 
     def test_sigkill_mid_span_fails_loud_naming_the_rank(self, problem):
         plan = build_backend_plan(
-            ["socket_worker_kill"], ChaosEnv(n_ranks=2), seed=11
+            ["socket_worker_kill"], ChaosConfig(n_ranks=2), seed=11
         )
         victim_rank = plan["kill_rank"] % 2
         deadline = 30.0

@@ -77,18 +77,18 @@ class TestRegistry:
         assert isinstance(make_store("dense", SHAPE), DenseStore)
         assert isinstance(make_store("mmap", SHAPE, directory=tmp_path), MmapStore)
 
-    def test_register_store_names_the_class_and_lists_it(self):
+    def test_register_store_names_the_class_and_lists_it(self, monkeypatch):
+        monkeypatch.setattr(_REGISTRY, "_entries", dict(_REGISTRY._entries))
+
         @register_store("probe")
         class _Probe(DenseStore):
             pass
 
-        try:
-            assert _Probe.kind == "probe"
-            assert store_kinds() == ("dense", "mmap", "probe")
-            store = make_store("probe", SHAPE)
-            assert isinstance(store, _Probe) and store.kind == "probe"
-        finally:
-            del _REGISTRY["probe"]
+        assert _Probe.kind == "probe"
+        assert store_kinds() == ("dense", "mmap", "probe")
+        store = make_store("probe", SHAPE)
+        assert isinstance(store, _Probe) and store.kind == "probe"
+        monkeypatch.undo()
         assert store_kinds() == ("dense", "mmap")
 
 
@@ -425,19 +425,18 @@ class TestMethodRegistry:
     def test_builtin_methods_registered(self):
         assert method_names() == ("auto", "davidson", "olsen", "olsen-damped")
 
-    def test_register_method_extends_the_driver(self, h2):
+    def test_register_method_extends_the_driver(self, h2, monkeypatch):
+        monkeypatch.setattr(_METHODS, "_entries", dict(_METHODS._entries))
+
         @register_method("probe")
         def _probe(solver, problem, sigma_fn, guess, precond, store, kwargs):
             return _METHODS["davidson"](
                 solver, problem, sigma_fn, guess, precond, store, kwargs
             )
 
-        try:
-            assert "probe" in method_names()
-            res = FCISolver(h2, "sto-3g", method="probe").run()
-            assert res.solve.converged
-        finally:
-            del _METHODS["probe"]
+        assert "probe" in method_names()
+        res = FCISolver(h2, "sto-3g", method="probe").run()
+        assert res.solve.converged
 
     def test_unknown_method_rejected_with_registry_listing(self, h2):
         with pytest.raises(ValueError, match="registered eigensolver"):

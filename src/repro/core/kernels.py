@@ -672,7 +672,7 @@ def moc_mixed_sigma(
     gb = plan.gather_b
     n = plan.n
     nb = plan.shape[1]
-    g = plan.problem.mo.g
+    g = plan.mo.g
     b_src, b_r, b_s, b_sgn = gb.source, gb.p, gb.q, gb.sign
     per_b = gb.per
     sigma = np.zeros_like(C)
@@ -718,14 +718,13 @@ class MocKernel:
 
     def apply(self, C: np.ndarray, counters: MOCCounters | None = None) -> np.ndarray:
         plan = self.plan
-        problem = plan.problem
         C = as_ci_matrix(C, plan.shape)
         Ct = np.ascontiguousarray(C.T)
         sigma = one_electron_sigma(plan, C, Ct)
-        if problem.n_alpha >= 2:
-            sigma += moc_same_spin_sigma(problem.space_a, plan.w_matrix, C, counters)
-        if problem.n_beta >= 2:
-            sigma += moc_same_spin_sigma(problem.space_b, plan.w_matrix, Ct, counters).T
+        if plan.space_a.k >= 2:
+            sigma += moc_same_spin_sigma(plan.space_a, plan.w_matrix, C, counters)
+        if plan.space_b.k >= 2:
+            sigma += moc_same_spin_sigma(plan.space_b, plan.w_matrix, Ct, counters).T
         sigma += moc_mixed_sigma(plan, C, counters, self.row_block)
         return sigma
 

@@ -269,7 +269,12 @@ class SigmaPlan:
     """
 
     def __init__(self, problem, *, reuse_problem_cache: bool = True):
-        self.problem = problem
+        # what the kernels read of the problem, not the problem itself: the
+        # problem caches its plan, and a back-reference would leave every
+        # finished solve's tables as cyclic garbage until a full collection
+        self.mo = problem.mo
+        self.space_a = problem.space_a
+        self.space_b = problem.space_b
         self.n = problem.n
         self.shape = problem.shape
         if reuse_problem_cache:

@@ -19,7 +19,7 @@ from .boys import boys_array, boys_array_batch
 __all__ = ["hermite_expansion", "hermite_coulomb", "hermite_coulomb_batch"]
 
 
-def hermite_expansion(li: int, lj: int, a: float, b: float, ab_x: float) -> np.ndarray:
+def hermite_expansion(li: int, lj: int, a, b, ab_x) -> np.ndarray:
     """E[i, j, t] coefficients for one Cartesian direction.
 
     Parameters
@@ -28,20 +28,23 @@ def hermite_expansion(li: int, lj: int, a: float, b: float, ab_x: float) -> np.n
         Maximum x-exponents on the two centers (table covers all i<=li,
         j<=lj).
     a, b:
-        Gaussian exponents.
+        Gaussian exponents: floats, or broadcastable arrays to build the
+        tables of a whole batch of primitive pairs in one pass.
     ab_x:
-        Component of A - B along this direction.
+        Component of A - B along this direction (float or broadcastable).
 
     Returns
     -------
-    E with shape (li+1, lj+1, li+lj+1); entries with t > i+j are zero.
+    E with shape (li+1, lj+1, li+lj+1) plus the broadcast batch shape as
+    trailing axes; entries with t > i+j are zero.  Each batch entry sees the
+    scalar operation sequence, so it equals the scalar call elementwise.
     """
     p = a + b
     mu = a * b / p
     # P - A and P - B along this axis; P = (aA + bB)/p.
     pa = -b * ab_x / p
     pb = a * ab_x / p
-    E = np.zeros((li + 1, lj + 1, li + lj + 2))
+    E = np.zeros((li + 1, lj + 1, li + lj + 2) + np.shape(pa))
     E[0, 0, 0] = np.exp(-mu * ab_x * ab_x)
     one_over_2p = 0.5 / p
     for i in range(1, li + 1):

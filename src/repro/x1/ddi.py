@@ -146,33 +146,51 @@ class DDIArray:
         return windows
 
     # -- retry machinery ----------------------------------------------------
-    def _payload_bad(self, result, kind: str) -> bool:
-        """NaN-poisoned get payloads are detectable corruption: refetch.
+    def _source(self, owner: int, key):
+        """Reader of the owner's window ``key`` (None in trace mode)."""
+        if not self.numeric:
+            return None
+        return lambda: self.local_block(owner)[key]
 
-        Only consulted with an injector attached, so the fault-free path
-        never pays the finiteness scan.  (Bit-flips that stay finite are
-        invisible here by design - catching those is the solvers' watchdog's
-        job, same as on real hardware.)
+    def _payload_bad(self, result, kind: str, source=None) -> bool:
+        """A get payload non-finite where its source is finite was corrupted
+        in flight: refetch.
+
+        ``source()`` returns the owner's window the get read (numeric mode).
+        Where the source itself is non-finite - say a finite bit-flip that
+        overflowed a DGEMM and was accumulated - the payload is a faithful
+        copy: that is not a transport fault, and no refetch could fix it.
+        Without a source every non-finite payload counts as corrupt.  Only
+        consulted with an injector attached, so the fault-free path never
+        pays the finiteness scan.  (Bit-flips that stay finite are invisible
+        here by design - catching those is the solvers' watchdog's job, same
+        as on real hardware.)
         """
         if kind != "get" or not isinstance(result, np.ndarray):
             return False
-        if np.isfinite(result).all():
+        bad = ~np.isfinite(result)
+        if not bad.any():
+            return False
+        if source is not None and not np.isfinite(source()[bad]).any():
             return False
         self.faults.note_recovered("refetched_corrupt")
         return True
 
-    def _reliable(self, proc: Proc, op_factory, kind: str, label: str):
+    def _reliable(self, proc: Proc, op_factory, kind: str, label: str, source=None):
         """Issue ``op_factory()`` until it succeeds (generator).
 
         With no injector attached a drop is impossible, so the fault-free
         path costs one identity check per op.  Each retry backs off
         exponentially in virtual time (visible in the trace as ``*:retry``
         compute) and is counted under ``faults.recovered.retried_<kind>``;
-        NaN-corrupted get payloads are refetched on the same budget.
+        get payloads corrupted in flight (see :meth:`_payload_bad`, which
+        reads ``source``) are refetched on the same budget.
         """
         result = yield op_factory()
         fi = self.faults
-        if result is not DROPPED and (fi is None or not self._payload_bad(result, kind)):
+        if result is not DROPPED and (
+            fi is None or not self._payload_bad(result, kind, source)
+        ):
             return result
         attempts = 0
         while True:
@@ -186,7 +204,7 @@ class DDIArray:
             result = yield op_factory()
             if result is DROPPED:
                 continue
-            if not self._payload_bad(result, kind):
+            if not self._payload_bad(result, kind, source):
                 break
         fi.note_recovered(f"retried_{kind}", attempts)
         return result
@@ -202,6 +220,7 @@ class DDIArray:
                 lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
                 "get",
                 label,
+                self._source(owner, key),
             )
             if out is not None:
                 out[positions] = data
@@ -253,6 +272,7 @@ class DDIArray:
                     lambda: proc.get(owner, self.name, key=key, n_bytes=nbytes, label=label),
                     "get",
                     label,
+                    self._source(owner, key),
                 )
                 if value is not None:
                     value = remote + value

@@ -11,9 +11,36 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.basis import BasisSet, Shell
 from repro.core import CIProblem
 from repro.molecule import PointGroup
 from repro.scf.mo import MOIntegrals
+
+
+def spd_basis(shift=(0.0, 0.0, 0.0)) -> BasisSet:
+    """Two centres carrying contracted s and p and single-primitive d shells.
+
+    17 Cartesian functions: s, p, d on one centre and s, d on the other, so
+    eight of the nine (la, lb) classes with l <= 2 appear (all but (1, 2)).
+    ``shift`` translates both centres.
+    """
+    a = np.asarray(shift, dtype=float)
+    b = a + np.array([0.3, -0.2, 1.6])
+    return BasisSet(
+        [
+            Shell(0, [3.0, 0.6], [0.4, 0.7], a),
+            Shell(1, [1.9, 0.4], [0.5, 0.6], a),
+            Shell(2, [0.8], [1.0], a),
+            Shell(0, [1.2, 0.3], [0.6, 0.5], b),
+            Shell(2, [0.9], [1.0], b),
+        ]
+    )
+
+
+def spd_charges(shift=(0.0, 0.0, 0.0)) -> list:
+    """Point charges on the two centres of :func:`spd_basis`."""
+    a = np.asarray(shift, dtype=float)
+    return [(3.0, a), (1.0, a + np.array([0.3, -0.2, 1.6]))]
 
 
 def make_random_mo(n: int, seed: int = 0) -> MOIntegrals:

@@ -191,6 +191,42 @@ class TestInvariantsHold:
         assert report.executed == 2
 
 
+# Shrunk reproducer of nightly seed 1239: a finite bit-flip overflows a DGEMM
+# and the Inf is accumulated into the global sigma.  Every later get of that
+# window is a faithful non-finite copy of its source, which the get-payload
+# check used to blame on the network until its retry budget ran out.
+SEED_1239 = {
+    "seed": 1239,
+    "harness": "sigma",
+    "scenarios": ["adversarial_stalls", "silent_bitflips"],
+    "knobs": {},
+    "service_plan": None,
+    "plan": {
+        "seed": 1239,
+        "corrupt": 0.12156894000050504,
+        "corrupt_mode": "bitflip",
+        "deaths": {},
+        "stalls": [],
+        "drop_get": 0.0,
+        "drop_put": 0.0,
+        "delay_prob": 0.0,
+        "delay_seconds": 0.0,
+        "mutex_jitter": 0.0,
+        "io_error": 0.0,
+        "op_timeout": None,
+        "mutex_lease": 0.00025,
+        "max_retries": 8,
+        "retry_backoff": 5e-06,
+    },
+}
+
+
+class TestRegressions:
+    def test_seed_1239_nonfinite_source_is_not_refetched(self, runner):
+        case = FuzzCase.from_dict(json.loads(json.dumps(SEED_1239)))
+        assert runner.run_case(case) is None
+
+
 class TestMutationCatch:
     def test_disabled_recovery_is_caught_and_shrunk(self, runner, monkeypatch):
         monkeypatch.setattr(fuzz_mod, "_RECOVERY_ENABLED", False)

@@ -5,10 +5,12 @@ primitive-quad quadruple loop as the production ERI path.  The scalar loop
 is retained verbatim as :func:`eri_reference` and acts as the oracle here:
 
 * the engine must agree with the oracle to 1e-12 across sto-3g and 6-31g
-  bases, including l > 0 shells,
+  bases and a two-centre s/p/d basis, so p and d shells are covered,
 * Schwarz screening at tau = 0 must be *bitwise* identical to the
   unscreened assembly (the screen may only ever skip quartets),
 * when screening does skip quartets, the deviation must stay below tau,
+* a quartet's block is bitwise the same whichever other quartets share its
+  class sweep (screened batches, one-quartet chunks),
 * the audited quartet/FLOP counters must match the closed-form model in
   ``repro.obs.accounting`` exactly.
 """
@@ -25,10 +27,12 @@ from repro.integrals import (
     nuclear_attraction,
     overlap,
 )
-from repro.integrals.two_electron import _quartet_batched
+from repro.integrals import two_electron
+from repro.integrals.two_electron import quartet_block
 from repro.obs import MetricsRegistry
 from repro.obs.accounting import eri_quartet_flops, mo_transform_flops
 from repro.scf import compute_ao_integrals, rhf, transform
+from tests.helpers import spd_basis
 
 
 def s_basis(centers_alphas):
@@ -40,6 +44,12 @@ def s_basis(centers_alphas):
 def far_dimer_basis(R=40.0):
     """Two tight s shells separated far enough that cross pairs vanish."""
     return s_basis([((0, 0, 0), 1.3), ((0, 0, R), 0.9)])
+
+
+def far_spd_dimer_basis(R=30.0):
+    """Two copies of the s/p/d basis ``R`` bohr apart: screening prunes the
+    quartets touching an inter-copy shell pair, in every class."""
+    return BasisSet(spd_basis().shells + spd_basis(shift=(R, 0.0, 0.0)).shells)
 
 
 class TestDifferentialOracle:
@@ -58,6 +68,10 @@ class TestDifferentialOracle:
         g_new = IntegralEngine(basis).eri()
         assert np.abs(g_new - g_ref).max() <= 1e-12
 
+    def test_engine_matches_scalar_oracle_on_d_shells(self):
+        basis = spd_basis()
+        assert np.abs(IntegralEngine(basis).eri() - eri_reference(basis)).max() <= 1e-12
+
     def test_quartet_kernel_matches_on_p_shells(self, water):
         # block-level differential: every quartet, not just the assembled g
         from repro.integrals.two_electron import (
@@ -70,7 +84,7 @@ class TestDifferentialOracle:
         for pi, bra in enumerate(pairs):
             for ket in pairs[: pi + 1]:
                 ref = _quartet_reference(bra, ket)
-                new = _quartet_batched(bra, ket)
+                new = quartet_block(bra, ket)
                 assert np.abs(new - ref).max() <= 1e-13
 
 
@@ -87,8 +101,29 @@ class TestSchwarzScreening:
         pairs, bounds = engine.shell_pairs, engine.schwarz
         for pi, bra in enumerate(pairs):
             for ki, ket in enumerate(pairs[: pi + 1]):
-                block = np.abs(_quartet_batched(bra, ket))
+                block = np.abs(quartet_block(bra, ket))
                 assert block.max() <= bounds[pi] * bounds[ki] * (1 + 1e-12)
+
+    def test_blocks_are_batch_independent(self, monkeypatch):
+        basis = far_spd_dimer_basis()
+        g = IntegralEngine(basis).eri()
+        tau = 1e-10
+        engine = IntegralEngine(basis, screen_threshold=tau)
+        screened = engine.eri()
+        assert engine.stats.quartets_screened > 0
+        # kept elements: both function pairs' Schwarz bounds clear tau
+        shell_of = np.repeat(
+            np.arange(len(basis.shells)), [sh.nfunc for sh in basis.shells]
+        )
+        hi = np.maximum.outer(shell_of, shell_of)
+        lo = np.minimum.outer(shell_of, shell_of)
+        bound = engine.schwarz[hi * (hi + 1) // 2 + lo]
+        kept = bound[:, :, None, None] * bound[None, None, :, :] >= tau
+        assert np.array_equal(screened[kept], g[kept])  # bitwise
+        assert not screened[~kept].any()
+        # one quartet per chunk: every class sweep cut to single quartets
+        monkeypatch.setattr(two_electron, "_CHUNK_DOUBLES", 1)
+        assert np.array_equal(IntegralEngine(basis).eri(), g)  # bitwise
 
     def test_screening_skips_far_quartets_within_tau(self):
         basis = far_dimer_basis()

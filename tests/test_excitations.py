@@ -286,8 +286,8 @@ class TestLinkIndexTables:
 
         plan = self._plan(n, na, nb)
         for space, splan in (
-            (plan.problem.space_a, plan.same_a),
-            (plan.problem.space_b, plan.same_b),
+            (plan.space_a, plan.same_a),
+            (plan.space_b, plan.same_b),
         ):
             if splan is None:
                 continue
@@ -390,8 +390,8 @@ class TestGatherScatterTables:
         plan = self._plan(n, na, nb)
         W = plan.w_matrix
         for splan, k, space in (
-            (plan.same_a, na, plan.problem.space_a),
-            (plan.same_b, nb, plan.problem.space_b),
+            (plan.same_a, na, plan.space_a),
+            (plan.same_b, nb, plan.space_b),
         ):
             if k < 2:
                 assert splan is None
@@ -441,9 +441,12 @@ class TestGatherScatterTables:
 
     def test_sweeps_leave_a_read_only_vector_untouched(self, n, na, nb, tmp_path):
         from repro.core.kernels import DgemmKernel
+        from repro.core.plans import SigmaPlan
+        from tests.helpers import make_random_problem
 
-        plan = self._plan(n, na, nb)
-        C = plan.problem.random_vector(3)
+        problem = make_random_problem(n, na, nb, seed=7)
+        plan = SigmaPlan.for_problem(problem)
+        C = problem.random_vector(3)
         frozen = C.copy()
         frozen.flags.writeable = False
         np.save(tmp_path / "c.npy", C)

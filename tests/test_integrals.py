@@ -5,21 +5,96 @@ import math
 import numpy as np
 import pytest
 
-from repro.basis import BasisSet, Shell
+from repro.basis import BasisSet, Shell, cartesian_components
 from repro.integrals import (
     eri,
+    hermite_coulomb,
     hermite_expansion,
     kinetic,
     nuclear_attraction,
     overlap,
 )
 from repro.molecule import Molecule
+from tests.helpers import spd_basis, spd_charges
 
 
 def s_basis(centers_alphas):
     return BasisSet(
         [Shell(0, [a], [1.0], np.asarray(c, dtype=float)) for c, a in centers_alphas]
     )
+
+
+def case_basis(request, case):
+    """``"spd"``: the two-centre s/p/d basis; otherwise a water basis by name."""
+    if case == "spd":
+        return spd_basis()
+    return request.getfixturevalue("water").basis(case)
+
+
+def case_charges(request, case):
+    if case == "spd":
+        return spd_charges()
+    return request.getfixturevalue("water").charges()
+
+
+def scalar_one_electron(basis, charges):
+    """S, T and V by a primitive-pair, component-pair loop: the reference the
+    class-batched one-electron routines are held to."""
+    n = basis.nbf
+    S, T, V = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    offs = basis.shell_offsets
+    for ia, sa in enumerate(basis.shells):
+        for ib, sb in enumerate(basis.shells):
+            AB = sa.center - sb.center
+            for a, ca in zip(sa.exponents, sa.coefficients * sa._norms):
+                for b, cb in zip(sb.exponents, sb.coefficients * sb._norms):
+                    p = a + b
+                    P = (a * sa.center + b * sb.center) / p
+                    E = [hermite_expansion(sa.l, sb.l + 2, a, b, AB[x]) for x in range(3)]
+                    Rs = [
+                        (Z, hermite_coulomb(sa.l + sb.l, p, P - np.asarray(C)))
+                        for Z, C in charges
+                    ]
+                    for u, la in enumerate(cartesian_components(sa.l)):
+                        for v, lb in enumerate(cartesian_components(sb.l)):
+                            c = ca * cb * sa.component_norm(la) * sb.component_norm(lb)
+                            s = [E[x][la[x], lb[x], 0] for x in range(3)]
+                            k = []
+                            for x in range(3):
+                                i, j = la[x], lb[x]
+                                val = -2 * b * b * E[x][i, j + 2, 0]
+                                val += b * (2 * j + 1) * E[x][i, j, 0]
+                                if j >= 2:
+                                    val -= 0.5 * j * (j - 1) * E[x][i, j - 2, 0]
+                                k.append(val)
+                            row, col = offs[ia] + u, offs[ib] + v
+                            ov = c * (math.pi / p) ** 1.5
+                            S[row, col] += ov * s[0] * s[1] * s[2]
+                            T[row, col] += ov * (
+                                k[0] * s[1] * s[2] + s[0] * k[1] * s[2] + s[0] * s[1] * k[2]
+                            )
+                            for Z, R in Rs:
+                                herm = sum(
+                                    E[0][la[0], lb[0], t]
+                                    * E[1][la[1], lb[1], w]
+                                    * E[2][la[2], lb[2], z]
+                                    * R[t, w, z]
+                                    for t in range(la[0] + lb[0] + 1)
+                                    for w in range(la[1] + lb[1] + 1)
+                                    for z in range(la[2] + lb[2] + 1)
+                                )
+                                V[row, col] -= Z * c * 2.0 * math.pi / p * herm
+    return S, T, V
+
+
+class TestOneElectronReference:
+    @pytest.mark.parametrize("case", ["6-31g", "spd"])
+    def test_batched_matches_scalar_loop(self, request, case):
+        basis, charges = case_basis(request, case), case_charges(request, case)
+        S, T, V = scalar_one_electron(basis, charges)
+        assert np.abs(overlap(basis) - S).max() <= 1e-12
+        assert np.abs(kinetic(basis) - T).max() <= 1e-12
+        assert np.abs(nuclear_attraction(basis, charges) - V).max() <= 1e-12
 
 
 class TestHermiteExpansion:
@@ -50,13 +125,15 @@ class TestOverlap:
         ref = math.exp(-mu * R * R) * (2 * math.sqrt(a * b) / (a + b)) ** 1.5
         assert abs(S[0, 1] - ref) < 1e-12
 
-    def test_symmetric_positive_definite(self, water):
-        S = overlap(water.basis("sto-3g"))
+    @pytest.mark.parametrize("case", ["sto-3g", "spd"])
+    def test_symmetric_positive_definite(self, request, case):
+        S = overlap(case_basis(request, case))
         assert np.allclose(S, S.T, atol=1e-12)
         assert np.linalg.eigvalsh(S).min() > 0
 
-    def test_unit_diagonal(self, water):
-        S = overlap(water.basis("6-31g"))
+    @pytest.mark.parametrize("case", ["6-31g", "spd"])
+    def test_unit_diagonal(self, request, case):
+        S = overlap(case_basis(request, case))
         assert np.allclose(np.diag(S), 1.0, atol=1e-9)
 
     def test_szabo_h2_value(self, h2):
@@ -93,12 +170,14 @@ class TestKinetic:
         T = kinetic(BasisSet([Shell(1, [a], [1.0], np.zeros(3))]))
         assert np.allclose(np.diag(T), 2.5 * a, atol=1e-12)
 
-    def test_symmetric(self, water):
-        T = kinetic(water.basis("sto-3g"))
+    @pytest.mark.parametrize("case", ["sto-3g", "spd"])
+    def test_symmetric(self, request, case):
+        T = kinetic(case_basis(request, case))
         assert np.allclose(T, T.T, atol=1e-12)
 
-    def test_positive_definite(self, water):
-        T = kinetic(water.basis("6-31g"))
+    @pytest.mark.parametrize("case", ["6-31g", "spd"])
+    def test_positive_definite(self, request, case):
+        T = kinetic(case_basis(request, case))
         assert np.linalg.eigvalsh(T).min() > 0
 
     def test_szabo_h2_value(self, h2):
@@ -128,8 +207,9 @@ class TestNuclearAttraction:
         Vboth = nuclear_attraction(basis, [c1, c2])
         assert np.allclose(Vsum, Vboth, atol=1e-12)
 
-    def test_negative_diagonal(self, water):
-        V = nuclear_attraction(water.basis("sto-3g"), water.charges())
+    @pytest.mark.parametrize("case", ["sto-3g", "spd"])
+    def test_negative_diagonal(self, request, case):
+        V = nuclear_attraction(case_basis(request, case), case_charges(request, case))
         assert np.all(np.diag(V) < 0)
 
 

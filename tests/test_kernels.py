@@ -359,6 +359,22 @@ class TestPlanCaching:
         assert a.plan is b.plan
         assert a.kernel.plan is b.kernel.plan
 
+    def test_cached_plan_is_freed_with_its_problem(self):
+        """No problem <-> plan cycle: dropping the last reference to a
+        problem frees it and its cached plan by reference counting alone,
+        not at the next full collection."""
+        import gc
+        import weakref
+
+        problem = make_random_problem(5, 3, 2, seed=4)
+        plan = weakref.ref(SigmaPlan.for_problem(problem))
+        gc.disable()
+        try:
+            del problem
+            assert plan() is None
+        finally:
+            gc.enable()
+
     def test_rebuild_mode_does_not_touch_cache(self, problem):
         cached = SigmaPlan.for_problem(problem)
         rebuilt = SigmaPlan(problem, reuse_problem_cache=False)

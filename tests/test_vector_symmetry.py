@@ -47,19 +47,17 @@ def half_flops(plan) -> int:
     """DGEMM flops of one half sweep, from the closed forms in (n, n_alpha,
     n_beta) - never from a run: alpha-alpha, and the whole mixed product
     (its signs are halved, not its shape)."""
-    problem = plan.problem
     na, nb = plan.shape
     return int(
-        dgemm_mixed_spin_flops(problem.n, problem.n_beta, na * nb)
-        + dgemm_same_spin_flops(problem.n, problem.n_alpha, nb)
+        dgemm_mixed_spin_flops(plan.n, plan.space_b.k, na * nb)
+        + dgemm_same_spin_flops(plan.n, plan.space_a.k, nb)
     )
 
 
 def general_flops(plan) -> int:
     """... of one general sigma: beta-beta as well."""
-    problem = plan.problem
     return half_flops(plan) + int(
-        dgemm_same_spin_flops(problem.n, problem.n_beta, plan.shape[0])
+        dgemm_same_spin_flops(plan.n, plan.space_b.k, plan.shape[0])
     )
 
 

@@ -9,7 +9,16 @@ This is the reference method the automatically adjusted single-vector scheme
 is measured against.  It stores up to ``max_subspace`` basis and sigma
 vectors (the memory cost the paper's single-vector method eliminates);
 :class:`Subspace` is that storage and the dense algebra on it, shared with
-the block solver in :mod:`repro.core.multiroot`.
+the block solver in :mod:`repro.core.multiroot`.  The storage is two row
+blocks of ``max_subspace`` rows each, basis V and sigmas S, allocated once
+per solve from the session's store, so Davidson(k) holds exactly 2k vectors
+(on disk with an ``MmapStore``).  The projected matrix H = V S^T is grown,
+never recomputed: one column (``V[:k] @ s``) per new sigma and one row
+(``S[:k] @ v``) per new basis vector, and a collapse restarts it.  An
+iteration at subspace size k so reads 8k held vectors, as eight GEMVs over
+the blocks' first k rows: H's new column, the Ritz vector ``c @ V[:k]``,
+its sigma ``c @ S[:k]``, H's new row, and four to project the correction
+out of V (classical Gram-Schmidt, applied twice).
 """
 
 from __future__ import annotations
@@ -26,49 +35,66 @@ from .session import SolveSession
 __all__ = ["davidson_solve", "Subspace", "orthogonalize"]
 
 
-def orthogonalize(t: np.ndarray, basis: list[np.ndarray]) -> float:
-    """Project ``basis`` out of ``t`` in place (twice, for numerical
-    safety) and return the norm of what is left."""
+def orthogonalize(t: np.ndarray, basis: np.ndarray) -> float:
+    """Project the orthonormal rows of ``basis`` out of ``t`` in place -
+    classical Gram-Schmidt, applied twice for numerical safety (CGS2) - and
+    return the norm of what is left."""
     for _ in range(2):
-        for b in basis:
-            t -= (b @ t) * b
+        t -= (basis @ t) @ basis
     return float(np.linalg.norm(t))
 
 
 class Subspace:
-    """The raveled basis and sigma vectors a Davidson iteration holds in its
-    session's store: with an ``MmapStore`` the O(2m vectors) live on disk and
-    only the O(1) working pair plus kernel block intermediates stay resident."""
+    """A Davidson subspace of up to ``rows`` raveled basis vectors (``V``)
+    and their sigma vectors (``S``), two blocks in the session's store that
+    are closed with it, and the projected matrix ``H`` = V S^T over the
+    first ``k`` basis and ``ns`` sigma rows."""
 
-    def __init__(self, session: SolveSession):
-        self.session = session
-        self.basis: list[np.ndarray] = []
-        self.sigmas: list[np.ndarray] = []
+    def __init__(self, session: SolveSession, rows: int, dimension: int):
+        self.V = session.allocate((rows, dimension))
+        self.S = session.allocate((rows, dimension))
+        self.H = np.empty((rows, rows))
+        self.k = self.ns = 0
 
-    def extend(self, basis=(), sigmas=()) -> None:
-        """Hold more basis vectors and/or sigma vectors of held ones."""
-        self.basis.extend(self.session.hold(b) for b in basis)
-        self.sigmas.extend(self.session.hold(s) for s in sigmas)
+    @property
+    def basis(self) -> np.ndarray:
+        return self.V[: self.k]
+
+    def add_basis(self, v: np.ndarray) -> None:
+        """Hold basis vector ``v`` (orthonormal to the held ones) and add its
+        row to H."""
+        k = self.k
+        self.V[k] = v
+        self.H[k, : self.ns] = self.S[: self.ns] @ self.V[k]
+        self.k = k + 1
+
+    def add_sigma(self, s: np.ndarray) -> None:
+        """Hold the sigma vector of the oldest basis vector without one and
+        add its column to H."""
+        j = self.ns
+        self.S[j] = s
+        self.H[: self.k, j] = self.V[: self.k] @ self.S[j]
+        self.ns = j + 1
 
     def ritz_pairs(self, n_roots: int) -> tuple[np.ndarray, list[tuple]]:
-        """Rayleigh-Ritz: the ``n_roots`` lowest Ritz values and, for each,
-        the (Ritz vector, its Hamiltonian product) pair."""
-        Hs = np.array([[b @ s for s in self.sigmas] for b in self.basis])
-        evals, evecs = np.linalg.eigh(0.5 * (Hs + Hs.T))
-
-        def combine(vectors, coeff):
-            return sum(c * v for c, v in zip(coeff, vectors))
-
+        """Rayleigh-Ritz over the held pairs: the ``n_roots`` lowest Ritz
+        values and, for each, the (Ritz vector, its sigma) pair - fresh
+        arrays, one GEMV each."""
+        k = self.k
+        h = self.H[:k, :k]
+        evals, evecs = np.linalg.eigh(0.5 * (h + h.T))
         coeffs = evecs[:, :n_roots].T
-        return evals[:n_roots], [(combine(self.basis, c), combine(self.sigmas, c)) for c in coeffs]
+        return evals[:n_roots], [(c @ self.V[:k], c @ self.S[:k]) for c in coeffs]
 
-    def collapse(self, basis, sigmas=()) -> None:
-        """Restart from ``basis`` (and its ``sigmas``, when known) - fresh
-        arrays, not views of the abandoned vectors, whose buffers are reclaimed
-        (on-disk blocks for ``MmapStore``, a no-op for ``DenseStore``)."""
-        self.session.close_held()
-        self.basis, self.sigmas = [], []
-        self.extend(basis, sigmas)
+    def collapse(self, basis=(), sigmas=()) -> None:
+        """Restart from ``basis`` (orthonormal, and its ``sigmas`` when
+        known), overwriting the blocks' rows and H; the vectors must not be
+        views of the blocks."""
+        self.k = self.ns = 0
+        for v in basis:
+            self.add_basis(v)
+        for s in sigmas:
+            self.add_sigma(s)
 
 
 def davidson_solve(
@@ -105,17 +131,19 @@ def davidson_solve(
         ritz, meta = session.restore(guess)
         ritz = (ritz / np.linalg.norm(ritz)).ravel()
         prev_e = meta.get("prev_e", np.inf)
-        sub = Subspace(session)
-        sub.extend([ritz])
+        # a collapse keeps one pair and adds the correction: 2 rows at least
+        sub = Subspace(session, max(max_subspace, 2), ritz.size)
+        sub.add_basis(ritz)
         converged = False
         for it in range(session.state.iteration + 1, max_iterations + 1):
             # evaluate sigma of the newest basis vector
-            sub.extend(sigmas=[sigma_fn(sub.basis[-1].reshape(shape)).ravel()])
+            sub.add_sigma(sigma_fn(sub.V[sub.k - 1].reshape(shape)).ravel())
             session.state.n_sigma += 1
-            k = len(sub.basis)
+            k = sub.k
             evals, [(ritz, hritz)] = sub.ritz_pairs(1)
             e = float(evals[0])
-            rnorm = float(np.linalg.norm(hritz - e * ritz))
+            residual = hritz - e * ritz
+            rnorm = float(np.linalg.norm(residual))
             session.record(it, e, rnorm, subspace=k)
             converged = abs(e - prev_e) < energy_tol and rnorm < residual_tol
             if checkpoint is not None:
@@ -124,7 +152,8 @@ def davidson_solve(
             if converged:
                 break
             prev_e = e
-            t = olsen_correction(ritz.reshape(shape), hritz.reshape(shape), e, precond).ravel()
+            t = olsen_correction(ritz.reshape(shape), residual.reshape(shape), e, precond).ravel()
+            del residual  # not alive during the next sigma call
             if k >= max_subspace:
                 nrm = np.linalg.norm(ritz)
                 sub.collapse([ritz / nrm], [hritz / nrm])
@@ -133,5 +162,6 @@ def davidson_solve(
                 # subspace is numerically exhausted: converged as far as possible
                 converged = rnorm < residual_tol
                 break
-            sub.extend([t / tnorm])
+            t /= tnorm
+            sub.add_basis(t)
         return session.result(ritz.reshape(shape), converged, "davidson")

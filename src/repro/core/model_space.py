@@ -66,7 +66,8 @@ class DiagonalPreconditioner:
     def _solve(self, R: np.ndarray, shift: float) -> np.ndarray:
         """R / (diag - shift), with small denominators floored."""
         den = self.diag - shift
-        den = np.where(np.abs(den) < self.floor, np.sign(den) * self.floor + (den == 0) * self.floor, den)
+        small = np.abs(den) < self.floor
+        den[small] = np.where(den[small] < 0, -self.floor, self.floor)
         return R / den
 
     def apply_h0(self, X: np.ndarray) -> np.ndarray:
@@ -88,7 +89,11 @@ class ModelSpacePreconditioner(DiagonalPreconditioner):
         size = min(size, int(np.isfinite(diag).sum()))
         if size < 1:
             raise ValueError("model space must contain at least one determinant")
-        sel = np.argsort(diag, kind="stable")[:size]
+        # the set a stable full argsort would pick, ties at the cut included:
+        # partition finds the cut, and only the few candidates are sorted
+        cut = np.partition(diag, size - 1)[size - 1]
+        candidates = np.flatnonzero(diag <= cut)
+        sel = candidates[np.argsort(diag[candidates], kind="stable")[:size]]
         self.selection = np.sort(sel)
         ia = self.selection // nb
         ib = self.selection % nb

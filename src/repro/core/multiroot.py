@@ -5,16 +5,17 @@ subspace iteration returning the k lowest eigenstates - used to resolve
 excited states and spin gaps, e.g. the CN+ singlet-triplet splitting that
 makes the paper's Table-2 system so hard for single-vector solvers.
 
-``sigma_fn`` is any one-vector callable.  The block's outstanding sigma
-vectors are streamed: each is computed and held in the session's vector
-store before the next is computed, so an out-of-core store never sees a
-stack of them in RAM.
+``sigma_fn`` is any one-vector callable.  The subspace is the same
+:class:`~repro.core.davidson.Subspace` of two row blocks the one-root
+solver uses; the block's outstanding sigma vectors are streamed into it,
+each computed and held before the next is computed, so an out-of-core
+store never sees a stack of them in RAM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,15 +39,19 @@ class MultiRootResult:
     history: list[np.ndarray] = field(default_factory=list)
 
 
-def _orthonormalize(vecs: list[np.ndarray], against: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
+def _orthonormalize(vecs: Iterable[np.ndarray], sub: Subspace) -> int:
+    """Add each of ``vecs`` to ``sub``'s basis, orthonormalized against the
+    rows held before it (the ones just added included); return how many
+    were independent enough to keep."""
+    added = 0
     for v in vecs:
-        w = v.copy()
-        nrm = orthogonalize(w, against + out)
+        w = v.ravel().copy()
+        nrm = orthogonalize(w, sub.basis)
         if nrm > 1e-10:
             w /= nrm
-            out.append(w)
-    return out
+            sub.add_basis(w)
+            added += 1
+    return added
 
 
 def davidson_multiroot(
@@ -77,20 +82,19 @@ def davidson_multiroot(
     max_subspace = max_subspace or max(8 * k, 24)
 
     with SolveSession("multiroot", store=store) as session:
-        sub = Subspace(session)
-        sub.extend(_orthonormalize([g.ravel() for g in guesses], []))
-        if len(sub.basis) < k:
+        # a collapse keeps k Ritz vectors and adds up to k new directions
+        sub = Subspace(session, max(max_subspace, 2 * k, len(guesses)), guesses[0].size)
+        if _orthonormalize(guesses, sub) < k:
             raise ValueError("guess vectors are linearly dependent")
         prev = np.full(k, np.inf)
         history: list[np.ndarray] = []
         theta = np.zeros(k)
-        ritz = sub.basis[:k]
+        ritz = [v.copy() for v in sub.basis[:k]]
         rnorms = np.full(k, np.inf)
         for _ in range(max_iterations):
-            pending = sub.basis[len(sub.sigmas):]
-            # a generator: each sigma is held before the next is computed
-            sub.extend(sigmas=(sigma_fn(b.reshape(shape)).ravel() for b in pending))
-            session.state.n_sigma += len(pending)
+            session.state.n_sigma += sub.k - sub.ns
+            for j in range(sub.ns, sub.k):
+                sub.add_sigma(sigma_fn(sub.V[j].reshape(shape)).ravel())
             theta, pairs = sub.ritz_pairs(k)
             history.append(theta.copy())
             ritz = [r for r, _ in pairs]
@@ -104,13 +108,12 @@ def davidson_multiroot(
                 for r in range(k)
                 if not rnorms[r] < residual_tol
             ]
-            if len(sub.basis) + len(fresh) > max_subspace:
+            if sub.k + len(fresh) > max_subspace:
                 # collapse to the Ritz vectors, keeping the new directions
-                sub.collapse(_orthonormalize(ritz, []))
-            added = _orthonormalize(fresh, sub.basis)
-            if not added:
+                sub.collapse()
+                _orthonormalize(ritz, sub)
+            if not _orthonormalize(fresh, sub):
                 break  # subspace is numerically exhausted
-            sub.extend(added)
         return MultiRootResult(
             energies=theta,
             vectors=[v.reshape(shape) for v in ritz],

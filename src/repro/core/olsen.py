@@ -32,12 +32,12 @@ __all__ = ["olsen_correction", "olsen_solve", "single_vector_solve", "SolveResul
 
 def olsen_correction(
     C: np.ndarray,
-    sigma: np.ndarray,
+    residual: np.ndarray,
     energy: float,
     precond: DiagonalPreconditioner,
 ) -> np.ndarray:
-    """Olsen correction vector, orthogonal to C by construction."""
-    residual = sigma - energy * C
+    """Olsen correction vector for the residual ``sigma - energy * C``,
+    orthogonal to C by construction."""
     x_r = precond.solve(residual, energy)
     x_c = precond.solve(C, energy)
     denom = float(np.vdot(C, x_c))
@@ -85,18 +85,20 @@ def single_vector_solve(
     with session:
         C, meta = session.restore(guess / np.linalg.norm(guess))
         prev_e = rule.load(meta)
-        C = session.hold(C, reuse=True)
+        C = session.hold(C)
         converged = False
         for it in range(session.state.iteration + 1, max_iterations + 1):
             sigma = sigma_fn(C)
             session.state.n_sigma += 1
             e = float(np.vdot(C, sigma))
-            rnorm = float(np.linalg.norm(sigma - e * C))
+            residual = sigma - e * C
+            rnorm = float(np.linalg.norm(residual))
             session.record(it, e, rnorm, lam=rule.lam)
             converged = abs(e - prev_e) < energy_tol and rnorm < residual_tol
             if not converged:
-                t = olsen_correction(C, sigma, e, precond)
-                C = session.hold(rule.advance(C, sigma, t, e, precond), reuse=True)
+                t = olsen_correction(C, residual, e, precond)
+                del residual  # not alive during the next sigma call
+                C = session.hold(rule.advance(C, sigma, t, e, precond))
             session.save(C, rule.meta(e), converged=converged)
             if converged:
                 break

@@ -7,11 +7,12 @@ owns what they share and the four parameters that configure it:
 
 ``store`` (a :class:`repro.core.vectors.CIVectorStore` template)
     Where the vectors a solver holds *between* iterations live - the one
-    iterate of the single-vector methods, Davidson's whole subspace.
+    iterate of the single-vector methods (:meth:`~SolveSession.hold`),
+    Davidson's two subspace blocks (:meth:`~SolveSession.allocate`).
     Values are copied in bit-for-bit, so a ``DenseStore`` run is bitwise
-    identical to ``store=None`` (which hands the solver its own arrays
-    back); an ``MmapStore`` keeps them on disk.  Every buffer the session
-    allocated is closed when it exits, by return or by exception.
+    identical to ``store=None`` (plain arrays); an ``MmapStore`` keeps them
+    on disk.  Every buffer the session allocated is closed when it exits,
+    by return or by exception.
 ``checkpoint`` (a :class:`Checkpointer`)
     The restart state - one vector, the method's scalars, the histories -
     is offered to ``maybe_save`` exactly once per iteration, forced when
@@ -77,22 +78,27 @@ class SolveSession(AbstractContextManager):
         self._held: list = []
 
     def __exit__(self, *exc) -> None:
-        self.close_held()
+        """Close every buffer handed out (its views stay readable)."""
+        while self._held:
+            self._held.pop().close()
 
-    def hold(self, x: np.ndarray, *, reuse: bool = False) -> np.ndarray:
-        """Move ``x`` into store-backed memory (no-op without a store);
-        ``reuse`` overwrites the newest buffer - the single-vector slot."""
+    def hold(self, x: np.ndarray) -> np.ndarray:
+        """Copy ``x`` into the session's one store-backed vector slot (no-op
+        without a store), overwriting what the slot held before."""
         if self.store is None:
             return x
-        if not (reuse and self._held):
+        if not self._held:
             self._held.append(self.store.allocate())
         self._held[-1].write(x)
         return self._held[-1].as_ndarray().reshape(x.shape)
 
-    def close_held(self) -> None:
-        """Close every buffer handed out so far (its views stay readable)."""
-        while self._held:
-            self._held.pop().close()
+    def allocate(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An array of ``shape`` in the store's memory for the rest of the
+        session (a plain ``np.empty`` without a store)."""
+        if self.store is None:
+            return np.empty(shape)
+        self._held.append(self.store.allocate(shape))
+        return self._held[-1].as_ndarray()
 
     def restore(self, guess: np.ndarray) -> tuple[np.ndarray, dict]:
         """The starting vector and the method's restart scalars: ``(guess,

@@ -144,9 +144,8 @@ class FCISolver:
         registered store kind (:func:`repro.core.vectors.store_kinds` -
         "dense", "mmap") or an option dict such as
         ``{"kind": "mmap", "directory": "/scratch"}``.  The default None
-        keeps plain in-RAM arrays (bitwise identical to the
-        pre-storage-layer behaviour, including the kernel block-width
-        heuristic).  "mmap" keeps Davidson's subspace / the single-vector
+        keeps plain in-RAM arrays and the default kernel block width.
+        "mmap" keeps Davidson's two subspace blocks / the single-vector
         iterate out of core, and the kernel block budget is recomputed
         from the store's *resident* footprint.  The dict's other keys are
         the store's constructor options.
@@ -357,9 +356,12 @@ class FCISolver:
     def _open_store(self, problem: CIProblem):
         """The run's CI-vector store template, or None for plain arrays.
 
-        ``None`` (the default backend) deliberately bypasses the store layer
-        entirely so the solvers execute the exact pre-refactor code path.
-        On exit the store's footprint is published and the template closed.
+        ``None`` (the default backend) keeps every held vector in plain RAM
+        and leaves the kernel block width at its default.  The solvers run
+        the same arithmetic on either: Davidson's two subspace blocks are
+        then ``np.empty`` arrays instead of store allocations, and the
+        single-vector iterate is not copied at all.  On exit the store's
+        footprint is published and the template closed.
         """
         if self.vector_store is None:
             yield None

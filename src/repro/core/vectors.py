@@ -8,7 +8,8 @@ same object - a CI vector - with a different storage contract, so this
 module makes the contract explicit:
 
 * :class:`CIVectorStore` - the protocol every layer above the kernels
-  programs against: allocate siblings, expose the payload as an ndarray,
+  programs against: allocate siblings (of its own shape, or of another -
+  a solver's block of vectors), expose the payload as an ndarray,
   axpy / dot / norm, report logical vs *resident* bytes, flush durably.
 * :class:`DenseStore` - today's behavior, a zero-copy wrap of an
   ``np.ndarray``.  Solver runs through a ``DenseStore`` are bitwise
@@ -52,7 +53,9 @@ class CIVectorStore(Protocol):
     """What every CI-vector consumer may assume about a storage backend.
 
     ``shape`` is the logical (n_alpha_strings, n_beta_strings) CI matrix
-    shape; ``nbytes`` the logical payload size; ``resident_nbytes`` the
+    shape; ``allocate`` makes a zeroed sibling of the same backend, of that
+    shape or of an explicit one (Davidson's (rows, dimension) subspace
+    blocks); ``nbytes`` the logical payload size; ``resident_nbytes`` the
     bytes *guaranteed resident in RAM* (dense: everything; mmap: nothing -
     page cache is reclaimable).  The memory budgeting layer
     (:meth:`repro.core.plans.SigmaPlan.default_block_columns`) subtracts
@@ -62,7 +65,7 @@ class CIVectorStore(Protocol):
     kind: str
     shape: tuple[int, ...]
 
-    def allocate(self) -> "CIVectorStore": ...
+    def allocate(self, shape: tuple[int, ...] | None = None) -> "CIVectorStore": ...
 
     def as_ndarray(self) -> np.ndarray: ...
 
@@ -177,8 +180,8 @@ class DenseStore(_DenseLike):
         """Zero-copy store view of an existing float64 ndarray."""
         return cls(array.shape, array=array)
 
-    def allocate(self) -> "DenseStore":
-        return DenseStore(self.shape)
+    def allocate(self, shape=None) -> "DenseStore":
+        return DenseStore(self.shape if shape is None else shape)
 
     @property
     def resident_nbytes(self) -> int:
@@ -233,8 +236,8 @@ class MmapStore(_DenseLike):
                     f"expected {self.shape}"
                 )
 
-    def allocate(self) -> "MmapStore":
-        return MmapStore(self.shape, directory=self.directory)
+    def allocate(self, shape=None) -> "MmapStore":
+        return MmapStore(self.shape if shape is None else shape, directory=self.directory)
 
     @property
     def resident_nbytes(self) -> int:
@@ -248,7 +251,8 @@ class MmapStore(_DenseLike):
 
     def close(self) -> None:
         """Drop the mapping and reclaim files this store created itself."""
-        self._arr = np.zeros(self.shape)[:0]  # release the memmap reference
+        # release the memmap reference without keeping a full-size base alive
+        self._arr = np.empty((0,) + self.shape[1:])
         if self._owned_tmp is not None:
             self._owned_tmp.cleanup()
             self._owned_tmp = None

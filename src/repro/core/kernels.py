@@ -1,8 +1,8 @@
 """Sigma kernels: plan-driven implementations of sigma = H C, one vector per sweep.
 
-sigma = H C is evaluated matrix-free in four pieces:
+sigma = H C is evaluated matrix-free in three pieces - gathers, dense
+DGEMMs and scatters, nothing else:
 
-* one-electron  sum_pq h_pq (E^a_pq + E^b_pq)  (:func:`one_electron_sigma`),
 * same-spin alpha-alpha and beta-beta two-electron terms through the
   N-2-electron intermediate string space (paper eqs. 7-9):
 
@@ -17,6 +17,19 @@ sigma = H C is evaluated matrix-free in four pieces:
       D[(rs), Ma, Kb] = sum_Mb <Kb|E^b_rs|Mb> C[Ma, Mb]   (gather)
       E[(pq), Ma, Kb] = sum_rs (pq|rs) D[(rs), Ma, Kb]    (dense DGEMM)
       sigma[Ka, Kb]  += sum_(pq),Ma <Ka|E^a_pq|Ma> E[(pq), Ma, Kb].
+
+The one-electron term sum_pq h_pq (E^a_pq + E^b_pq) has no piece of its
+own: sum_r E^b_rr = n_b on the space, so h_pq E^a_pq = (1/n_b) h_pq d_rs
+E^a_pq E^b_rs, and likewise for beta - h is folded into the integrals the
+mixed sweep already multiplies,
+
+      G'[(pq),(rs)] = (pq|rs) + h_pq d_rs / n_b + d_pq h_rs / n_a,
+
+or, with one spin empty, into the same-spin W' built from
+(pq|rs) + (h_pq d_rs + d_pq h_rs) / (k - 1) (pyscf's ``absorb_h1e``;
+:func:`repro.core.plans.absorb_h1e`).  Same GEMM shapes, no extra flop.
+Only a one-electron space (n_a + n_b = 1) has no pair to fold h into;
+there sigma = T C (:func:`one_electron_sigma`) is the whole of it.
 
 A :class:`SigmaKernel` consumes a precompiled
 :class:`~repro.core.plans.SigmaPlan` (compiled once per problem, so no
@@ -70,19 +83,19 @@ matrix:
 set of tables for both spins) relabelling the spins transposes C, and H
 commutes with it; a singlet has C = +C^T, an Ms = 0 triplet C = -C^T.  For
 C = eps * C^T every beta piece of sigma is eps times the transpose of its
-alpha twin - sigma^bb = eps * (sigma^aa)^T, T_b-term = eps * (T_a C)^T - and
-the mixed term is its own: sigma^ab = eps * (sigma^ab)^T, i.e. Y + eps * Y^T
-with Y = sigma^ab / 2.  :meth:`DgemmKernel.apply` therefore computes
-Z = T_a C + sigma^aa + Y and returns Z + eps * Z^T - the "vector symm" line
-of the paper's Table 3, which has a beta-beta and an alpha-beta line and no
-alpha-alpha one.  What is saved: the beta-beta sweep, the transposed copy
-of C it reads and the beta one-electron product are not run at all.  What
-is not: the mixed sweep is the general one with its signs halved (exact in
-binary).  Restricting its pair sum to the triangle rs <= pq would only turn
-half of each string's (npair x per) integral block into zeros that are
-still multiplied: the block is not square, so no triangular BLAS call takes
-it, and splitting such a triangle into 2-4 rectangular products measured
-x1.00-1.04 of the full DGEMM.  Per apply the half sweep costs x0.84 of the
+alpha twin - sigma^bb = eps * (sigma^aa)^T - and the mixed term, one
+electron part included (G' is symmetric when n_a = n_b), is its own:
+sigma^ab = eps * (sigma^ab)^T, i.e. Y + eps * Y^T with Y = sigma^ab / 2.
+:meth:`DgemmKernel.apply` therefore computes Z = sigma^aa + Y and returns
+Z + eps * Z^T - the "vector symm" line of the paper's Table 3, which has a
+beta-beta and an alpha-beta line and no alpha-alpha one.  What is saved:
+the beta-beta sweep is not run at all.  What is not: the mixed sweep is
+the general one with its signs halved (exact in binary).  Restricting its
+pair sum to the triangle rs <= pq would only turn half of each string's
+(npair x per) integral block into zeros that are still multiplied: the
+block is not square, so no triangular BLAS call takes it, and splitting
+such a triangle into 2-4 rectangular products measured x1.00-1.04 of the
+full DGEMM.  Per apply the half sweep costs x0.84 of the
 general one on FCI(4+4,12) and x0.80 on FCI(6+6,12).  The test for the
 symmetry (:func:`transpose_parity`) is exact, and the result is bitwise
 eps-symmetric (IEEE addition commutes), so a solver whose other steps are
@@ -308,23 +321,19 @@ def add_transpose(Z: np.ndarray, eps: int) -> np.ndarray:
 
 
 def one_electron_sigma(
-    plan: SigmaPlan, C: np.ndarray, Ct: np.ndarray | None, columns: slice = slice(None)
+    plan: SigmaPlan, C: np.ndarray, Ct: np.ndarray, columns: slice = slice(None)
 ) -> np.ndarray:
     """Columns ``columns`` of the one-electron term T_a C + (T_b C^T)^T of
-    one (na, nb) CI matrix.  ``Ct`` is the C-contiguous transpose of C, or
-    None to stop after the alpha part (for C = eps * C^T the beta part is
-    eps times its transpose, which the caller's Z + eps * Z^T supplies).
+    one (na, nb) CI matrix, ``Ct`` the C-contiguous transpose of C.
 
-    Alpha part first: every kernel and every rank program starts its
-    accumulation from exactly this array, which is part of what keeps the
-    execution modes bitwise-equal.  So is this: a CSR product adds a row's
-    entries left to right column by column, so a column slice is - to the
-    bit - those columns of the whole product, and the ranks can each take
-    the column blocks they own.
+    The whole of sigma on a one-electron space (``plan.one_electron_only``,
+    where no pair exists to fold h into), and the explicit term of the MOC
+    baseline.  A CSR product adds a row's entries left to right column by
+    column, so a column slice is - to the bit - those columns of the whole
+    product, and the ranks can each take the column blocks they own.
     """
     sigma = np.asarray(plan.Ta @ C[:, columns])
-    if Ct is not None:
-        sigma += np.asarray(plan.Tb[columns] @ Ct).T
+    sigma += np.asarray(plan.Tb[columns] @ Ct).T
     return sigma
 
 
@@ -363,8 +372,11 @@ def same_spin_sigma(
     *,
     col_blocks: Iterable[tuple[int, int]] | None = None,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    w_blocks: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Same-spin term for one row-major (nstr, M) CI matrix.
+    """Same-spin term for one row-major (nstr, M) CI matrix, on the
+    integrals ``W`` (the plain W, or the plan's ``w_sweep``).
 
     Acts on the *row* strings; the beta-beta term passes the transposed CI
     matrix, like the paper's Fig. 2a which works on transposed local C
@@ -378,20 +390,23 @@ def same_spin_sigma(
     * gather - D = rows ``splan.source`` of the block, one ``np.take``;
     * E[K] = W_K . D[K] for every K, one stacked ``np.matmul`` (NK DGEMMs,
       L x L x m each);
-    * scatter - sigma = ``splan.scatter`` @ E, a CSR product that adds each
-      string's entries left to right in table order, so a block's sums do
-      not depend on the sweep around it.
+    * scatter - ``out`` += ``splan.scatter`` @ E, a CSR product that adds
+      each string's entries left to right in table order, so a block's
+      sums do not depend on the sweep around it.
 
     ``col_blocks`` restricts the sweep to a subset of the canonical
     :func:`column_blocks` (the shared-memory backend distributes whole
     blocks across workers; each block's operands - and therefore its
     rounding - are identical to the full serial sweep); any iterable,
-    consumed one block at a time.  ``out`` writes results into a
-    caller-provided array (e.g. a shared-memory segment) instead of
-    allocating; only the swept blocks are touched.  D and E are allocated
-    once per sweep, ``block_columns`` wide; a narrower (ragged last) block
-    takes a prefix of the same memory, so every block's DGEMM operands are
-    contiguous whatever its width and no block faults in fresh pages.
+    consumed one block at a time.  ``out`` is accumulated into (e.g. the
+    sigma other sweeps add to as well, or its transpose; a shared-memory
+    segment) instead of allocated; only the swept blocks are touched.  D
+    and E are allocated once per sweep, ``block_columns`` wide - or taken
+    from ``scratch``, a flat float64 array of at least that size - and a
+    narrower (ragged last) block takes a prefix of the same memory, so
+    every block's DGEMM operands are contiguous whatever its width and no
+    block faults in fresh pages.  ``w_blocks`` passes blocks already cut
+    from ``W`` for ``splan``.
     """
     NK, L = splan.pairs.shape
     M = C_rows.shape[1]
@@ -399,9 +414,13 @@ def same_spin_sigma(
         out = np.zeros(C_rows.shape)
     if col_blocks is None:
         col_blocks = column_blocks(M, block_columns)
-    W_blocks = splan.w_blocks(W)
+    if w_blocks is None:
+        w_blocks = splan.w_blocks(W)
     width = min(block_columns, M)
-    D_flat, E_flat = np.empty((2, NK * L * width))
+    need = NK * L * width
+    if scratch is None:
+        scratch = np.empty(2 * need)
+    D_flat, E_flat = scratch[:need], scratch[need : 2 * need]
     for lo, hi in col_blocks:
         m = _block_width(lo, hi, width)
         D = D_flat[: NK * L * m].reshape(NK, L, m)
@@ -409,8 +428,8 @@ def same_spin_sigma(
         # "clip" because the default "raise" buffers `out`; the indices are
         # the plan's own and in range
         np.take(C_rows[:, lo:hi], splan.source, axis=0, out=D.reshape(NK * L, m), mode="clip")
-        np.matmul(W_blocks, D, out=E)
-        out[:, lo:hi] = splan.scatter @ E.reshape(NK * L, m)
+        np.matmul(w_blocks, D, out=E)
+        out[:, lo:hi] += splan.scatter @ E.reshape(NK * L, m)
         if counters is not None:
             counters.dgemm_flops += 2 * L * L * NK * m
             counters.dgemm_calls += NK
@@ -425,20 +444,24 @@ def mixed_spin_sigma(
     block_columns: int,
     counters: SigmaCounters | None,
     *,
+    G: np.ndarray | None = None,
+    Ct: np.ndarray | None = None,
     col_blocks: Iterable[tuple[int, int]] | None = None,
     out: np.ndarray | None = None,
     scatter: MixedSpinHalfPlan | None = None,
     half: bool = False,
 ) -> np.ndarray:
-    """Mixed-spin (alpha-beta) term for one (n_rows, nb) CI matrix.
+    """Mixed-spin (alpha-beta) term for one (n_rows, nb) CI matrix, on the
+    pair-packed integrals ``G`` (default the plain ``plan.g_matrix``; the
+    kernels pass ``plan.g_sweep``, which carries h as well).
 
     Beta-major, one beta string k at a time, holding only what k's
     occupation connects (``per`` = n_beta (n - n_beta + 1) of the n(n+1)/2
     packed pairs):
 
-    * gather - D_k (per, n_rows) = rows ``source[k]`` of C^T, the transposed
-      copy made once per sweep: ``per`` contiguous row copies in one
-      ``np.take``, no element gather;
+    * gather - D_k (per, n_rows) = rows ``source[k]`` of C^T (``Ct``, the
+      caller's C-contiguous transpose, or one made per sweep): ``per``
+      contiguous row copies in one ``np.take``, no element gather;
     * E_k = (G[:, pairs_k] . diag(sign_k)) . D_k, one (npair x per) .
       (per x n_rows) DGEMM - the signs ride on the ``per`` integral columns,
       cut per string as rows of the signed table [G^T; -G^T];
@@ -455,7 +478,7 @@ def mixed_spin_sigma(
     :func:`same_spin_sigma`: restrict the sweep to a subset of the
     canonical blocks (a lazily consumed iterable - a rank's generator
     claims its next task only when the sweep asks for the next block)
-    and/or accumulate into a caller-provided buffer.  ``scatter`` replaces
+    and/or accumulate into a caller-provided array.  ``scatter`` replaces
     the plan's alpha half when ``C`` holds only some alpha rows (a
     simulated rank's task: the rows it fetched, and the targets it owns
     with sources numbered into those rows); sigma then has one row per
@@ -469,15 +492,18 @@ def mixed_spin_sigma(
     gb = plan.gather_b
     sa = plan.scatter_a if scatter is None else scatter
     S = sa.scatter
-    npair = plan.g_matrix.shape[0]
     if out is None:
         out = np.zeros((S.shape[0], nb))
     if not gb.per or not sa.per:
         return out  # a spin without electrons has no single excitations
+    if G is None:
+        G = plan.g_matrix
+    npair = G.shape[0]
     if col_blocks is None:
         col_blocks = column_blocks(nb, block_columns)
-    Ct = np.ascontiguousarray(C.T)
-    Gt = np.ascontiguousarray(plan.g_matrix.T) * (0.5 if half else 1.0)
+    if Ct is None:
+        Ct = np.ascontiguousarray(C.T)
+    Gt = np.ascontiguousarray(G.T) * (0.5 if half else 1.0)
     signed_G = np.concatenate([Gt, -Gt])
     source = gb.source.reshape(nb, gb.per)
     signed_pair = (gb.pair + npair * (gb.sign < 0)).reshape(nb, gb.per)
@@ -505,8 +531,10 @@ def mixed_spin_sigma(
 
 
 # benchmarks/e2e/layers.py (frozen between benchmark PRs) imports these two
-# names and calls them positionally on a (1, ...) stack; they have no other
-# caller and go with the next benchmark PR.
+# names and calls them positionally on a (1, ...) stack, beside its own
+# plan.Ta / plan.Tb products: the plain sweeps, without h, so that its four
+# phases still add up to DgemmKernel.apply.  They have no other caller and
+# go with the next benchmark PR.
 def same_spin_sigma_stack(splan, W, C_stack, block_columns, counters) -> np.ndarray:
     return np.stack(
         [same_spin_sigma(splan, W, C, block_columns, counters) for C in C_stack]
@@ -514,8 +542,9 @@ def same_spin_sigma_stack(splan, W, C_stack, block_columns, counters) -> np.ndar
 
 
 def mixed_spin_sigma_stack(plan, C_stack, block_columns, counters) -> np.ndarray:
+    G = plan.g_matrix
     return np.stack(
-        [mixed_spin_sigma(plan, C, block_columns, counters) for C in C_stack]
+        [mixed_spin_sigma(plan, C, block_columns, counters, G=G) for C in C_stack]
     )
 
 
@@ -525,10 +554,13 @@ class DgemmKernel:
 
     ``block_columns`` defaults to the plan's cache-sized block width
     (:meth:`SigmaPlan.default_block_columns`).  One accumulation sequence
-    for every input; where C = eps * C^T exactly (:func:`transpose_parity`)
-    its beta steps are skipped, the mixed term is halved and the transpose
-    supplies the rest (module docstring).  Nothing selects this but the
-    bits of C.
+    for every input: sigma is allocated once and the alpha-alpha,
+    beta-beta and mixed sweeps add into it in turn, on the plan's
+    ``w_sweep`` / ``g_sweep`` (h folded in, module docstring), from one
+    transposed copy of C.  Where C = eps * C^T exactly
+    (:func:`transpose_parity`) the beta-beta sweep is skipped, the mixed
+    term is halved and the transpose supplies the rest.  Nothing selects
+    this but the bits of C.
     """
 
     def __init__(self, plan: SigmaPlan, *, block_columns: int | None = None):
@@ -546,23 +578,53 @@ class DgemmKernel:
     def apply(self, C: np.ndarray, counters: SigmaCounters | None = None) -> np.ndarray:
         plan = self.plan
         C = as_ci_matrix(C, plan.shape)
-        bc = self.block_columns
+        if plan.one_electron_only:
+            return one_electron_sigma(plan, C, np.ascontiguousarray(C.T))
         # C = eps * C^T (closed shell): every beta piece is eps times the
         # transpose of its alpha twin, so accumulate only the alpha half Z
         # and complete sigma = Z + eps * Z^T - the paper's "vector symm" step
         eps = transpose_parity(plan, C)
-        Ct = None if eps else np.ascontiguousarray(C.T)
-        # accumulation order, shared with every rank program: one-electron
-        # alpha, one-electron beta, alpha-alpha, beta-beta, mixed
-        sigma = one_electron_sigma(plan, C, Ct)
-        if plan.same_a is not None:
-            sigma += same_spin_sigma(plan.same_a, plan.w_matrix, C, bc, counters)
-        if plan.same_b is not None and not eps:
-            sigma += same_spin_sigma(plan.same_b, plan.w_matrix, Ct, bc, counters).T
-        sigma += mixed_spin_sigma(plan, C, bc, counters, half=bool(eps))
-        if eps:
-            sigma = add_transpose(sigma, eps)
-        return sigma
+        # one sigma every sweep adds into, in the order every rank program's
+        # reduction repeats: alpha-alpha, beta-beta (into sigma^T), mixed
+        sigma = np.zeros(plan.shape)
+        Ct = self._same_spin(C, sigma, eps, counters)
+        mixed_spin_sigma(
+            plan, C, self.block_columns, counters,
+            G=plan.g_sweep, Ct=Ct, out=sigma, half=bool(eps),
+        )
+        del Ct  # before Z + eps * Z^T allocates its result
+        return add_transpose(sigma, eps) if eps else sigma
+
+    def _same_spin(self, C, sigma, eps, counters) -> np.ndarray:
+        """Both same-spin sweeps into ``sigma``; returns C^T for the mixed one.
+
+        They share one D/E scratch, sized for the larger of the two, and on
+        a closed shell (one same-spin plan) one cut of the W blocks; both
+        are released before the mixed sweep allocates its own.  C^T is made
+        after the alpha-alpha sweep, so at most one of the two sweeps holds
+        it beside the scratch.
+        """
+        plan = self.plan
+        bc = self.block_columns
+        na, nb = plan.shape
+        a = plan.same_a
+        b = None if eps else plan.same_b
+        sizes = [2 * s.n_entries * min(bc, m) for s, m in ((a, nb), (b, na)) if s is not None]
+        scratch = np.empty(max(sizes)) if sizes else None
+        if a is not None:
+            blocks = a.w_blocks(plan.w_sweep)
+            same_spin_sigma(
+                a, plan.w_sweep, C, bc, counters, out=sigma, scratch=scratch, w_blocks=blocks
+            )
+        Ct = np.ascontiguousarray(C.T)
+        if b is not None:
+            if b is not a:
+                blocks = None  # the alpha blocks go before the beta ones are cut
+                blocks = b.w_blocks(plan.w_sweep)
+            same_spin_sigma(
+                b, plan.w_sweep, Ct, bc, counters, out=sigma.T, scratch=scratch, w_blocks=blocks
+            )
+        return Ct
 
     apply_batch = apply_batch_loop
 

@@ -5,7 +5,9 @@ coupling structure is *precomputed once* and the per-iteration work is pure
 gather / DGEMM / scatter.  A :class:`SigmaPlan` is that precomputation made
 explicit: for one :class:`~repro.core.problem.CIProblem` it compiles
 
-* the one-electron CSR operators T_sigma[I,J] = sum_pq h_pq <I|E_pq|J>,
+* the one-electron CSR operators T_sigma[I,J] = sum_pq h_pq <I|E_pq|J> -
+  all of sigma on a one-electron space, and the MOC baseline's explicit
+  term; the DGEMM sweeps carry h in their integrals instead,
 * the mixed-spin single-excitation entries re-sorted by target string - a
   constant ``per`` entries per target, so entry arrays reshape to (target,
   entry): the beta half is read a row at a time (the ``per`` source strings,
@@ -17,7 +19,9 @@ explicit: for one :class:`~repro.core.problem.CIProblem` it compiles
   n_pairs * NK (paper eqs. 7-9) - per slot the source string and sign, per
   string its pair list, and a +-1 CSR scatter matrix over the slots,
 * the W supermatrix W[(p>r),(q>s)] = (pq|rs) - (ps|rq) and the pair-packed
-  chemists-notation G matrix G[(p>=q),(r>=s)] = (pq|rs),
+  chemists-notation G matrix G[(p>=q),(r>=s)] = (pq|rs), and next to them
+  the matrices the sweeps actually multiply, G' and W', with h folded in
+  (:func:`absorb_h1e`), so sigma has no one-electron phase of its own,
 
 and caches all of it on the problem (``SigmaPlan.for_problem``), so every
 solver iteration and every simulated MSP rank reuses one immutable plan
@@ -46,6 +50,7 @@ __all__ = [
     "pair_index",
     "build_w_matrix",
     "build_g_matrix",
+    "absorb_h1e",
     "one_electron_csr",
     "DEFAULT_BLOCK_BUDGET_MB",
 ]
@@ -94,6 +99,38 @@ def build_g_matrix(g: np.ndarray) -> np.ndarray:
     """
     p, q = np.tril_indices(g.shape[0])
     return np.ascontiguousarray(g[p[:, None], q[:, None], p[None, :], q[None, :]])
+
+
+def absorb_h1e(mo, n_alpha: int, n_beta: int, G: np.ndarray, W: np.ndarray):
+    """(G', W'): the integrals the sweeps multiply, with ``mo.h`` folded in.
+
+    On the space sum_r E^b_rr = n_beta and sum_r E^a_rr = n_alpha, so the
+    one-electron operator sum_pq h_pq (E^a_pq + E^b_pq) is a product of one
+    alpha and one beta excitation - the mixed-spin term's shape:
+
+        G'[(pq),(rs)] = G[(pq),(rs)] + (h_pq d_rs / n_beta + d_pq h_rs / n_alpha)
+
+    over the ``np.tril_indices`` pairs of :func:`build_g_matrix` (d the
+    Kronecker delta).  The bracket is summed first, so G' is exactly as
+    symmetric as G when n_alpha = n_beta, and the half sweep for
+    C = +-C^T survives.  When one spin is empty there is no mixed term,
+    but sum_r a+_p a+_r a_r a_q = (k - 1) E_pq on k >= 2 electrons puts h
+    into the same-spin term instead: W' = :func:`build_w_matrix` of
+    g + (h x d + d x h) / (k - 1).  The GEMM shapes are the plain ones, so
+    folding h in costs no flop.  The matrix that does not change is ``G``
+    or ``W`` itself; with one electron (or none) there is no pair to fold
+    h into and both are.
+    """
+    h = mo.h
+    if n_alpha and n_beta:
+        p, q = np.tril_indices(h.shape[0])
+        h_pair = h[p, q]
+        d_pair = (p == q).astype(np.float64)
+        G = G + (np.outer(h_pair, d_pair) / n_beta + np.outer(d_pair, h_pair) / n_alpha)
+    elif n_alpha + n_beta >= 2:
+        hd = np.multiply.outer(h, np.eye(h.shape[0]))
+        W = build_w_matrix(mo.g + (hd + hd.transpose(2, 3, 0, 1)) / (n_alpha + n_beta - 1))
+    return G, W
 
 
 def one_electron_csr(h: np.ndarray, table: SingleExcitationTable) -> sp.csr_matrix:
@@ -175,13 +212,16 @@ class SameSpinPlan:
         """(NK, L, L): W[pairs_K, pairs_K] . diag(sign_K) for every K, so that
         E[K] = w_blocks[K] @ D[K] with D a plain, unsigned copy of rows of C.
 
-        NK * L^2 doubles (3.1 MB at FCI(6,12)), cut by each sweep rather
-        than held by the plan: they are L/3 times everything else a
-        same-spin plan holds and the one piece that grows like L^2
-        (2.6 GB at FCI(8+1,20), whose CI vector is 20 MB), a sweep takes
-        W as an argument, and cutting them is 1.7 ms of a 50 ms sweep.
+        NK * L^2 doubles (3.1 MB at FCI(6,12)), cut per apply rather than
+        held by the plan: they are L/3 times everything else a same-spin
+        plan holds and the one piece that grows like L^2 (2.6 GB at
+        FCI(8+1,20), whose CI vector is 20 MB), a sweep takes W as an
+        argument, and cutting them is 1.7 ms of a 50 ms sweep.  On a closed
+        shell the alpha-alpha and beta-beta sweeps share one cut.
         """
-        return W[self.pairs[:, :, None], self.pairs[:, None, :]] * self.sign[:, None, :]
+        blocks = W[self.pairs[:, :, None], self.pairs[:, None, :]]
+        blocks *= self.sign[:, None, :]
+        return blocks
 
 
 @dataclass
@@ -304,8 +344,15 @@ class SigmaPlan:
             w = build_w_matrix(problem.mo.g)
         self.singles_a = singles_a
         self.singles_b = singles_b
-        self.w_matrix = w
-        self.g_matrix = build_g_matrix(problem.mo.g)
+        # the G' / W' the sweeps run on: h folded into one of them
+        g_plain = build_g_matrix(problem.mo.g)
+        self.g_sweep, self.w_sweep = absorb_h1e(
+            problem.mo, problem.n_alpha, problem.n_beta, g_plain, w
+        )
+        self._h_in_g = self.g_sweep is not g_plain
+        self._h_in_w = self.w_sweep is not w
+        # nothing to fold h into: the one term of sigma = T C
+        self.one_electron_only = problem.n_alpha + problem.n_beta == 1
         h = problem.mo.h
         self.Ta = one_electron_csr(h, singles_a)
         self.Tb = self.Ta if singles_b is singles_a else one_electron_csr(h, singles_b)
@@ -339,6 +386,24 @@ class SigmaPlan:
         return plan
 
     @property
+    def g_matrix(self) -> np.ndarray:
+        """The plain G[(p>=q),(r>=s)] = (pq|rs) of :func:`build_g_matrix`.
+
+        The plan holds one G, the ``g_sweep`` its sweeps multiply; when h is
+        folded into that one (:func:`absorb_h1e`) the plain matrix is rebuilt
+        on each access.  Only the plain ``*_stack`` sweeps of
+        :mod:`repro.core.kernels` and the benchmark harness read it.
+        """
+        return build_g_matrix(self.mo.g) if self._h_in_g else self.g_sweep
+
+    @property
+    def w_matrix(self) -> np.ndarray:
+        """The plain W[(p>r),(q>s)] = (pq|rs) - (ps|rq): ``w_sweep`` itself
+        unless a spin is empty and h is folded into it, as for
+        :attr:`g_matrix`."""
+        return build_w_matrix(self.mo.g) if self._h_in_w else self.w_sweep
+
+    @property
     def closed_shell(self) -> bool:
         """n_alpha = n_beta: one set of tables serves both spins - the only
         kind of space on which C = +-C^T means anything."""
@@ -350,12 +415,14 @@ class SigmaPlan:
 
         The cache-accounting figure for content-addressed plan stores (the
         service layer's artifact cache budgets and reports eviction on it):
-        the W/G supermatrices, the one-electron CSR operators, every
+        the W/G supermatrices the sweeps run on (one of them with h folded
+        in, the other the plain one), the one-electron CSR operators, every
         excitation entry array and the CSR scatter matrix compiled from
         them, counted once per distinct array (shared alpha/beta halves are
-        not double counted, nor is a ``sign`` array that is also its scatter
-        matrix's ``data``).  The same-spin W blocks are *not* here: a sweep
-        cuts them from ``w_matrix`` (:func:`repro.core.kernels.same_spin_sigma`).
+        not double counted, nor is a ``sign`` array that is also its
+        scatter matrix's ``data``).  The same-spin W blocks are *not* here:
+        the kernel cuts them from ``w_sweep`` per apply
+        (:func:`repro.core.kernels.same_spin_sigma`).
         """
         seen: set[int] = set()
         total = 0
@@ -372,8 +439,8 @@ class SigmaPlan:
             add(csr.indices)
             add(csr.indptr)
 
-        add(self.w_matrix)
-        add(self.g_matrix)
+        add(self.w_sweep)
+        add(self.g_sweep)
         add_csr(self.Ta)
         add_csr(self.Tb)
         for half in (self.scatter_a, self.gather_b):

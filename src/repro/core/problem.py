@@ -23,7 +23,11 @@ __all__ = ["CIProblem"]
 
 
 class CIProblem:
-    """An FCI problem: integrals + string spaces + cached coupling tables."""
+    """An FCI problem: integrals + string spaces + cached coupling tables.
+
+    Either spin may hold more electrons: the sigma kernels treat alpha and
+    beta alike, so an empty-alpha space is as valid as an empty-beta one.
+    """
 
     def __init__(
         self,
@@ -34,8 +38,6 @@ class CIProblem:
         target_irrep: int | None = None,
         product_table: np.ndarray | None = None,
     ):
-        if n_alpha < n_beta:
-            raise ValueError("convention: n_alpha >= n_beta")
         self.mo = mo
         self.n = mo.n_orbitals
         self.n_alpha = n_alpha

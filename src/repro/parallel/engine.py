@@ -21,10 +21,10 @@ once:
   by ``timeout``.  A failed call closes the engine; the backend drops it
   and the next call spawns a fresh pool,
 * **determinism**: each phase writes disjoint owned windows of its own
-  heap array (``one``/``aa``/``bb``/``mix``), and the parent reduces the
-  four left-to-right in the serial kernel's accumulation order - for
-  C = eps * C^T the three the ranks wrote (no ``bb``), then adds eps times
-  the transpose, the paper's "vector symm" step - so sigma is
+  heap array (``aa``/``bb``/``mix``), and the parent reduces the three
+  left-to-right in the order the serial kernel's sweeps add into its one
+  sigma - for C = eps * C^T the two the ranks wrote (no ``bb``), then adds
+  eps times the transpose, the paper's "vector symm" step - so sigma is
   bitwise-identical to ``DgemmKernel.apply`` at the same
   ``block_columns`` for any worker count on any transport,
 * **observability**: every call returns a
@@ -207,7 +207,7 @@ class RankEngine:
         heap = self.transport.heap
         t_wall = time.perf_counter()
         heap.get("C")[...] = C
-        heap.zero("one", "aa", "bb", "mix")
+        heap.zero("aa", "bb", "mix")
         heap.reset_counter()
         self._seq += 1
         for rank, endpoint in sorted(self._endpoints.items()):
@@ -217,14 +217,14 @@ class RankEngine:
                 raise self._died(rank, "control endpoint closed") from None
         stats = self._collect("done", self._seq, time.monotonic() + self.timeout)
 
-        # deterministic left-to-right reduction in the serial kernel's
-        # accumulation order: one-electron, alpha-alpha, beta-beta^T, mixed.
-        # The ranks saw the same bits of C, so they made the same choice:
-        # for C = eps * C^T they left `bb` alone and wrote alpha halves only
+        # deterministic left-to-right reduction in the order the serial
+        # kernel's sweeps add into its one sigma: alpha-alpha (on a
+        # one-electron space, T C; else zeros when there is no such term),
+        # beta-beta^T, mixed.  The ranks saw the same bits of C, so they made
+        # the same choice: for C = eps * C^T they left `bb` alone and wrote
+        # alpha halves only
         eps = transpose_parity(plan, C)
-        sigma = heap.get("one").copy()
-        if plan.same_a is not None:
-            sigma += heap.get("aa")
+        sigma = heap.get("aa").copy()
         if plan.same_b is not None and not eps:
             sigma += heap.get("bb").T
         sigma += heap.get("mix")

@@ -8,16 +8,21 @@ Implements the paper's parallel strategy (section 3) with real arithmetic:
 * **beta-beta** same-spin term: purely local, statically balanced - every
   rank loops the full N-2 beta intermediate space for its own rows, no
   communication (paper section 3.3),
-* **alpha-alpha** term and the alpha one-electron term: handled in
-  transposed column blocks gathered with DDI_GET and accumulated back with
-  DDI_ACC (the "transposed local C / sigma" device of Fig. 2a generalized to
-  a distributed transpose),
+* **alpha-alpha** term: handled in transposed column blocks gathered with
+  DDI_GET and accumulated back with DDI_ACC (the "transposed local C /
+  sigma" device of Fig. 2a generalized to a distributed transpose),
 * **mixed-spin** (alpha-beta) term: a dynamically load-balanced task pool
   over spans of target alpha strings; each task gathers the single-
   excitation source rows one-sidedly, runs the D -> DGEMM -> E pipeline
   locally, and DDI_ACCs the sigma rows to their owner,
 * per-rank virtual time is charged with the X1 kernel cost models, so the
   numeric run and the paper-scale trace run share one timing machinery.
+
+The one-electron term has no phase of its own: it rides in the plan's
+``g_sweep`` / ``w_sweep`` (:func:`repro.core.plans.absorb_h1e`), except on
+a one-electron space, where sigma = T C is all there is and the two local
+phases apply it (T_b on the beta-beta rows, T_a on the alpha-alpha
+columns).  The cost model charges no one-electron work.
 
 The result is bit-identical (to roundoff) with the serial
 :func:`repro.core.kernels.sigma_dgemm`, which the test suite enforces for
@@ -259,10 +264,9 @@ class ParallelSigma:
         self.row_ranges = block_ranges(na, P)
         self.col_ranges = block_ranges(nb, P)
 
-        # replicated tables come straight off the plan: the one-electron CSR
-        # operators and the target-sorted mixed-spin halves are compiled once
-        # per problem, not rebuilt per ParallelSigma (or per call)
-        self.Ta, self.Tb = self.plan.Ta, self.plan.Tb
+        # replicated tables come straight off the plan: the target-sorted
+        # mixed-spin halves are compiled once per problem, not rebuilt per
+        # ParallelSigma (or per call)
         self._per_a = self.plan.scatter_a.per
 
         # task pool over alpha rows for the mixed-spin phase; per-unit cost
@@ -318,23 +322,27 @@ class ParallelSigma:
 
     # -- kernels -------------------------------------------------------------
     def _beta_beta_block(self, Cblk: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """Local-phase sigma rows for one C block: one-electron beta +
-        beta-beta doubles; returns (sigma_block, model_seconds, flops)."""
+        """Local-phase sigma rows for one C block: beta-beta doubles (on a
+        one-electron space, T_b C^T); returns (sigma_block, model_seconds,
+        flops)."""
         plan = self.plan
         cfg = self.config
         m = Cblk.shape[0]
         nb = self.problem.space_b.size
-        npair = plan.w_matrix.shape[0]
-        sig_local = np.zeros((m, nb))
-        sig_local += np.asarray(self.Tb @ Cblk.T).T
+        npair = plan.w_sweep.shape[0]
+        if plan.one_electron_only:
+            sig_local = np.asarray(plan.Tb @ Cblk.T).T
+        else:
+            sig_local = np.zeros((m, nb))
         if plan.same_b is not None:
-            sig_local += same_spin_sigma(
+            same_spin_sigma(
                 plan.same_b,
-                plan.w_matrix,
+                plan.w_sweep,
                 np.ascontiguousarray(Cblk.T),
                 self.block_columns,
                 None,
-            ).T
+                out=sig_local.T,
+            )
         nkb = plan.same_b.n_reduced if plan.same_b is not None else 0
         flops = 2.0 * npair * npair * nkb * m
         t = cfg.dgemm_time(npair, max(nkb * m, 1), npair) if nkb else 0.0
@@ -347,15 +355,15 @@ class ParallelSigma:
         return sig_local, t, flops
 
     def _alpha_block(self, colC: np.ndarray, w: int) -> tuple[np.ndarray, float, float]:
-        """Alpha one-electron + alpha-alpha doubles on one transposed column
-        block; returns (X, model_seconds, flops)."""
+        """Alpha-alpha doubles (on a one-electron space, T_a C) on one
+        transposed column block; returns (X, model_seconds, flops)."""
         plan = self.plan
         cfg = self.config
-        npair = plan.w_matrix.shape[0]
-        X = np.asarray(self.Ta @ colC)
+        npair = plan.w_sweep.shape[0]
+        X = np.asarray(plan.Ta @ colC) if plan.one_electron_only else np.zeros(colC.shape)
         if plan.same_a is not None:
-            X += same_spin_sigma(
-                plan.same_a, plan.w_matrix, colC, self.block_columns, None
+            same_spin_sigma(
+                plan.same_a, plan.w_sweep, colC, self.block_columns, None, out=X
             )
         nka = plan.same_a.n_reduced if plan.same_a is not None else 0
         flops = 2.0 * npair * npair * nka * w
@@ -365,7 +373,8 @@ class ParallelSigma:
     def _mixed_subset(self, Csub: np.ndarray, meta: dict) -> np.ndarray:
         """Mixed-spin sigma rows for one task from gathered source rows."""
         return mixed_spin_sigma(
-            self.plan, Csub, self.block_columns, None, scatter=meta["half"]
+            self.plan, Csub, self.block_columns, None,
+            G=self.plan.g_sweep, scatter=meta["half"],
         )
 
     def _mixed_task_time(self, meta: dict) -> tuple[float, float]:
@@ -632,12 +641,12 @@ class ParallelSigma:
             r = proc.rank
             lo, hi = self.row_ranges[r]
 
-            # ---- local phase: one-electron beta + beta-beta (static) ----
+            # ---- local phase: beta-beta (static) ----
             if hi > lo:
                 yield from beta_block(proc, r, Cd.local_block(r), tag_of(0, r))
             yield from end_phase(proc, 0)
 
-            # ---- alpha-alpha + alpha one-electron on transposed blocks ----
+            # ---- alpha-alpha on transposed blocks ----
             clo, chi = self.col_ranges[r]
             if chi > clo:
                 yield from alpha_block(proc, r, tag_of(1, r))

@@ -8,27 +8,28 @@ load-balanced pool of column-block *spans* built by the same size-ordered
 aggregation (:func:`repro.parallel.taskpool.build_task_pool`) the
 simulated MSPs use.  Because every block is a *whole* canonical column
 block, each DGEMM sees exactly the operands the serial kernel would give
-it, and the parent's left-to-right reduction of the four owned outputs
-(``one`` → ``aa`` → ``bb``:sup:`T` → ``mix``) reproduces the serial
-accumulation order — which together make the result bitwise-identical to
-``sigma_dgemm`` for any worker count.
+it, and the parent's left-to-right reduction of the three owned outputs
+(``aa`` → ``bb``:sup:`T` → ``mix``) repeats the order in which the serial
+kernel's sweeps add into its one sigma — which together make the result
+bitwise-identical to ``sigma_dgemm`` for any worker count.  The mixed-spin
+term does not depend on the blocking at all — every beta column is its
+own DGEMM (:func:`repro.core.kernels.mixed_spin_sigma`).
 
-The one-electron term is distributed like the alpha-alpha one: each rank
-writes the columns of its owned ``aa_blocks`` into ``one`` (a CSR product
-adds a row's entries left to right column by column, so a column slice is
-bitwise those columns of the serial product), and the mixed-spin term does
-not depend on the blocking at all — every beta column is its own DGEMM
-(:func:`repro.core.kernels.mixed_spin_sigma`).
+There is no one-electron phase: h rides in the plan's ``g_sweep`` /
+``w_sweep`` (:func:`repro.core.plans.absorb_h1e`).  Only a one-electron
+space has nothing to fold it into; there sigma = T C is the whole of it,
+and each rank writes the columns of its owned ``aa_blocks`` of it into
+``aa`` (a CSR product adds a row's entries left to right column by
+column, so a column slice is bitwise those columns of the serial product).
 
 For C = ε·Cᵀ on a closed-shell space the serial kernel evaluates only the
 alpha half Z of sigma and completes σ = Z + ε·Zᵀ
 (:mod:`repro.core.kernels`), and so do the ranks: each evaluates the same
 exact :func:`~repro.core.kernels.transpose_parity` on the C it holds — the
 same bits everywhere, so all ranks and the parent agree with no change to
-the ``("sigma", seq)`` message — and then writes the alpha one-electron
-term only, leaves ``bb`` alone, and runs every mixed-spin block with its
-signs halved; the parent's reduction adds the transpose (the paper's
-"vector symm" step).  Same blocks, same operands, same order: still
+the ``("sigma", seq)`` message — and then leaves ``bb`` alone and runs
+every mixed-spin block with its signs halved; the parent's reduction adds
+the transpose (the paper's "vector symm" step).  Same blocks, same operands, same order: still
 bitwise-identical to the serial kernel.
 
 This module is that shared decomposition, the per-rank program and the
@@ -111,7 +112,7 @@ def heap_arrays(plan: SigmaPlan) -> dict[str, tuple[int, int]]:
     array per phase for the ranks' disjoint owned windows."""
     na, nb = plan.shape
     # beta-beta works on the transposed matrix
-    return {"C": (na, nb), "one": (na, nb), "aa": (na, nb), "bb": (nb, na), "mix": (na, nb)}
+    return {"C": (na, nb), "aa": (na, nb), "bb": (nb, na), "mix": (na, nb)}
 
 
 def build_sigma_decomposition(
@@ -153,13 +154,13 @@ def run_rank_sigma(
 ) -> list[int]:
     """Execute one rank's share of ``decomposition``, in place.
 
-    ``outs`` maps ``one``/``aa``/``mix`` to (na, nb) arrays and ``bb`` to
-    an (nb, na) array (beta-beta works on the transposed matrix); each
-    phase writes only this rank's disjoint owned windows of them, so two
-    ranks never touch the same element.  ``fetch_add`` is the backend's
-    atomic task-claim verb.  ``per_task_seconds`` is a chaos/test hook: a
-    sleep inside every claimed mixed-spin task that widens the span window
-    so fault tests can reliably kill a worker *mid-span*.
+    ``outs`` maps ``aa``/``mix`` to (na, nb) arrays and ``bb`` to an
+    (nb, na) array (beta-beta works on the transposed matrix), all zeroed;
+    each phase adds into only this rank's disjoint owned windows of them,
+    so two ranks never touch the same element.  ``fetch_add`` is the
+    backend's atomic task-claim verb.  ``per_task_seconds`` is a chaos/test
+    hook: a sleep inside every claimed mixed-spin task that widens the span
+    window so fault tests can reliably kill a worker *mid-span*.
 
     Returns the ids of the mixed-spin tasks this rank claimed.
     """
@@ -168,21 +169,21 @@ def run_rank_sigma(
     # C = eps * C^T: the alpha half only, as in the serial kernel; the
     # parent completes sigma by transpose
     half = bool(transpose_parity(plan, C))
-    Ct = None if half else np.ascontiguousarray(C.T)
+    Ct = np.ascontiguousarray(C.T)
 
-    # one-electron alpha + beta and alpha-alpha doubles: this rank's
-    # round-robin share of the beta-axis column blocks, stored into disjoint
-    # owned windows of `one` and `aa`
+    # alpha-alpha doubles (or, on a one-electron space, sigma = T C): this
+    # rank's round-robin share of the beta-axis column blocks, added into
+    # disjoint owned windows of `aa`
     my_aa = decomposition.owned_aa_blocks(rank)
-    if my_aa:
+    if plan.one_electron_only and my_aa:
         t0 = time.perf_counter()
         for lo, hi in my_aa:
-            outs["one"][:, lo:hi] = one_electron_sigma(plan, C, Ct, slice(lo, hi))
+            outs["aa"][:, lo:hi] = one_electron_sigma(plan, C, Ct, slice(lo, hi))
         phase_times["one-electron"] = time.perf_counter() - t0
     if plan.same_a is not None and my_aa:
         t0 = time.perf_counter()
         same_spin_sigma(
-            plan.same_a, plan.w_matrix, C, bc, counters, col_blocks=my_aa, out=outs["aa"]
+            plan.same_a, plan.w_sweep, C, bc, counters, col_blocks=my_aa, out=outs["aa"]
         )
         phase_times["alpha-alpha"] = time.perf_counter() - t0
 
@@ -192,13 +193,14 @@ def run_rank_sigma(
     if plan.same_b is not None and my_bb and not half:
         t0 = time.perf_counter()
         same_spin_sigma(
-            plan.same_b, plan.w_matrix, Ct, bc, counters, col_blocks=my_bb, out=outs["bb"]
+            plan.same_b, plan.w_sweep, Ct, bc, counters, col_blocks=my_bb, out=outs["bb"]
         )
         phase_times["beta-beta"] = time.perf_counter() - t0
 
     # mixed-spin: dynamic task pool over column-block spans, fed to ONE sweep
-    # (one transposed copy of C, one scratch per rank per sigma) by a generator
-    # that claims the next task only when the sweep asks for its next block
+    # (the rank's one transposed copy of C, one scratch per rank per sigma) by
+    # a generator that claims the next task only when the sweep asks for its
+    # next block
     claimed: list[int] = []
 
     def claimed_blocks():
@@ -211,7 +213,8 @@ def run_rank_sigma(
 
     t0 = time.perf_counter()
     mixed_spin_sigma(
-        plan, C, bc, counters, col_blocks=claimed_blocks(), out=outs["mix"], half=half
+        plan, C, bc, counters, G=plan.g_sweep, Ct=Ct,
+        col_blocks=claimed_blocks(), out=outs["mix"], half=half,
     )
     phase_times["alpha-beta"] = time.perf_counter() - t0
     return claimed
@@ -282,9 +285,8 @@ def _run_sigma(rank: int, comm, payload: dict) -> RankStats:
         # disjoint — then fence with quiet before reporting done
         t0 = time.perf_counter()
         rows = slice(None)
-        for lo, hi in decomp.owned_aa_blocks(rank):
-            comm.acc("one", (rows, slice(lo, hi)), outs["one"][:, lo:hi])
-            if plan.same_a is not None:
+        if plan.same_a is not None or plan.one_electron_only:
+            for lo, hi in decomp.owned_aa_blocks(rank):
                 comm.acc("aa", (rows, slice(lo, hi)), outs["aa"][:, lo:hi])
         if "beta-beta" in phase_times:  # not run for C = eps * C^T
             for lo, hi in decomp.owned_bb_blocks(rank):

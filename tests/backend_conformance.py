@@ -336,7 +336,7 @@ class BackendConformanceSuite:
             run = ps.backend.run_sigma(ps, problem.random_vector(0))
         assert len(run.stats) == 2
         # rank 0 runs the serial prologue on top of its share of every phase
-        for phase in ("one-electron", "alpha-alpha", "beta-beta", "alpha-beta"):
+        for phase in ("alpha-alpha", "beta-beta", "alpha-beta"):
             assert phase in run.stats[0].phase_times
         for stats in run.stats:
             for phase in ("alpha-beta", *adapter.extra_phases):

@@ -269,15 +269,95 @@ class TestOccupationCompressedSweeps:
                 assert np.abs(part - full[start:stop]).max() <= 1e-12 * scale
 
 
+def _explicit_sigma(plan, C, block_columns):
+    """sigma the long way: the sparse one-electron products on top of the
+    three two-electron sweeps on the *plain* W and G."""
+    Ct = np.ascontiguousarray(C.T)
+    sigma = plan.Ta @ C + (plan.Tb @ Ct).T
+    if plan.same_a is not None:
+        sigma += same_spin_sigma(plan.same_a, plan.w_matrix, C, block_columns, None)
+    if plan.same_b is not None:
+        sigma += same_spin_sigma(plan.same_b, plan.w_matrix, Ct, block_columns, None).T
+    return sigma + mixed_spin_sigma(plan, C, block_columns, None, G=plan.g_matrix)
+
+
+class TestAbsorbedOneElectronTerm:
+    """h folded into G' (both spins occupied) or W' (one spin empty) is the
+    explicit one-electron term, at the multi-block scale the kernel runs."""
+
+    @pytest.mark.parametrize("block_columns", [7, None])
+    @pytest.mark.parametrize(
+        "space", [(10, 4, 4), (10, 4, 3), (10, 5, 2), (10, 6, 0), (6, 1, 0)],
+        ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b",
+    )
+    def test_kernel_equals_the_explicit_decomposition(self, space, block_columns):
+        prob = make_random_problem(*space, seed=15)
+        plan = SigmaPlan.for_problem(prob)
+        kern = DgemmKernel(plan, block_columns=block_columns)
+        X = prob.random_vector(16)
+        vectors = [X, X + X.T, X - X.T] if plan.closed_shell else [X]
+        for C in vectors:
+            ref = _explicit_sigma(plan, C, kern.block_columns)
+            err = np.abs(kern.apply(C) - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max()
+
+    def test_h_goes_into_exactly_one_matrix(self):
+        for space, into in (((6, 3, 3), "g"), ((6, 3, 1), "g"), ((6, 3, 0), "w"),
+                            ((6, 1, 0), None)):
+            plan = SigmaPlan.for_problem(make_random_problem(*space, seed=17))
+            assert (plan.g_sweep is plan.g_matrix) == (into != "g")
+            assert (plan.w_sweep is plan.w_matrix) == (into != "w")
+            assert plan.one_electron_only == (sum(space[1:]) == 1)
+            if plan.closed_shell:
+                # what keeps the half sweep for C = +-C^T legitimate
+                assert np.array_equal(plan.g_sweep, plan.g_sweep.T)
+
+
+class TestApplyPeakMemory:
+    """One apply's traced peak allocation, in CI vectors, does not grow.
+
+    Before h was folded in and every sweep added into one sigma, the peaks
+    were 7.77 / 6.77 (general / X + X^T) on FCI(4+4,10), 11.34 on
+    FCI(4+3,10) and 5.33 on FCI(6+6,12).  The bounds sit 0.1 above what
+    the shared-scratch kernel reads, so holding the same-spin D/E scratch
+    into the mixed sweep (7.30 / 7.30, 11.11, 4.35) fails them.
+    """
+
+    @pytest.mark.parametrize(
+        "space,symmetric,bound",
+        [((10, 4, 4), False, 7.24), ((10, 4, 4), True, 6.56), ((10, 4, 3), False, 10.10),
+         ((12, 6, 6), False, 4.45)],
+        ids=["4+4,10", "4+4,10-sym", "4+3,10", "6+6,12"],
+    )
+    def test_peak_in_ci_vectors(self, space, symmetric, bound):
+        import tracemalloc
+
+        prob = make_random_problem(*space, seed=3)
+        kern = DgemmKernel(SigmaPlan.for_problem(prob))
+        C = prob.random_vector(1)
+        if symmetric:
+            C = C + C.T
+        kern.apply(C)  # first-call imports and caches are not the kernel's
+        tracemalloc.start()
+        try:
+            kern.apply(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / C.nbytes <= bound
+
+
 @contextmanager
 def _sigma_lane(lane, problem, block_columns=3):
     """C -> sigma through a serial kernel or two shm worker processes."""
     if lane in ("serial", "moc"):
         cls = DgemmKernel if lane == "serial" else MocKernel
         yield cls(SigmaPlan.for_problem(problem), block_columns=block_columns).apply
+    elif lane == "simulated":
+        yield ParallelSigma(problem, block_columns=block_columns)
     else:
         with ParallelSigma(
-            problem, backend="shm", n_workers=2, block_columns=block_columns
+            problem, backend=lane, n_workers=2, block_columns=block_columns
         ) as par:
             yield par
 
@@ -336,7 +416,7 @@ class TestPhysicalProperties:
     @pytest.mark.parametrize(
         "space",
         [(3, 0, 0), (4, 1, 0), (4, 2, 0), (4, 4, 0), (4, 1, 1), (4, 4, 1), (4, 4, 2),
-         (4, 4, 4)],
+         (4, 4, 4), (4, 0, 2), (5, 0, 3)],
         ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b",
     )
     def test_empty_single_and_full_spin_shells(self, lane, space):
@@ -346,6 +426,21 @@ class TestPhysicalProperties:
         C = prob.random_vector(45)
         with _sigma_lane(lane, prob) as sigma:
             assert _close(sigma(C), _dense_sigma(prob, C))
+
+
+@pytest.mark.parametrize("lane", ["sockets", "simulated"])
+@pytest.mark.parametrize(
+    "space", [(4, 1, 0), (4, 2, 0), (4, 0, 2), (4, 1, 1)], ids=lambda s: f"{s[0]}o{s[1]}a{s[2]}b"
+)
+def test_edge_spaces_on_the_other_executors(lane, space):
+    """The spaces where h has nowhere, or only one place, to be folded in
+    (SigmaPlan.g_sweep / w_sweep): sigma = T C alone, W' with one spin
+    empty, the smallest G' - on the executors TestPhysicalProperties does
+    not run."""
+    prob = make_random_problem(*space, seed=6)
+    C = prob.random_vector(45)
+    with _sigma_lane(lane, prob) as sigma:
+        assert _close(sigma(C), _dense_sigma(prob, C))
 
 
 class TestPlanCaching:

@@ -150,7 +150,7 @@ class TestShmReport:
         assert report.elapsed > 0.0
         assert report.flops > 0.0
         assert report.bytes_communicated > 0.0
-        for phase in ("one-electron", "alpha-alpha", "beta-beta", "alpha-beta"):
+        for phase in ("alpha-alpha", "beta-beta", "alpha-beta"):
             assert phase in report.phase_times
         assert report.gflops_rate() > 0.0
 

@@ -222,7 +222,7 @@ class TestReport:
         assert report.flops > 0.0
         # sockets moves real bytes: C fetches + shipped owned windows
         assert report.bytes_communicated > 0.0
-        for phase in ("one-electron", "alpha-alpha", "beta-beta", "alpha-beta"):
+        for phase in ("alpha-alpha", "beta-beta", "alpha-beta"):
             assert phase in report.phase_times
         assert "wire-ship" in report.phase_times
 

@@ -138,21 +138,6 @@ class Shell:
     def nfunc(self) -> int:
         return n_cartesian(self.l)
 
-    def contracted_coefs(self, lmn: tuple[int, int, int]) -> np.ndarray:
-        """Coefficients times primitive norms for the given component.
-
-        The component norm differs from the (l,0,0) norm by a ratio of double
-        factorials only, which is the standard Cartesian-shell convention
-        (all components share the contraction normalization of (l,0,0); the
-        per-component overlap then differs for e.g. xx vs xy, which we keep,
-        matching common quantum-chemistry practice for Cartesian d shells in
-        minimal reproductions; callers that require strictly normalized
-        components should use :meth:`component_norm`).
-        """
-        return self.coefficients * np.array(
-            [primitive_norm(a, lmn) for a in self.exponents]
-        )
-
     def component_norm(self, lmn: tuple[int, int, int]) -> float:
         """Ratio normalizing this component to unit self-overlap."""
         i, j, k = lmn
@@ -201,10 +186,6 @@ class BasisSet:
     def nbf(self) -> int:
         """Total number of Cartesian basis functions."""
         return len(self.functions)
-
-    @property
-    def nshells(self) -> int:
-        return len(self.shells)
 
     def max_l(self) -> int:
         return max((sh.l for sh in self.shells), default=0)

@@ -8,17 +8,15 @@ the same discipline, in three layers:
 * **mechanisms** - a seeded :class:`FaultInjector` perturbs the simulated
   X1 with rank stalls, rank death at a virtual time, dropped or delayed
   one-sided transfers, mutex-grant jitter, transient I/O errors, and
-  payload corruption (NaN or bit-flip); :class:`ServiceFaultInjector`
-  does the same to the job service (worker deaths, torn journals, result
-  rot, telemetry blackouts).
-* **scenarios** - named generators in three registries (:data:`SCENARIOS`
-  for the X1, :data:`SERVICE_SCENARIOS`, :data:`BACKEND_SCENARIOS`) that
-  compose, seeded, into one declarative plan; :class:`ChaosConfig` names
-  the run being broken and builds its :class:`FaultPlan`.
+  payload corruption (NaN or bit-flip).
+* **scenarios** - named generators in two registries (:data:`SCENARIOS`
+  for the X1, :data:`BACKEND_SCENARIOS` for the real-process backends)
+  that compose, seeded, into one declarative plan; :class:`ChaosConfig`
+  names the run being broken and builds its :class:`FaultPlan`.
 * **search** - :mod:`repro.faults.fuzz` draws random plans inside a
-  budget grammar, runs them through the parallel-sigma, checkpointed-solver
-  and service harnesses, checks the recovery invariants, and shrinks any
-  failure to a minimal JSON reproducer.  ``python -m repro.faults
+  budget grammar, runs them through the parallel-sigma and
+  checkpointed-solver harnesses, checks the recovery invariants, and
+  shrinks any failure to a minimal JSON reproducer.  ``python -m repro.faults
   {fuzz,replay,scenarios,scenario}`` is its command line; neither the
   fuzzer nor the CLI is imported by ``import repro``.
 
@@ -32,15 +30,7 @@ harnesses imports the simulator.
 """
 
 from .injector import DEFAULT_MUTEX_LEASE, FaultInjector, FaultPlan, StallWindow
-from .scenarios import (
-    BACKEND_SCENARIOS,
-    SCENARIOS,
-    SERVICE_SCENARIOS,
-    ChaosConfig,
-    build_backend_plan,
-    build_service_plan,
-)
-from .service import ServiceFaultInjector, ServiceFaultPlan, WorkerCrashed
+from .scenarios import BACKEND_SCENARIOS, SCENARIOS, ChaosConfig, build_backend_plan
 
 __all__ = [
     "FaultPlan",
@@ -48,12 +38,7 @@ __all__ = [
     "StallWindow",
     "ChaosConfig",
     "SCENARIOS",
-    "SERVICE_SCENARIOS",
     "BACKEND_SCENARIOS",
-    "build_service_plan",
     "build_backend_plan",
-    "ServiceFaultPlan",
-    "ServiceFaultInjector",
-    "WorkerCrashed",
     "DEFAULT_MUTEX_LEASE",
 ]

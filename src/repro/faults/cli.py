@@ -18,7 +18,7 @@ Subcommands:
     violated - so a fixed bug replays to exit 0.
 
 ``scenarios``
-    List the registered X1, service and backend chaos scenarios.
+    List the registered X1 and backend chaos scenarios.
 
 ``scenario``
     The CI chaos matrix: ``scenario NAME --seeds 0 1 2`` runs one X1
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..obs import ChromeTracer
 from .fuzz import FuzzBudget, FuzzCase, FuzzRunner, SigmaHarness
-from .scenarios import BACKEND_SCENARIOS, SCENARIOS, SERVICE_SCENARIOS, ChaosConfig
+from .scenarios import BACKEND_SCENARIOS, SCENARIOS, ChaosConfig
 
 __all__ = ["main"]
 
@@ -128,7 +128,6 @@ def _cmd_replay(args) -> int:
 def _cmd_scenarios(_args) -> int:
     for title, registry in (
         ("X1 scenarios (ChaosConfig -> FaultPlan; `scenario NAME` runs one)", SCENARIOS),
-        ("service scenarios (-> ServiceFaultPlan)", SERVICE_SCENARIOS),
         ("backend scenarios (-> real-process knob dict)", BACKEND_SCENARIOS),
     ):
         print(f"{title}:")

@@ -2,10 +2,10 @@
 
 The repo proves its reliability invariants *pointwise*: hand-written chaos
 scenarios, each with a test.  This module turns them into *searched-for
-counterexamples*: a seeded generator draws random :class:`FaultPlan` /
-:class:`ServiceFaultPlan` schedules inside a budget grammar, executes each
-through one of three harnesses, and checks the machine-verifiable
-invariants the pointwise tests pin:
+counterexamples*: a seeded generator draws random :class:`FaultPlan`
+schedules inside a budget grammar, executes each through one of two
+harnesses, and checks the machine-verifiable invariants the pointwise tests
+pin:
 
 ========  ====================================================================
 harness   invariants
@@ -17,11 +17,6 @@ sigma     resilient ``ParallelSigma`` under any plan reproduces the serial
 solver    a solve killed at a random iteration (and battered by injected
           checkpoint-I/O errors) resumes to the uninterrupted energy within
           1e-10; olsen/auto replay the exact energy sequence
-service   a chaotic :class:`FCIService` (worker deaths, torn journals,
-          result rot, telemetry blackouts) still lands every submitted job
-          on the fault-free energy after reap/resume and a restart; journal
-          recovery re-adopts every readable ACTIVE job; the artifact cache
-          never serves a CRC-invalid result
 ========  ====================================================================
 
 Everything is derived from one integer seed (virtual time makes even the
@@ -46,8 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .injector import FaultInjector, FaultPlan
-from .scenarios import SCENARIOS, SERVICE_SCENARIOS, ChaosConfig, build_service_plan
-from .service import ServiceFaultInjector, ServiceFaultPlan
+from .scenarios import SCENARIOS, ChaosConfig
 
 __all__ = [
     "FuzzBudget",
@@ -68,13 +62,7 @@ _TOL = 1e-10
 _SOLVER_MAX_ATTEMPTS = 40
 
 _PROB_FIELDS = ("drop_get", "drop_put", "delay_prob", "mutex_jitter", "corrupt", "io_error")
-_SERVICE_PROB_FIELDS = (
-    "worker_crash",
-    "checkpoint_io_error",
-    "result_corrupt",
-    "journal_torn_write",
-    "telemetry_io_error",
-)
+_HARNESSES = ("sigma", "solver")
 
 
 @dataclass(frozen=True)
@@ -95,10 +83,8 @@ class FuzzBudget:
     max_io_error: float = 0.4
     max_scenarios: int = 3
     min_retries: int = 8
-    # harness mix (sigma is cheap, service is seconds per case)
+    # harness mix: sigma cases are cheap, the rest are solver cases
     w_sigma: float = 0.75
-    w_solver: float = 0.15
-    service_max_jobs: int = 3
 
     def clamp(self, plan: FaultPlan) -> FaultPlan:
         """Clamp a composed plan into the budget (deterministically)."""
@@ -119,10 +105,9 @@ class FuzzCase:
     """One generated test case: a plan plus the knobs of its harness."""
 
     seed: int
-    harness: str  # "sigma" | "solver" | "service"
+    harness: str  # "sigma" | "solver"
     scenarios: tuple = ()
     plan: FaultPlan | None = None
-    service_plan: ServiceFaultPlan | None = None
     knobs: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -131,9 +116,6 @@ class FuzzCase:
             "harness": self.harness,
             "scenarios": list(self.scenarios),
             "plan": self.plan.to_dict() if self.plan is not None else None,
-            "service_plan": (
-                self.service_plan.to_dict() if self.service_plan is not None else None
-            ),
             "knobs": dict(self.knobs),
         }
 
@@ -146,13 +128,13 @@ class FuzzCase:
             plan=(
                 FaultPlan.from_dict(data["plan"]) if data.get("plan") is not None else None
             ),
-            service_plan=(
-                ServiceFaultPlan.from_dict(data["service_plan"])
-                if data.get("service_plan") is not None
-                else None
-            ),
             knobs=dict(data.get("knobs", {})),
         )
+        if case.harness not in _HARNESSES:
+            raise ValueError(
+                f"a fuzz case runs one of {', '.join(_HARNESSES)}; "
+                f"got harness {case.harness!r}"
+            )
         if case.harness == "sigma" and case.plan is None:
             raise ValueError("a sigma case needs a 'plan'")
         if case.harness == "solver":
@@ -385,197 +367,29 @@ class SolverHarness:
         return None
 
 
-class ServiceHarness:
-    """Drives the full FCIService stack under service-layer chaos.
-
-    Phase 1 submits a family of jobs into a service wired with the case's
-    :class:`ServiceFaultInjector`, reaping/resuming through a few chaos
-    rounds, then shuts down (preempting, so checkpoints are durable).
-    Phase 2 restarts a *clean* service on the same workdir and requires:
-    every readable journal is re-adopted (ACTIVE ones as PREEMPTED), torn
-    journals are skipped+counted (never a startup crash), every job can be
-    driven to the fault-free reference energy, and the artifact cache
-    serves either a CRC-valid result or a miss - never garbage.
-    """
-
-    _METHODS = ("auto", "davidson", "olsen")
-
-    def __init__(self):
-        from ..core.solver import FCISolver
-        from ..molecule.geometry import Molecule
-
-        self.molecule = Molecule.from_atoms(
-            [("H", (0, 0, 0)), ("H", (0, 0, 1.4))], name="H2"
-        )
-        self._refs: dict = {}
-        self._FCISolver = FCISolver
-
-    def reference(self, method: str) -> float:
-        if method not in self._refs:
-            self._refs[method] = self._FCISolver(
-                self.molecule, "sto-3g", method=method
-            ).run().energy
-        return self._refs[method]
-
-    def run(self, case: FuzzCase) -> tuple[str, str] | None:
-        from ..service import FCIService, JobState, JobSpec
-
-        knobs = case.knobs
-        n_jobs = max(1, min(int(knobs.get("n_jobs", 1)), len(self._METHODS)))
-        methods = self._METHODS[:n_jobs]
-        specs = {
-            m: JobSpec.from_molecule(self.molecule, "sto-3g", method=m) for m in methods
-        }
-        sfi = ServiceFaultInjector(case.service_plan or ServiceFaultPlan())
-
-        with tempfile.TemporaryDirectory(prefix="chaos-service-") as workdir:
-            # -- phase 1: chaos ------------------------------------------------
-            svc = FCIService(
-                workdir,
-                max_workers=int(knobs.get("n_workers", 1)),
-                service_faults=sfi,
-            )
-            try:
-                keys = {}
-                for i, m in enumerate(methods):
-                    rec = svc.submit(
-                        specs[m],
-                        preempt_after=(
-                            2 if (i == 0 and knobs.get("preempt_first")) else None
-                        ),
-                    )
-                    keys[m] = rec.key
-                if knobs.get("cancel_one") and len(methods) > 1:
-                    svc.cancel(keys[methods[1]])  # may land queued, running, or late
-                for _ in range(int(knobs.get("chaos_rounds", 2))):
-                    for m in methods:
-                        try:
-                            svc.wait(keys[m], timeout=2.0)
-                        except TimeoutError:
-                            pass
-                    svc.reap()  # recover any jobs abandoned by crashed workers
-                    for m in methods:
-                        if svc.get(keys[m]).state in JobState.RESUMABLE:
-                            svc.resume(keys[m])
-            except Exception as exc:
-                return ("no_crash", f"phase1 {type(exc).__name__}: {exc}")
-            finally:
-                svc.stop(preempt=True)
-
-            # -- journal ground truth -----------------------------------------
-            readable, torn = {}, 0
-            for name in os.listdir(svc.jobs_dir):
-                if not name.endswith(".json"):
-                    continue
-                try:
-                    with open(os.path.join(svc.jobs_dir, name)) as f:
-                        data = json.load(f)
-                    readable[data["key"]] = data["state"]
-                except Exception:
-                    torn += 1
-
-            # -- phase 2: clean restart ---------------------------------------
-            try:
-                svc2 = FCIService(workdir, max_workers=2)
-            except Exception as exc:
-                return ("journal_recovery", f"restart crashed: {type(exc).__name__}: {exc}")
-            try:
-                if svc2.recovery["skipped_journals"] != torn:
-                    return (
-                        "journal_recovery",
-                        f"skipped {svc2.recovery['skipped_journals']} journals, "
-                        f"expected {torn} torn",
-                    )
-                active = [k for k, s in readable.items() if s in JobState.ACTIVE]
-                for k in readable:
-                    try:
-                        rec = svc2.get(k)
-                    except KeyError:
-                        return ("journal_recovery", f"readable journal {k[:12]} not adopted")
-                    if k in active and rec.state != JobState.PREEMPTED:
-                        return (
-                            "journal_recovery",
-                            f"ACTIVE job {k[:12]} re-adopted as {rec.state}, "
-                            "expected preempted",
-                        )
-                if svc2.recovery["readopted"] != len(active):
-                    return (
-                        "journal_recovery",
-                        f"readopted {svc2.recovery['readopted']} != {len(active)} ACTIVE",
-                    )
-
-                # cache must serve CRC-valid results or nothing
-                for m in methods:
-                    cached = svc2.cache.get_result(keys[m])
-                    if cached is not None:
-                        err = abs(cached[0]["energy"] - self.reference(m))
-                        if not err < _TOL:
-                            return ("cache_crc", f"cached energy off by {err:.3e}")
-
-                # every job must still be drivable to the reference energy
-                for m in methods:
-                    k = keys[m]
-                    try:
-                        rec = svc2._records.get(k)
-                        if rec is None:  # journal torn: resubmit the same spec
-                            rec = svc2.submit(specs[m])
-                        elif rec.state != JobState.COMPLETED:
-                            svc2.resume(k)
-                        energy = svc2.result(k, timeout=120)["energy"]
-                    except Exception as exc:
-                        return (
-                            "service_energy",
-                            f"driving {m} to completion failed: "
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    err = abs(energy - self.reference(m))
-                    if not err < _TOL:
-                        return ("service_energy", f"|E - E_ref| = {err:.3e} for {m}")
-            finally:
-                svc2.stop(preempt=True)
-        return None
-
-
 # -- generation ---------------------------------------------------------------
 
 
 def generate_case(seed: int, budget: FuzzBudget, env: ChaosConfig) -> FuzzCase:
     """The case for one seed - a pure function of (seed, budget, env)."""
     rng = random.Random(seed)
-    r = rng.random()
-    if r < budget.w_sigma:
+    if rng.random() < budget.w_sigma:
         pool = SCENARIOS.names()
         names = tuple(rng.sample(pool, 1 + rng.randrange(budget.max_scenarios)))
         plan = budget.clamp(replace(env, scenarios=list(names), seed=seed).build_plan())
         return FuzzCase(seed=seed, harness="sigma", scenarios=names, plan=plan)
-    if r < budget.w_sigma + budget.w_solver:
-        method = rng.choice(SolverHarness._METHODS)
-        kill_frac = round(rng.uniform(0.2, 0.9), 3) if rng.random() < 0.7 else None
-        # every save failure kills the attempt, so survival over an
-        # ~25-iteration solve goes like (1-p)^25: keep p where finishing
-        # within the retry budget is near-certain, not a coin flip
-        io_error = rng.choice((0.0, 0.02, 0.05))
-        return FuzzCase(
-            seed=seed,
-            harness="solver",
-            scenarios=("checkpointed_solve",),
-            plan=FaultPlan(seed=seed, io_error=io_error),
-            knobs={"method": method, "kill_frac": kill_frac},
-        )
-    pool = SERVICE_SCENARIOS.names()
-    names = tuple(rng.sample(pool, 1 + rng.randrange(2)))
+    method = rng.choice(SolverHarness._METHODS)
+    kill_frac = round(rng.uniform(0.2, 0.9), 3) if rng.random() < 0.7 else None
+    # every save failure kills the attempt, so survival over an
+    # ~25-iteration solve goes like (1-p)^25: keep p where finishing
+    # within the retry budget is near-certain, not a coin flip
+    io_error = rng.choice((0.0, 0.02, 0.05))
     return FuzzCase(
         seed=seed,
-        harness="service",
-        scenarios=names,
-        service_plan=build_service_plan(names, env, seed),
-        knobs={
-            "n_jobs": 1 + rng.randrange(budget.service_max_jobs),
-            "n_workers": rng.choice((1, 2)),
-            "chaos_rounds": 1 + rng.randrange(2),
-            "preempt_first": rng.random() < 0.5,
-            "cancel_one": rng.random() < 0.3,
-        },
+        harness="solver",
+        scenarios=("checkpointed_solve",),
+        plan=FaultPlan(seed=seed, io_error=io_error),
+        knobs={"method": method, "kill_frac": kill_frac},
     )
 
 
@@ -595,26 +409,10 @@ def _shrink_moves(case: FuzzCase):
         for name in _PROB_FIELDS:
             if d[name]:
                 yield _with_plan(case, dict(d, **{name: 0.0}))
-    if case.service_plan is not None:
-        sd = case.service_plan.to_dict()
-        for name in _SERVICE_PROB_FIELDS:
-            if sd[name]:
-                nc = FuzzCase.from_dict(case.to_dict())
-                nc.service_plan = ServiceFaultPlan.from_dict(dict(sd, **{name: 0.0}))
-                yield nc
-    simpler_knobs = {
-        "kill_frac": None,
-        "n_jobs": 1,
-        "n_workers": 1,
-        "chaos_rounds": 1,
-        "preempt_first": False,
-        "cancel_one": False,
-    }
-    for name, simple in simpler_knobs.items():
-        if name in case.knobs and case.knobs[name] != simple:
-            nc = FuzzCase.from_dict(case.to_dict())
-            nc.knobs[name] = simple
-            yield nc
+    if case.knobs.get("kill_frac") is not None:
+        nc = FuzzCase.from_dict(case.to_dict())
+        nc.knobs["kill_frac"] = None
+        yield nc
 
 
 def _with_plan(case: FuzzCase, plan_dict: dict) -> FuzzCase:
@@ -656,7 +454,6 @@ class FuzzRunner:
         self.budget = budget if budget is not None else FuzzBudget()
         self._sigma: SigmaHarness | None = None
         self._solver: SolverHarness | None = None
-        self._service: ServiceHarness | None = None
         self._env: ChaosConfig | None = None
 
     @property
@@ -679,15 +476,9 @@ class FuzzRunner:
         """Execute one case; None or the ``(invariant, detail)`` it broke."""
         if case.harness == "sigma":
             return self.sigma.run(case)
-        if case.harness == "solver":
-            if self._solver is None:
-                self._solver = SolverHarness()
-            return self._solver.run(case)
-        if case.harness == "service":
-            if self._service is None:
-                self._service = ServiceHarness()
-            return self._service.run(case)
-        return ("no_crash", f"unknown harness {case.harness!r}")
+        if self._solver is None:
+            self._solver = SolverHarness()
+        return self._solver.run(case)
 
     def fuzz(
         self,
@@ -751,11 +542,11 @@ class FuzzRunner:
         """Tally a case's plan shape for the batch report: deaths, stall
         windows, and how many plans switch each fault kind on (the per-op
         draws happen inside the harness and are not re-run)."""
-        plan, service_plan = case.plan, case.service_plan
-        if plan is not None:
-            counters["deaths"] += len(plan.deaths)
-            counters["stall_windows"] += len(plan.stalls)
-        for p, fields in ((plan, _PROB_FIELDS), (service_plan, _SERVICE_PROB_FIELDS)):
-            for name in fields if p is not None else ():
-                if getattr(p, name):
-                    counters[f"plans_with.{name}"] += 1
+        plan = case.plan
+        if plan is None:
+            return
+        counters["deaths"] += len(plan.deaths)
+        counters["stall_windows"] += len(plan.stalls)
+        for name in _PROB_FIELDS:
+            if getattr(plan, name):
+                counters[f"plans_with.{name}"] += 1

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["StallWindow", "FaultPlan", "FaultLedger", "FaultInjector", "DEFAULT_MUTEX_LEASE"]
+__all__ = ["StallWindow", "FaultPlan", "FaultInjector", "DEFAULT_MUTEX_LEASE"]
 
 DEFAULT_MUTEX_LEASE = 250e-6
 """Default mutex lease in virtual seconds before the engine may revoke a
@@ -171,16 +171,23 @@ class FaultPlan:
         return cls(**data)
 
 
-class FaultLedger:
-    """The fault counters every injector keeps: each injected fault under
+class FaultInjector:
+    """Stateful, seeded oracle for a :class:`FaultPlan`.
+
+    It keeps the fault counters: each injected fault under
     ``faults.injected.<kind>`` and each recovery the stack reports (via
     :meth:`note_recovered`) under ``faults.recovered.<kind>`` in
     ``registry`` (a fresh private :class:`repro.obs.MetricsRegistry` unless
     one is shared in, e.g. a ``Telemetry.registry``).
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None):
+    def __init__(self, plan: FaultPlan | None = None, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.plan = plan if plan is not None else FaultPlan()
+        self.rng = np.random.default_rng(self.plan.seed)
+        self._stalls_by_rank: dict[int, list[StallWindow]] = {}
+        for w in self.plan.stalls:
+            self._stalls_by_rank.setdefault(w.rank, []).append(w)
 
     def note_injected(self, kind: str, n: float = 1.0) -> None:
         self.registry.counter(f"faults.injected.{kind}").inc(n)
@@ -195,18 +202,6 @@ class FaultLedger:
             for name in self.registry
             if name.startswith("faults.")
         }
-
-
-class FaultInjector(FaultLedger):
-    """Stateful, seeded oracle for a :class:`FaultPlan`."""
-
-    def __init__(self, plan: FaultPlan | None = None, registry: MetricsRegistry | None = None):
-        super().__init__(registry)
-        self.plan = plan if plan is not None else FaultPlan()
-        self.rng = np.random.default_rng(self.plan.seed)
-        self._stalls_by_rank: dict[int, list[StallWindow]] = {}
-        for w in self.plan.stalls:
-            self._stalls_by_rank.setdefault(w.rank, []).append(w)
 
     # -- retry policy the DDI layer consults ---------------------------------
     @property

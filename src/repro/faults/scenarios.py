@@ -3,7 +3,7 @@
 A scenario is a generator ``(cfg, rng) -> dict`` of plan-field overrides:
 ``cfg`` is the :class:`ChaosConfig` describing the run being broken,
 ``rng`` a ``random.Random(seed)`` the shaped generators draw from, so the
-same seed always produces the same schedule.  Three registries:
+same seed always produces the same schedule.  Two registries:
 
 * :data:`SCENARIOS` - simulated-X1 fault schedules, composed by
   :meth:`ChaosConfig.build_plan` into a :class:`FaultPlan`.  Six are
@@ -11,8 +11,6 @@ same seed always produces the same schedule.  Three registries:
   slow) live on the config so tests and the CI matrix can sweep them; the
   rest are *shaped*: ranks sharing a blade failing together, heavy-tailed
   latency, stalls aligned to task-pool span boundaries, I/O brownouts.
-* :data:`SERVICE_SCENARIOS` - service-layer faults, composed by
-  :func:`build_service_plan` into a :class:`ServiceFaultPlan`.
 * :data:`BACKEND_SCENARIOS` - real-process backend faults (killed
   workers, stragglers), composed by :func:`build_backend_plan` into a
   plain knob dict because the real backends take keyword options.
@@ -34,22 +32,18 @@ from typing import Callable
 from ..obs.metrics import MetricsRegistry
 from ..registry import Registry
 from .injector import FaultInjector, FaultPlan, StallWindow
-from .service import ServiceFaultPlan
 
 __all__ = [
     "ChaosConfig",
     "SCENARIOS",
-    "SERVICE_SCENARIOS",
     "BACKEND_SCENARIOS",
     "compose",
-    "build_service_plan",
     "build_backend_plan",
 ]
 
 Generator = Callable[["ChaosConfig", random.Random], dict]
 
 SCENARIOS = Registry("X1 scenario", "X1 scenarios")
-SERVICE_SCENARIOS = Registry("service scenario", "service scenarios")
 BACKEND_SCENARIOS = Registry("backend scenario", "backend scenarios")
 
 
@@ -119,11 +113,6 @@ class ChaosConfig:
 
     def injector(self, registry: MetricsRegistry | None = None) -> FaultInjector:
         return FaultInjector(self.build_plan(), registry=registry)
-
-
-def build_service_plan(names, cfg: ChaosConfig, seed: int) -> ServiceFaultPlan:
-    """Compose named service scenarios into one seeded :class:`ServiceFaultPlan`."""
-    return ServiceFaultPlan(seed=seed, **compose(SERVICE_SCENARIOS, names, cfg, seed))
 
 
 def build_backend_plan(names, cfg: ChaosConfig, seed: int) -> dict:
@@ -269,42 +258,6 @@ def _flaky_interconnect(cfg: ChaosConfig, rng: random.Random) -> dict:
 def _calm(cfg: ChaosConfig, rng: random.Random) -> dict:
     """No faults at all - the bitwise fault-free-identity lane."""
     return {}
-
-
-# -- service layer --------------------------------------------------------------
-
-
-@SERVICE_SCENARIOS.register("worker_massacre")
-def _worker_massacre(cfg: ChaosConfig, rng: random.Random) -> dict:
-    """Worker threads die mid-solve; reap/resume must recover the jobs."""
-    return {"worker_crash": rng.uniform(0.1, 0.4)}
-
-
-@SERVICE_SCENARIOS.register("checkpoint_brownout")
-def _checkpoint_brownout(cfg: ChaosConfig, rng: random.Random) -> dict:
-    """Checkpoint writes fail transiently (the shared-filesystem story)."""
-    return {"checkpoint_io_error": rng.uniform(0.1, 0.4)}
-
-
-@SERVICE_SCENARIOS.register("result_rot")
-def _result_rot(cfg: ChaosConfig, rng: random.Random) -> dict:
-    """Persisted results rot on disk; CRC must turn damage into a miss."""
-    return {
-        "result_corrupt": rng.uniform(0.3, 1.0),
-        "result_corrupt_mode": rng.choice(["truncate", "bitflip", "header_only"]),
-    }
-
-
-@SERVICE_SCENARIOS.register("torn_journals")
-def _torn_journals(cfg: ChaosConfig, rng: random.Random) -> dict:
-    """Journal writes tear mid-crash; restart recovery must skip, not die."""
-    return {"journal_torn_write": rng.uniform(0.2, 0.6)}
-
-
-@SERVICE_SCENARIOS.register("telemetry_blackout")
-def _telemetry_blackout(cfg: ChaosConfig, rng: random.Random) -> dict:
-    """The telemetry stream's filesystem goes away; solves must not care."""
-    return {"telemetry_io_error": rng.uniform(0.3, 1.0)}
 
 
 # -- execution backends ---------------------------------------------------------

@@ -1,6 +1,6 @@
-"""FCI-as-a-service: the subsystem that turns the library into a server.
+"""Cached, journaled, resumable FCI jobs: the library a campaign runs on.
 
-The pieces (each its own module, composable without the others):
+The pieces:
 
 * :mod:`.jobs` - content-addressed :class:`JobSpec` (idempotent job keys,
   shared CI-space digests) and the :class:`JobRecord` lifecycle machine.
@@ -9,11 +9,8 @@ The pieces (each its own module, composable without the others):
   converged results keyed by job digest, persisted atomically.
 * :mod:`.executor` - one preemptible, checkpointed, telemetry-streaming
   solve per job (:class:`SolveExecutor`, :class:`ServiceCheckpointer`).
-* :mod:`.scheduler` - bounded priority :class:`JobQueue` (backpressure)
-  and the worker-fleet :class:`Scheduler`.
-* :mod:`.service` - :class:`FCIService`, the programmatic facade.
-* :mod:`.httpd` / :mod:`.cli` - the HTTP daemon and the
-  ``python -m repro.service`` command-line client.
+* :mod:`.service` - :class:`FCIService`, which runs jobs on a thread pool
+  and journals them so a restart re-adopts them.
 
 Quick start::
 
@@ -27,23 +24,18 @@ Quick start::
 
 from .cache import ArtifactCache, Workspace
 from .executor import JobPreempted, JobTimeout, ServiceCheckpointer, SolveExecutor
-from .jobs import PRIORITY_TIERS, JobRecord, JobSpec, JobState, JobStateError
-from .scheduler import JobQueue, QueueFullError, Scheduler
+from .jobs import JobRecord, JobSpec, JobState, JobStateError
 from .service import FCIService
 
 __all__ = [
     "ArtifactCache",
     "FCIService",
     "JobPreempted",
-    "JobQueue",
     "JobRecord",
     "JobSpec",
     "JobState",
     "JobStateError",
     "JobTimeout",
-    "PRIORITY_TIERS",
-    "QueueFullError",
-    "Scheduler",
     "ServiceCheckpointer",
     "SolveExecutor",
     "Workspace",

@@ -2,9 +2,11 @@
 
 Two tiers, two digests (see :mod:`repro.service.jobs`):
 
-* **Workspaces** (in-memory, LRU-bounded), keyed by ``space_key``: the
-  expensive per-problem compilation - AO integrals, the converged SCF, MO
-  integrals, and the :class:`~repro.core.problem.CIProblem` whose lazily
+* **Workspaces** (in-memory, LRU-bounded to
+  :attr:`ArtifactCache.MAX_WORKSPACES`), keyed by ``space_key``: the
+  expensive per-problem compilation - the converged SCF (the AO integrals
+  are computed once, to reach it), MO integrals, and the
+  :class:`~repro.core.problem.CIProblem` whose lazily
   cached excitation tables and :class:`~repro.core.plans.SigmaPlan` ride
   along.  Every job that shares the CI space reuses one workspace, so a
   family of solves (different methods/tolerances on one molecule) pays the
@@ -16,7 +18,7 @@ Two tiers, two digests (see :mod:`repro.service.jobs`):
   energy, the scalars of :class:`~repro.core.solver.FCIResult`, and the CI
   vector, persisted as one atomic CRC-verified ``.npz`` (the checkpoint
   file discipline: write-tmp, fsync, rename).  A result hit answers a
-  resubmitted job without touching a worker; the stored energy/vector are
+  resubmitted job without a solve; the stored energy/vector are
   the exact float64s the original solve produced, so a hit is
   bitwise-identical to the solve it memoized.
 
@@ -45,44 +47,34 @@ _RESULT_VERSION = 1
 
 @dataclass
 class Workspace:
-    """One compiled CI problem family: integrals + SCF + problem (+ plan).
+    """One compiled CI problem family: SCF + MO integrals + problem (+ plan).
 
-    ``store_kind`` records which CI-vector storage backend
-    (:func:`repro.core.vectors.store_kinds`) the job that compiled this
-    workspace solves on.  It is bookkeeping, not identity: workspaces stay
-    keyed by ``space_key`` alone, because the compiled tables are
-    storage-agnostic (a dense and an mmap job on one molecule share them),
-    and the recorded kind surfaces in :meth:`ArtifactCache.stats` so an
-    operator can see which families run out-of-core.
+    ``store_kind`` records which CI-vector storage backend the job that
+    compiled it solves on.  It is bookkeeping, not identity: the compiled
+    tables are storage-agnostic, so a dense and an mmap job on one
+    molecule share one workspace.
     """
 
     space_key: str
-    ao: object
     scf: object
     mo: object
     problem: object
     store_kind: str = "dense"
 
-    @property
-    def plan_nbytes(self) -> int:
-        """Bytes held by the problem's compiled plan (0 until first solve)."""
-        plan = getattr(self.problem, "_sigma_plan", None)
-        return plan.nbytes if plan is not None else 0
-
 
 class ArtifactCache:
     """Digest-keyed store for workspaces (memory) and results (disk).
 
-    ``root`` is the directory results persist under (``<root>/results``);
-    None keeps results in memory only (a library-embedded cache).
-    ``max_workspaces`` bounds the LRU workspace tier - a workspace holds
-    dense W/G supermatrices, so the bound is a real memory ceiling.
+    ``root`` is the directory results persist under (``<root>/results``).
     """
 
-    def __init__(self, root=None, *, max_workspaces: int = 8, faults=None):
-        self.root = os.fspath(root) if root is not None else None
-        self.max_workspaces = max(1, int(max_workspaces))
-        self.faults = faults  # ServiceFaultInjector or None (chaos hook)
+    #: LRU bound on the workspace tier - a workspace holds dense W/G
+    #: supermatrices, so the bound is a real memory ceiling
+    MAX_WORKSPACES = 8
+
+    def __init__(self, root):
+        self.results_dir = os.path.join(os.fspath(root), "results")
+        os.makedirs(self.results_dir, exist_ok=True)
         self._workspaces: OrderedDict[str, Workspace] = OrderedDict()
         self._results_mem: dict[str, tuple[dict, np.ndarray]] = {}
         self._lock = threading.RLock()
@@ -94,26 +86,18 @@ class ArtifactCache:
             "result_misses": 0,
             "result_corrupt": 0,
         }
-        if self.root is not None:
-            os.makedirs(self._results_dir, exist_ok=True)
-
-    @property
-    def _results_dir(self) -> str:
-        return os.path.join(self.root, "results")
 
     def _result_path(self, job_key: str) -> str:
-        return os.path.join(self._results_dir, f"{job_key}.npz")
+        return os.path.join(self.results_dir, f"{job_key}.npz")
 
     # -- workspace tier ------------------------------------------------------
     def workspace(self, space_key: str, builder) -> tuple[Workspace, bool]:
         """The workspace for ``space_key``, building it on a miss.
 
         ``builder`` is a zero-argument callable returning a
-        :class:`Workspace`; it runs *outside* the cache lock is not needed
-        here because builds are already serialized per job by the worker
-        that owns them - concurrent builders for the same key are benign
-        (last one wins) but never produce wrong answers, since workspaces
-        are content-addressed and interchangeable.  Returns ``(workspace,
+        :class:`Workspace`; it runs outside the cache lock.  Two jobs
+        building one key at once are benign (last one wins): workspaces are
+        content-addressed and interchangeable.  Returns ``(workspace,
         hit)``.
         """
         with self._lock:
@@ -127,7 +111,7 @@ class ArtifactCache:
             self._workspaces[space_key] = ws
             self._workspaces.move_to_end(space_key)
             self.counts["workspace_misses"] += 1
-            while len(self._workspaces) > self.max_workspaces:
+            while len(self._workspaces) > self.MAX_WORKSPACES:
                 evicted, _ = self._workspaces.popitem(last=False)
                 self.counts["workspace_evictions"] += 1
                 logger.info("evicted workspace %s (LRU)", evicted[:12])
@@ -139,8 +123,6 @@ class ArtifactCache:
         vec = np.ascontiguousarray(vector)
         with self._lock:
             self._results_mem[job_key] = (dict(meta), vec)
-        if self.root is None:
-            return
         header = {
             "version": _RESULT_VERSION,
             "meta": meta,
@@ -155,8 +137,6 @@ class ArtifactCache:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
-        if self.faults is not None:
-            self.faults.corrupt_result(path)
 
     def get_result(self, job_key: str) -> tuple[dict, np.ndarray] | None:
         """The memoized ``(meta, vector)`` for a job key, or None."""
@@ -175,13 +155,12 @@ class ArtifactCache:
             return loaded
 
     def _load_result(self, job_key: str):
-        if self.root is None:
-            return None
         path = self._result_path(job_key)
         if not os.path.exists(path):
             return None
         try:
-            with np.load(path) as z:
+            # np.load leaks the file it opened when the zip is truncated
+            with open(path, "rb") as f, np.load(f) as z:
                 vec = np.array(z["vector"])
                 header = json.loads(bytes(z["header"].tobytes()).decode())
             if header.get("version") != _RESULT_VERSION:
@@ -192,8 +171,6 @@ class ArtifactCache:
             logger.warning("dropping corrupt cached result %s: %s", path, exc)
             with self._lock:
                 self.counts["result_corrupt"] += 1
-            if self.faults is not None:
-                self.faults.note_recovered("result_corrupt_dropped")
             try:
                 os.remove(path)
             except OSError:
@@ -201,39 +178,15 @@ class ArtifactCache:
             return None
         return header["meta"], vec
 
-    def drop_result(self, job_key: str) -> bool:
+    def drop_result(self, job_key: str) -> None:
         """Invalidate a cached result (the ``force=True`` resubmit path)."""
         with self._lock:
-            dropped = self._results_mem.pop(job_key, None) is not None
-        if self.root is not None:
-            path = self._result_path(job_key)
-            if os.path.exists(path):
-                os.remove(path)
-                dropped = True
-        return dropped
-
-    def result_keys(self) -> list[str]:
-        """Job keys with a persisted result (memory or disk)."""
-        keys = set(self._results_mem)
-        if self.root is not None and os.path.isdir(self._results_dir):
-            keys.update(
-                name[: -len(".npz")]
-                for name in os.listdir(self._results_dir)
-                if name.endswith(".npz")
-            )
-        return sorted(keys)
+            self._results_mem.pop(job_key, None)
+        try:
+            os.remove(self._result_path(job_key))
+        except FileNotFoundError:
+            pass
 
     def stats(self) -> dict:
         with self._lock:
-            by_store: dict[str, int] = {}
-            for ws in self._workspaces.values():
-                by_store[ws.store_kind] = by_store.get(ws.store_kind, 0) + 1
-            return {
-                **self.counts,
-                "workspaces": len(self._workspaces),
-                "workspace_plan_bytes": sum(
-                    ws.plan_nbytes for ws in self._workspaces.values()
-                ),
-                "workspace_store_kinds": by_store,
-                "results": len(self.result_keys()),
-            }
+            return {**self.counts, "workspaces": len(self._workspaces)}

@@ -32,8 +32,8 @@ import time
 
 from ..core.checkpoint import Checkpointer, CheckpointState
 from ..core.solver import FCISolver
-from ..faults.service import WorkerCrashed
 from ..obs import Telemetry
+from .cache import Workspace
 
 __all__ = ["JobPreempted", "JobTimeout", "ServiceCheckpointer", "SolveExecutor"]
 
@@ -63,71 +63,45 @@ class ServiceCheckpointer(Checkpointer):
         Deterministic chaos hook: preempt as soon as ``state.iteration``
         reaches this count.  Tests use it to interrupt a solve at an exact,
         reproducible iteration instead of racing a wall clock.
-    service_faults:
-        A :class:`~repro.faults.ServiceFaultInjector`; when its seeded
-        ``worker_crashes`` oracle fires, the save raises
-        :class:`~repro.faults.WorkerCrashed` *without* persisting - the
-        worker thread dies abruptly and only the last on-grid checkpoint
-        survives, exactly like a thread killed mid-iteration.
     """
 
     def __init__(
         self,
         path,
         *,
-        every: int = 1,
         telemetry=None,
         faults=None,
         cancel_event=None,
         deadline: float | None = None,
         preempt_after: int | None = None,
-        service_faults=None,
     ):
-        super().__init__(path, every=every, telemetry=telemetry, faults=faults)
+        super().__init__(path, telemetry=telemetry, faults=faults)
         self.cancel_event = cancel_event
         self.deadline = deadline
         self.preempt_after = preempt_after
-        self.service_faults = service_faults
 
     def maybe_save(self, state: CheckpointState, *, force: bool = False) -> bool:
-        if self.service_faults is not None and self.service_faults.worker_crashes():
-            raise WorkerCrashed(
-                f"injected worker death at iteration {state.iteration}"
-            )
         preempt = (self.cancel_event is not None and self.cancel_event.is_set()) or (
             self.preempt_after is not None and state.iteration >= self.preempt_after
         )
         timed_out = self.deadline is not None and time.monotonic() > self.deadline
-        if preempt or timed_out:
-            # durability before interruption: the exception only fires once
-            # the interrupting state is safely on disk.  For mmap-backed
-            # solves the save streams the vector into the fsynced sidecar
-            # (never through RAM as one blob) - count those flushes so the
-            # out-of-core preemption path is observable.
-            self.save(state)
-            if state.store_kind == "mmap" and self.telemetry:
-                c = self.telemetry.counter("service.preempt.mmap_flush")
-                if c is not None:
-                    c.inc()
-            if preempt:
-                raise JobPreempted(
-                    f"preempted at iteration {state.iteration} (checkpoint saved)"
-                )
-            raise JobTimeout(
-                f"timed out at iteration {state.iteration} (checkpoint saved)"
-            )
-        return super().maybe_save(state, force=force)
+        if not (preempt or timed_out):
+            return super().maybe_save(state, force=force)
+        # durability before interruption: the exception only fires once the
+        # interrupting state is safely on disk
+        self.save(state)
+        if preempt:
+            raise JobPreempted(f"preempted at iteration {state.iteration} (checkpoint saved)")
+        raise JobTimeout(f"timed out at iteration {state.iteration} (checkpoint saved)")
 
 
 class SolveExecutor:
-    """Runs one job record end to end on the calling (worker) thread."""
+    """Runs one job record end to end on the calling (pool) thread."""
 
-    def __init__(self, cache, workdir, *, default_parallel: dict | None = None):
+    def __init__(self, cache, workdir):
         self.cache = cache
-        self.workdir = os.fspath(workdir)
-        self.default_parallel = default_parallel
-        self.checkpoint_dir = os.path.join(self.workdir, "checkpoints")
-        self.telemetry_dir = os.path.join(self.workdir, "telemetry")
+        self.checkpoint_dir = os.path.join(workdir, "checkpoints")
+        self.telemetry_dir = os.path.join(workdir, "telemetry")
         os.makedirs(self.checkpoint_dir, exist_ok=True)
         os.makedirs(self.telemetry_dir, exist_ok=True)
         self.solves = 0  # completed solves actually executed (not cache hits)
@@ -139,76 +113,58 @@ class SolveExecutor:
     def telemetry_path(self, job_key: str) -> str:
         return os.path.join(self.telemetry_dir, f"{job_key}.jsonl")
 
-    def _solver(self, spec, *, telemetry=None, checkpoint=None, workspace=None):
-        kwargs = spec.solver_kwargs()
-        if kwargs.get("parallel") is None and self.default_parallel is not None:
-            kwargs["parallel"] = dict(self.default_parallel)
-        if workspace is not None:
-            kwargs["ao_integrals"] = workspace.ao
-            kwargs["scf_result"] = workspace.scf
-        return FCISolver(
-            spec.molecule(),
-            spec.basis,
-            telemetry=telemetry,
-            checkpoint=checkpoint,
-            **kwargs,
-        )
+    @staticmethod
+    def _solver(spec, **kwargs) -> FCISolver:
+        return FCISolver(spec.molecule(), spec.basis, **spec.solver_kwargs(), **kwargs)
 
     def validate(self, spec) -> None:
         """Fail fast on an unbuildable spec (bad algorithm/method/backend).
 
         Constructing the solver runs all constructor-time validation but no
         SCF or integrals, so a bad submission is rejected at submit time
-        instead of dying on a worker.
+        instead of failing on a pool thread.
         """
-        spec.molecule()  # electron-count / multiplicity consistency
         self._solver(spec)
 
-    def execute(self, record, *, faults=None, preempt_after=None, service_faults=None) -> dict:
+    def execute(self, record, *, faults=None) -> dict:
         """Solve ``record``'s job; returns the result payload on success.
 
         Raises :class:`JobPreempted` / :class:`JobTimeout` for durable
         interruptions and lets genuine failures (including injected
-        checkpoint I/O crashes) propagate to the scheduler.
+        checkpoint I/O crashes) propagate.  ``faults`` is the
+        :class:`~repro.core.checkpoint.Checkpointer` I/O-fault hook.
 
         Telemetry streaming is observability, never correctness: an I/O
-        error on the JSON-lines file (injected or real - full disk, lost
-        mount) is counted under ``service.telemetry.io_errors`` and the
-        solve continues; the in-memory event list still fills.
+        error on the JSON-lines file (full disk, lost mount) is counted in
+        :attr:`telemetry_io_errors` and the solve continues; the in-memory
+        event list still fills.
         """
         spec = record.spec
-        events_file = open(self.telemetry_path(record.key), "a", buffering=1)
+        stream_path = self.telemetry_path(record.key)
 
         def stream(event: dict) -> None:
             event = {"job": record.key, **event}
             record.events.append(event)
             try:
-                if service_faults is not None and service_faults.telemetry_write_fails():
-                    raise OSError("injected telemetry stream I/O error")
-                events_file.write(json.dumps(event) + "\n")
-            except (OSError, ValueError):  # ValueError: write on a closed file
+                with open(stream_path, "a") as f:
+                    f.write(json.dumps(event) + "\n")
+            except OSError:
                 self.telemetry_io_errors += 1
 
         telemetry = Telemetry(on_iteration=stream)
         deadline = (
             time.monotonic() + record.timeout if record.timeout is not None else None
         )
-        if faults is None and service_faults is not None:
-            # ServiceFaultInjector duck-types Checkpointer's io_fails hook
-            faults = service_faults
         checkpoint = ServiceCheckpointer(
             self.checkpoint_path(record.key),
             telemetry=telemetry,
             faults=faults,
             cancel_event=record.cancel_event,
             deadline=deadline,
-            preempt_after=preempt_after,
-            service_faults=service_faults,
+            preempt_after=record.preempt_after,
         )
 
         def build_workspace():
-            from .cache import Workspace
-
             solver = self._solver(spec, telemetry=telemetry)
             problem, scf, mo = solver.build_problem()
             store = spec.solver_kwargs()["vector_store"]
@@ -216,23 +172,15 @@ class SolveExecutor:
                 store = store.get("kind")
             return Workspace(
                 space_key=spec.space_key,
-                ao=solver._ao,
                 scf=scf,
                 mo=mo,
                 problem=problem,
                 store_kind=store or "dense",
             )
 
-        try:
-            workspace, ws_hit = self.cache.workspace(spec.space_key, build_workspace)
-            solver = self._solver(
-                spec, telemetry=telemetry, checkpoint=checkpoint, workspace=workspace
-            )
-            result = solver.run(
-                prebuilt=(workspace.problem, workspace.scf, workspace.mo)
-            )
-        finally:
-            events_file.close()
+        workspace, ws_hit = self.cache.workspace(spec.space_key, build_workspace)
+        solver = self._solver(spec, telemetry=telemetry, checkpoint=checkpoint)
+        result = solver.run(prebuilt=(workspace.problem, workspace.scf, workspace.mo))
 
         payload = {
             "energy": result.energy,

@@ -14,8 +14,8 @@ and cache-friendly:
   integrals, SCF, excitation tables, and the cached
   :class:`~repro.core.plans.SigmaPlan` - through the artifact cache.
 
-Scheduling metadata (priority tier, timeout) deliberately stays *out* of
-the digests: re-submitting the same physics at a different priority must
+Run metadata (the timeout, the label) deliberately stays *out* of the
+digests: re-submitting the same physics with a different budget must
 dedupe onto the in-flight solve, not fork a second one.
 
 Float fields are canonicalized through ``repr`` round-tripping (Python
@@ -33,18 +33,7 @@ from dataclasses import dataclass, field, fields
 
 from ..molecule.geometry import Molecule
 
-__all__ = ["JobSpec", "JobRecord", "JobState", "JobStateError", "PRIORITY_TIERS"]
-
-
-PRIORITY_TIERS = {
-    "interactive": 0,
-    "high": 0,
-    "normal": 1,
-    "default": 1,
-    "batch": 2,
-    "low": 2,
-}
-"""Priority names -> scheduler tiers (lower runs first)."""
+__all__ = ["JobSpec", "JobRecord", "JobState", "JobStateError"]
 
 
 class JobState:
@@ -58,7 +47,7 @@ class JobState:
     TIMED_OUT = "timed_out"
     CANCELLED = "cancelled"
 
-    #: states that occupy (or will occupy) a worker - submissions dedupe here
+    #: states that occupy (or will occupy) a pool thread - submissions dedupe here
     ACTIVE = frozenset({QUEUED, RUNNING})
     #: states a job can be re-enqueued from (checkpoint, if any, is reused)
     RESUMABLE = frozenset({PREEMPTED, TIMED_OUT, FAILED, CANCELLED})
@@ -273,19 +262,16 @@ class JobRecord:
 
     The owning :class:`~repro.service.service.FCIService` serializes all
     state mutations under its lock; ``events`` is appended to from the
-    worker thread (list appends are atomic) and read by status endpoints.
+    pool thread running the job (list appends are atomic).
     """
 
     key: str
     spec: JobSpec
-    priority: str = "normal"
-    tier: int = 1
     state: str = JobState.QUEUED
     submitted_at: float = field(default_factory=time.time)
     started_at: float | None = None
     finished_at: float | None = None
     timeout: float | None = None
-    worker: int | None = None
     attempts: int = 0
     deduped: int = 0
     cache_hit: bool = False
@@ -330,13 +316,10 @@ class JobRecord:
             "key": self.key,
             "label": self.spec.label or None,
             "state": self.state,
-            "priority": self.priority,
-            "tier": self.tier,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "timeout": self.timeout,
-            "worker": self.worker,
             "attempts": self.attempts,
             "deduped": self.deduped,
             "cache_hit": self.cache_hit,
@@ -353,12 +336,15 @@ class JobRecord:
 
     @classmethod
     def from_journal(cls, data: dict) -> "JobRecord":
-        spec = JobSpec.from_dict(data["spec"])
+        """Rebuild a record from its journal; ValueError names any field
+        this version cannot build (``priority``, ``tier`` and ``worker``,
+        written by the retired priority scheduler, are read and dropped)."""
+        unknown = set(data) - _JOURNAL_FIELDS
+        if unknown:
+            raise ValueError(f"unknown job journal fields: {', '.join(sorted(unknown))}")
         rec = cls(
             key=data["key"],
-            spec=spec,
-            priority=data.get("priority", "normal"),
-            tier=int(data.get("tier", 1)),
+            spec=JobSpec.from_dict(data["spec"]),
             state=data.get("state", JobState.QUEUED),
             submitted_at=data.get("submitted_at") or time.time(),
             started_at=data.get("started_at"),
@@ -370,6 +356,13 @@ class JobRecord:
             error=data.get("error"),
             result=data.get("result"),
         )
+        if rec.state not in JobState.ALL:
+            raise ValueError(f"unknown job journal state: {rec.state!r}")
         if rec.state in JobState.TERMINAL:
             rec.done.set()
         return rec
+
+
+_JOURNAL_FIELDS = frozenset(
+    JobRecord(key="", spec=JobSpec(atoms=())).to_journal()
+) | {"priority", "tier", "worker"}

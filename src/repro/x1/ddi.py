@@ -104,9 +104,6 @@ class DDIArray:
     def local_block(self, rank: int) -> np.ndarray | None:
         return self.heap.segment(self.name, rank)
 
-    def local_range(self, rank: int) -> tuple[int, int]:
-        return self.ranges[rank]
-
     def owner_of(self, row: int) -> int:
         return int(self._row_owner[row])
 

@@ -731,9 +731,6 @@ class Engine:
         """Virtual wall-clock: the latest rank finish time."""
         return max(s.finish_time for s in self.stats)
 
-    def aggregate_flops(self) -> float:
-        return sum(s.flops for s in self.stats)
-
     def load_imbalance(self) -> float:
         """Max finish time minus mean finish time across ranks."""
         finishes = [s.finish_time for s in self.stats]

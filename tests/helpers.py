@@ -1,4 +1,5 @@
-"""Shared test-support builders: random CI problems, vector stacks, guesses.
+"""Shared test-support builders: random CI problems, vector stacks, guesses,
+and a gate that holds a service job at its first checkpoint save.
 
 One home for the construction helpers that were previously duplicated
 across test_sigma / test_kernels / test_parallel_numeric (and now feed the
@@ -8,6 +9,9 @@ bitwise-meaningful.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import numpy as np
 
@@ -111,3 +115,31 @@ def model_space_guesses(problem: CIProblem, pre, n: int) -> list[np.ndarray]:
         g[pre.selection] = evec[:, i]
         out.append(g.reshape(problem.shape))
     return out
+
+
+class Gate:
+    """A checkpoint I/O-fault hook that holds a job at its first save.
+
+    Passed as ``FCIService(checkpoint_faults=...)``: ``entered`` is set
+    once a pool thread is parked inside a save; setting ``release`` lets
+    every save through.  A one-thread service is thereby busy for exactly
+    as long as a test needs - jobs submitted meanwhile stay queued, with no
+    race against the solve's wall time.
+    """
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def io_fails(self, rank) -> bool:
+        self.entered.set()
+        assert self.release.wait(60), "gate never released"
+        return False
+
+
+def wait_for(predicate, timeout: float = 30.0) -> None:
+    """Poll ``predicate`` until it holds; fail the test after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)

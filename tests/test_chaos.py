@@ -16,15 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.faults import (
-    BACKEND_SCENARIOS,
-    SCENARIOS,
-    SERVICE_SCENARIOS,
-    ChaosConfig,
-    FaultPlan,
-    ServiceFaultPlan,
-    build_service_plan,
-)
+from repro.faults import BACKEND_SCENARIOS, SCENARIOS, ChaosConfig, FaultPlan
 from repro.faults import fuzz as fuzz_mod
 from repro.faults.cli import main as chaos_main
 from repro.faults.fuzz import FuzzBudget, FuzzCase, FuzzRunner, shrink
@@ -48,13 +40,10 @@ class TestScenarioRegistry:
         names = SCENARIOS.names()
         assert list(names) == sorted(names)
         assert {"correlated_failures", "adversarial_stalls", "calm", "dead_rank"} <= set(names)
-        assert {"worker_massacre", "torn_journals"} <= set(SERVICE_SCENARIOS.names())
 
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ValueError, match="correlated_failures"):
             x1_plan(["nope"], 1)
-        with pytest.raises(ValueError, match="torn_journals"):
-            build_service_plan(["nope"], ENV, 1)
 
     def test_duplicate_registration_rejected(self):
         name = SCENARIOS.names()[0]
@@ -99,11 +88,6 @@ class TestComposition:
     def test_calm_is_empty(self):
         assert not x1_plan(["calm"], 5).any_faults()
 
-    def test_service_plan_composes(self):
-        plan = build_service_plan(["worker_massacre", "torn_journals"], ENV, 2)
-        assert plan.worker_crash > 0
-        assert plan.journal_torn_write > 0
-
 
 class TestPlanJSONRoundTrip:
     def test_fault_plan_roundtrip(self):
@@ -125,11 +109,6 @@ class TestPlanJSONRoundTrip:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             FaultPlan.from_dict({"seed": 0, "warp_drive": 1.0})
-
-    def test_service_plan_roundtrip(self):
-        plan = ServiceFaultPlan(seed=4, worker_crash=0.2, result_corrupt=0.5)
-        back = ServiceFaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-        assert back.to_dict() == plan.to_dict()
 
 
 class TestBudget:
@@ -160,7 +139,7 @@ class TestGeneration:
 
     def test_all_harnesses_reachable(self, runner):
         kinds = {runner.case_for_seed(s).harness for s in range(60)}
-        assert kinds == {"sigma", "solver", "service"}
+        assert kinds == {"sigma", "solver"}
 
     def test_solver_cases_draw_only_runnable_methods(self, runner):
         methods = {
@@ -279,8 +258,9 @@ class TestCLI:
     def test_scenarios_command(self, capsys):
         assert chaos_main(["scenarios"]) == 0
         out = capsys.readouterr().out
-        for name in (*SCENARIOS, *SERVICE_SCENARIOS, *BACKEND_SCENARIOS):
+        for name in (*SCENARIOS, *BACKEND_SCENARIOS):
             assert f"  {name}\n" in out
+        assert "service" not in out
 
     def test_fuzz_command_small_batch(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -318,6 +298,11 @@ class TestCLI:
                 '{"seed": 1, "harness": "solver", "knobs": {"method": "cdfci"}}',
                 "olsen, auto, davidson, davidson-mmap; got method 'cdfci'",
             ),
+            (
+                ["replay", "--file", CASE],
+                '{"seed": 1, "harness": "service", "knobs": {"n_jobs": 2}}',
+                "sigma, solver; got harness 'service'",
+            ),
             (["fuzz", "--seeds", "-3"], None, "--seeds must be at least 1; got -3"),
             (["fuzz", "--seeds", "0"], None, "--seeds must be at least 1; got 0"),
             (["fuzz", "--start", "-1"], None, "--start must be a non-negative seed"),
@@ -332,6 +317,7 @@ class TestCLI:
             "bad-probability",
             "not-an-object",
             "unknown-solver-method",
+            "retired-service-harness",
             "fuzz-negative-seeds",
             "fuzz-zero-seeds",
             "fuzz-negative-start",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import kernels, solver, vectors
-from repro.faults import BACKEND_SCENARIOS, SCENARIOS, SERVICE_SCENARIOS
+from repro.faults import BACKEND_SCENARIOS, SCENARIOS
 from repro.parallel import backend
 
 
@@ -55,12 +55,6 @@ def _intruder(*_args):
             lambda: SCENARIOS["dead_rank"],
             _intruder,
             id="x1-scenario",
-        ),
-        pytest.param(
-            lambda obj: SERVICE_SCENARIOS.register("torn_journals", obj),
-            lambda: SERVICE_SCENARIOS["torn_journals"],
-            _intruder,
-            id="service-scenario",
         ),
         pytest.param(
             lambda obj: BACKEND_SCENARIOS.register("shm_worker_kill", obj),

@@ -1,13 +1,14 @@
-"""End-to-end tests of ``repro.service``: the FCI job server.
+"""End-to-end tests of ``repro.service``: cached, journaled, resumable jobs.
 
-Covers the acceptance criteria of the service tentpole:
-
-* two identical submissions dedupe onto one solve (content-addressed keys),
-* a preempted-then-resumed job reproduces the uninterrupted energy to
-  1e-10 (observed bitwise-equal),
+* concurrent identical submissions dedupe onto one solve (content-addressed
+  keys),
 * a result-cache hit and a forced warm re-solve (plan-cache hit) are
   bitwise-identical to the cold solve on the golden-energy problems,
-* the queue rejects on backpressure and honors priority tiers,
+* a preempted, timed-out or cancelled job resumes to the uninterrupted
+  energy within 1e-10 (observed bitwise-equal),
+* the client surface (submit forms, wait / result / vector on unfinished
+  jobs, resubmit, resume budgets, a closed service) does what it says,
+* a restart re-adopts journaled jobs,
 * a job killed mid-solve by injected checkpoint I/O errors is recovered
   by a *restarted* service and resumed to the uninterrupted answer.
 """
@@ -16,20 +17,15 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan
-from repro.service import (
-    FCIService,
-    JobQueue,
-    JobRecord,
-    JobSpec,
-    JobState,
-    JobStateError,
-    QueueFullError,
-)
+from repro.service import FCIService, JobRecord, JobSpec, JobState, JobStateError
+from tests.helpers import Gate, wait_for
 
 GOLDEN_H2 = -1.137275943785  # tests/test_golden_energies.py, 1e-8
 GOLDEN_H2O = -75.012586552381
@@ -117,30 +113,6 @@ class TestJobLifecycle:
         assert rec.error is None
 
 
-class TestJobQueue:
-    def test_priority_then_fifo_order(self):
-        q = JobQueue(maxsize=10)
-        q.push("batch-1", 2)
-        q.push("high-1", 0)
-        q.push("normal-1", 1)
-        q.push("high-2", 0)
-        assert [q.pop() for _ in range(4)] == ["high-1", "high-2", "normal-1", "batch-1"]
-
-    def test_backpressure_raises_queue_full(self):
-        q = JobQueue(maxsize=2)
-        q.push("a", 1)
-        q.push("b", 1)
-        with pytest.raises(QueueFullError):
-            q.push("c", 1)
-
-    def test_remove_and_timeout_pop(self):
-        q = JobQueue(maxsize=4)
-        q.push("a", 1)
-        assert q.remove("a")
-        assert not q.remove("a")
-        assert q.pop(timeout=0.01) is None
-
-
 # -- the service --------------------------------------------------------------
 
 
@@ -161,18 +133,33 @@ class TestServiceSolves:
             assert os.path.exists(svc._journal_path(job.key))
 
     def test_identical_submissions_dedupe_to_one_solve(self, workdir, water):
-        svc = FCIService(workdir, max_workers=2, autostart=False)
+        # more submitters and pool threads than cores, and a short switch
+        # interval, so a check-then-act race in submit would fork a solve
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            first = svc.submit(molecule=water, basis="sto-3g")
-            second = svc.submit(molecule=water, basis="sto-3g")
-            assert second is first
-            assert first.deduped == 1
-            svc.start()
-            result = svc.result(first.key, timeout=300)
-            assert abs(result["energy"] - GOLDEN_H2O) < 1e-8
-            assert svc.executor.solves == 1  # one solve for two submissions
+            with FCIService(workdir, max_workers=4) as svc:
+                start = threading.Barrier(8)
+                records = []
+
+                def submit():
+                    start.wait(60)
+                    records.append(svc.submit(molecule=water, basis="sto-3g"))
+
+                threads = [threading.Thread(target=submit) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                    assert not t.is_alive()
+                first = records[0]
+                assert len(records) == 8 and all(rec is first for rec in records)
+                assert first.deduped == 7
+                result = svc.result(first.key, timeout=300)
+                assert abs(result["energy"] - GOLDEN_H2O) < 1e-8
+                assert svc.executor.solves == 1  # one solve for eight submissions
         finally:
-            svc.close()
+            sys.setswitchinterval(switch)
 
     def test_result_cache_hit_and_warm_resolve_are_bitwise_identical(
         self, workdir, h2
@@ -236,66 +223,60 @@ class TestPreemptionAndResume:
             result = svc.result(job.key, timeout=300)
             assert abs(result["energy"] - e_ref) <= 1e-10
 
-    def test_cancel_queued_then_resume(self, workdir, h2):
-        svc = FCIService(workdir, max_workers=1, autostart=False)
-        try:
-            job = svc.submit(molecule=h2, basis="sto-3g")
-            assert svc.cancel(job.key) == JobState.CANCELLED
-            svc.start()
-            svc.resume(job.key)
-            assert abs(svc.result(job.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
-        finally:
-            svc.close()
+    def test_cancelled_jobs_resume_to_the_uninterrupted_energy(
+        self, workdir, water, h2, water_reference
+    ):
+        e_ref, v_ref = water_reference
+        gate = Gate()
+        with FCIService(workdir, max_workers=1, checkpoint_faults=gate) as svc:
+            running = svc.submit(molecule=water, basis="sto-3g")
+            assert gate.entered.wait(60)
+            queued = svc.submit(molecule=h2, basis="sto-3g")  # the one thread is busy
+            assert svc.get(queued.key).state == JobState.QUEUED
+            assert svc.cancel(queued.key) == JobState.CANCELLED
+            assert svc.cancel(running.key) == JobState.RUNNING  # preempts at next save
+            gate.release.set()
+            assert svc.wait(running.key, timeout=300).state == JobState.PREEMPTED
+            assert svc.get(queued.key).state == JobState.CANCELLED
+            assert svc.executor.solves == 0
 
-    def test_stop_preempts_and_restart_continues(self, workdir, water, water_reference):
+            svc.resume(queued.key)
+            svc.resume(running.key)
+            assert abs(svc.result(queued.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
+            assert abs(svc.result(running.key, timeout=300)["energy"] - e_ref) <= 1e-10
+            assert np.array_equal(svc.vector(running.key), v_ref)
+
+    def test_close_preempts_and_a_new_service_continues(
+        self, workdir, water, water_reference
+    ):
         e_ref, _ = water_reference
-        svc = FCIService(workdir, max_workers=1)
-        try:
-            job = svc.submit(molecule=water, basis="sto-3g", preempt_after=2)
-            svc.wait(job.key, timeout=300)
-            svc.stop()  # fleet down; queue refuses pushes while stopped
-            svc.start()  # ...and reopens on restart
+        gate = Gate()
+        svc = FCIService(workdir, max_workers=1, checkpoint_faults=gate)
+        job = svc.submit(molecule=water, basis="sto-3g")
+        assert gate.entered.wait(60)
+        closer = threading.Thread(target=svc.close)
+        closer.start()
+        wait_for(lambda: svc.get(job.key).cancel_event.is_set())
+        gate.release.set()
+        closer.join(60)
+        assert not closer.is_alive()
+        assert svc.get(job.key).state == JobState.PREEMPTED
+        with pytest.raises(RuntimeError, match="closed"):
             svc.resume(job.key)
-            assert abs(svc.result(job.key, timeout=300)["energy"] - e_ref) <= 1e-10
-        finally:
-            svc.close()
+
+        with FCIService(workdir, max_workers=1) as svc2:
+            assert svc2.get(job.key).state == JobState.PREEMPTED
+            svc2.resume(job.key)
+            assert abs(svc2.result(job.key, timeout=300)["energy"] - e_ref) <= 1e-10
 
 
-class TestSchedulingPolicies:
-    def test_priority_tiers_order_execution(self, workdir, h2, heh_plus, water):
-        svc = FCIService(workdir, max_workers=1, autostart=False)
-        try:
-            batch = svc.submit(molecule=h2, basis="sto-3g", priority="batch")
-            high = svc.submit(molecule=water, basis="sto-3g", priority="high")
-            normal = svc.submit(molecule=heh_plus, basis="sto-3g", priority="normal")
-            svc.start()
-            for rec in (batch, high, normal):
-                svc.wait(rec.key, timeout=300)
-            assert svc.scheduler.execution_order == [high.key, normal.key, batch.key]
-        finally:
-            svc.close()
-
-    def test_queue_full_rejects_submission(self, workdir, h2, water):
-        svc = FCIService(workdir, max_workers=1, queue_size=1, autostart=False)
-        try:
-            kept = svc.submit(molecule=h2, basis="sto-3g")
-            with pytest.raises(QueueFullError):
-                svc.submit(molecule=water, basis="sto-3g")
-            # the rejected job leaves no record behind; the first survives
-            assert [r["key"] for r in svc.jobs()] == [kept.key]
-            svc.start()
-            assert abs(svc.result(kept.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
-        finally:
-            svc.close()
-
+class TestValidation:
     def test_invalid_specs_and_keys_fail_fast(self, workdir, h2):
         with FCIService(workdir, max_workers=1) as svc:
             with pytest.raises(ValueError, match="method"):
                 svc.submit(molecule=h2, basis="sto-3g", method="nope")
             with pytest.raises(ValueError, match="algorithm|kernel"):
                 svc.submit(molecule=h2, basis="sto-3g", algorithm="nope")
-            with pytest.raises(ValueError, match="priority"):
-                svc.submit(molecule=h2, basis="sto-3g", priority="sometime")
             with pytest.raises(KeyError):
                 svc.status("not-a-job")
 
@@ -306,25 +287,129 @@ class TestSchedulingPolicies:
             stats = svc.stats()
             assert stats["jobs"] == {JobState.COMPLETED: 1}
             assert stats["solves_executed"] == 1
-            assert "shm" in stats["backends_available"]
             assert stats["cache"]["workspaces"] == 1
 
 
+class TestClientSurface:
+    def test_a_spec_dict_or_a_leading_molecule_names_the_same_job(self, workdir, h2):
+        with FCIService(workdir, max_workers=1) as svc:
+            job = svc.submit(h2, method="davidson")
+            svc.wait(job.key, timeout=300)
+            again = svc.submit(spec_for(h2, method="davidson").to_dict())
+            assert again is job and again.cache_hit
+
+    def test_submit_needs_exactly_one_description(self, workdir, h2):
+        with FCIService(workdir, max_workers=1) as svc:
+            with pytest.raises(ValueError, match="not both"):
+                svc.submit(spec_for(h2), method="olsen")
+            with pytest.raises(ValueError, match="needs a JobSpec"):
+                svc.submit()
+            assert svc.stats()["jobs"] == {}
+
+    def test_result_of_an_interrupted_job_names_its_state(self, workdir, h2):
+        with FCIService(workdir, max_workers=1) as svc:
+            job = svc.submit(molecule=h2, basis="sto-3g", preempt_after=1)
+            with pytest.raises(RuntimeError, match="preempted"):
+                svc.result(job.key, timeout=300)
+            with pytest.raises(KeyError, match="no cached result"):
+                svc.vector(job.key)
+
+    def test_wait_times_out_on_a_queued_job(self, workdir, h2, heh_plus):
+        gate = Gate()
+        with FCIService(workdir, max_workers=1, checkpoint_faults=gate) as svc:
+            svc.submit(molecule=h2, basis="sto-3g")  # holds the one thread
+            assert gate.entered.wait(60)
+            queued = svc.submit(molecule=heh_plus, basis="sto-3g")
+            with pytest.raises(TimeoutError, match="still queued"):
+                svc.wait(queued.key, timeout=0.05)
+            gate.release.set()
+            assert svc.wait(queued.key, timeout=300).state == JobState.COMPLETED
+
+    def test_resubmitting_an_interrupted_job_continues_it(self, workdir, h2):
+        with FCIService(workdir, max_workers=1) as svc:
+            job = svc.submit(molecule=h2, basis="sto-3g", preempt_after=1)
+            assert svc.wait(job.key, timeout=300).state == JobState.PREEMPTED
+            again = svc.submit(molecule=h2, basis="sto-3g")
+            assert again is job
+            assert abs(svc.result(job.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
+            assert job.attempts == 2
+            # the durable artifact is now the cached result, not the checkpoint
+            assert not os.path.exists(svc.executor.checkpoint_path(job.key))
+            assert "checkpoint" not in svc.status(job.key)
+
+    def test_resume_keeps_the_budget_unless_told_otherwise(self, workdir, h2):
+        with FCIService(workdir, max_workers=1) as svc:
+            job = svc.submit(molecule=h2, basis="sto-3g", timeout=0.0)
+            assert svc.wait(job.key, timeout=300).state == JobState.TIMED_OUT
+            svc.resume(job.key)
+            assert svc.wait(job.key, timeout=300).state == JobState.TIMED_OUT
+            assert job.timeout == 0.0
+            svc.resume(job.key, timeout=None)
+            assert abs(svc.result(job.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
+            assert job.timeout is None and job.attempts == 3
+
+    def test_resuming_a_completed_job_solves_it_again_bitwise(self, workdir, h2):
+        with FCIService(workdir, max_workers=1) as svc:
+            job = svc.submit(molecule=h2, basis="sto-3g")
+            first = svc.result(job.key, timeout=300)["energy"]
+            svc.resume(job.key)
+            assert svc.result(job.key, timeout=300)["energy"] == first
+            assert svc.executor.solves == 2
+
+    def test_a_closed_service_serves_its_cache_but_solves_nothing(
+        self, workdir, h2, heh_plus
+    ):
+        svc = FCIService(workdir, max_workers=1)
+        job = svc.submit(molecule=h2, basis="sto-3g")
+        svc.wait(job.key, timeout=300)
+        svc.close()
+        assert svc.submit(molecule=h2, basis="sto-3g").cache_hit
+        with pytest.raises(RuntimeError, match="closed"):
+            svc.submit(molecule=heh_plus, basis="sto-3g")
+        assert svc.stats()["solves_executed"] == 1
+
+    def test_telemetry_events_are_tagged_with_their_job(self, workdir, h2):
+        with FCIService(workdir, max_workers=1) as svc:
+            job = svc.submit(molecule=h2, basis="sto-3g")
+            n_iterations = svc.result(job.key, timeout=300)["n_iterations"]
+            events = svc.iterations(job.key)
+            assert {e["job"] for e in events} == {job.key}
+            assert len(events) >= n_iterations
+            assert svc.status(job.key)["n_events"] == len(events)
+
+
 class TestDurability:
-    def test_restart_recovers_journaled_jobs(self, workdir, water, water_reference):
+    def test_restart_recovers_journaled_jobs(
+        self, workdir, water, h2, water_reference
+    ):
         e_ref, _ = water_reference
-        # a service that dies with the job still queued (never stopped cleanly)
-        svc1 = FCIService(workdir, max_workers=1, autostart=False)
-        job = svc1.submit(molecule=water, basis="sto-3g")
-        del svc1  # no stop(): simulates the process dying
+        # a process whose one thread is inside a solve, with a second job
+        # queued behind it, when a new service opens the same workdir
+        gate = Gate()
+        svc1 = FCIService(workdir, max_workers=1, checkpoint_faults=gate)
+        running = svc1.submit(molecule=water, basis="sto-3g")
+        assert gate.entered.wait(60)
+        queued = svc1.submit(molecule=h2, basis="sto-3g")
 
         svc2 = FCIService(workdir, max_workers=1)
         try:
-            rec = svc2.get(job.key)
-            assert rec.state == JobState.PREEMPTED
-            assert rec.error == "server restarted"
-            svc2.resume(job.key)
-            assert abs(svc2.result(job.key, timeout=300)["energy"] - e_ref) <= 1e-10
+            assert svc2.recovery == {"readopted": 2, "skipped_journals": 0}
+            for key in (running.key, queued.key):
+                rec = svc2.get(key)
+                assert rec.state == JobState.PREEMPTED
+                assert rec.error == "server restarted"
+            # retire the old process before the new one touches the jobs
+            closer = threading.Thread(target=svc1.close)
+            closer.start()
+            wait_for(lambda: svc1.get(running.key).cancel_event.is_set())
+            gate.release.set()
+            closer.join(60)
+            assert not closer.is_alive()
+
+            svc2.resume(running.key)
+            svc2.resume(queued.key)
+            assert abs(svc2.result(running.key, timeout=300)["energy"] - e_ref) <= 1e-10
+            assert abs(svc2.result(queued.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
         finally:
             svc2.close()
 
@@ -359,23 +444,42 @@ class TestDurability:
         self, workdir, h2
     ):
         # the store kind is checked by the same validate() as the method
-        svc1 = FCIService(workdir, max_workers=1, autostart=False)
-        job = svc1.submit(molecule=h2, basis="sto-3g")
-        del svc1  # dies with the job still queued
+        with FCIService(workdir, max_workers=1) as svc1:
+            job = svc1.submit(molecule=h2, basis="sto-3g", timeout=0.0)
+            assert svc1.wait(job.key, timeout=300).state == JobState.TIMED_OUT
         journal = workdir / "jobs" / f"{job.key}.json"
         data = json.loads(journal.read_text())
         data["spec"]["vector_store"] = "sparse"
         journal.write_text(json.dumps(data))
 
-        svc2 = FCIService(workdir, max_workers=1)
-        try:
-            assert svc2.get(job.key).state == JobState.PREEMPTED
+        with FCIService(workdir, max_workers=1) as svc2:
             with pytest.raises(ValueError, match="one of dense, mmap; got 'sparse'"):
                 svc2.resume(job.key)
-            assert svc2.get(job.key).state == JobState.PREEMPTED
+            assert svc2.get(job.key).state == JobState.TIMED_OUT
             assert svc2.stats()["solves_executed"] == 0
-        finally:
-            svc2.close()
+
+    def test_journal_naming_an_unbuildable_field_is_refused_by_name(
+        self, workdir, h2, caplog
+    ):
+        with FCIService(workdir, max_workers=1) as svc1:
+            job = svc1.submit(molecule=h2, basis="sto-3g", timeout=0.0)
+            svc1.wait(job.key, timeout=300)
+        journal = workdir / "jobs" / f"{job.key}.json"
+        good = json.loads(journal.read_text())
+        for broken, field in (
+            ({**good, "lane": "gpu"}, "lane"),
+            ({**good, "spec": {**good["spec"], "n_roots": 3}}, "n_roots"),
+            ({**good, "state": "paused"}, "paused"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                JobRecord.from_journal(broken)
+            journal.write_text(json.dumps(broken))
+            caplog.clear()
+            with FCIService(workdir, max_workers=1) as svc2:
+                assert svc2.recovery["skipped_journals"] == 1
+                with pytest.raises(KeyError):
+                    svc2.get(job.key)
+            assert field in caplog.text
 
     def test_crash_on_injected_io_error_then_restart_and_resume(
         self, workdir, water, water_reference

@@ -1,118 +1,32 @@
-"""Service-layer fault injection and corruption handling.
+"""Service recovery paths, driven by breaking the files on disk.
 
-Exercises the :class:`repro.faults.ServiceFaultInjector` hooks end-to-end
-(worker-thread death -> reap -> resume, torn journal writes -> restart
-recovery, result-file rot -> CRC miss, telemetry-stream I/O errors ->
-solve unaffected) and pins the corruption discipline of every durable
-reader: ``Checkpointer.peek/load/restore``, ``ArtifactCache``, and the
-job-journal reader turn damage into a counted miss - never a crash, never
-a served garbage value.  Also audits the JobRecord lifecycle races the
-chaos runs provoke: cancel-after-complete, an outcome racing a reap, and
-double resume.
+Pins the corruption discipline of every durable reader -
+``Checkpointer.peek/load/restore``, ``ArtifactCache`` and the job-journal
+reader turn damage into a counted miss, never a crash and never a served
+garbage value - and the service's answer to each: a torn journal is
+skipped and counted on restart, a rotten result file is a counted miss
+followed by a re-solve, and a telemetry stream that cannot be written
+does not kill the solve.  Also audits two JobRecord lifecycle races:
+cancel-after-complete and double resume.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
 
 import numpy as np
 import pytest
 
 from repro.core.checkpoint import Checkpointer, CheckpointError, CheckpointState
-from repro.faults import ServiceFaultInjector, ServiceFaultPlan, WorkerCrashed
 from repro.service import FCIService, JobSpec, JobState
 from repro.service.cache import ArtifactCache
+from tests.helpers import Gate
 
 GOLDEN_H2 = -1.137275943785  # tests/test_golden_energies.py, 1e-8
 
 
 def spec_for(mol, **options) -> JobSpec:
     return JobSpec.from_molecule(mol, "sto-3g", **options)
-
-
-def _wait_for(predicate, timeout=30.0, poll=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(poll)
-    return False
-
-
-# -- the plan / injector primitives -------------------------------------------
-
-
-class TestServiceFaultPlan:
-    def test_default_is_idle(self):
-        plan = ServiceFaultPlan()
-        assert not plan.any_faults()
-
-    def test_probability_validation(self):
-        with pytest.raises(ValueError):
-            ServiceFaultPlan(worker_crash=1.5)
-        with pytest.raises(ValueError):
-            ServiceFaultPlan(result_corrupt_mode="shred")
-
-    def test_roundtrip(self):
-        plan = ServiceFaultPlan(
-            seed=9, worker_crash=0.3, result_corrupt=0.5, result_corrupt_mode="truncate"
-        )
-        back = ServiceFaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-        assert back.to_dict() == plan.to_dict()
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            ServiceFaultPlan.from_dict({"seed": 0, "gremlins": 1.0})
-
-    def test_same_seed_same_decisions(self):
-        a = ServiceFaultInjector(ServiceFaultPlan(seed=5, worker_crash=0.5))
-        b = ServiceFaultInjector(ServiceFaultPlan(seed=5, worker_crash=0.5))
-        assert [a.worker_crashes() for _ in range(50)] == [
-            b.worker_crashes() for _ in range(50)
-        ]
-
-    def test_idle_hooks_never_fire_and_count_nothing(self, tmp_path):
-        fi = ServiceFaultInjector(ServiceFaultPlan())
-        path = tmp_path / "x.npz"
-        path.write_bytes(b"payload-bytes")
-        assert not fi.worker_crashes()
-        assert not fi.io_fails(0)
-        assert not fi.telemetry_write_fails()
-        assert not fi.corrupt_result(str(path))
-        assert path.read_bytes() == b"payload-bytes"
-        assert not fi.torn_journal_write(str(path), b"{}")
-        assert fi.counts() == {}
-
-
-class TestCorruptResultModes:
-    def _payload(self, tmp_path):
-        path = tmp_path / "r.npz"
-        path.write_bytes(os.urandom(256))
-        return path
-
-    def test_truncate(self, tmp_path):
-        path = self._payload(tmp_path)
-        fi = ServiceFaultInjector(ServiceFaultPlan(result_corrupt=1.0, result_corrupt_mode="truncate"))
-        assert fi.corrupt_result(str(path))
-        assert path.stat().st_size == 128
-        assert fi.counts()["faults.injected.result_corrupt.truncate"] == 1
-
-    def test_header_only(self, tmp_path):
-        path = self._payload(tmp_path)
-        fi = ServiceFaultInjector(ServiceFaultPlan(result_corrupt=1.0, result_corrupt_mode="header_only"))
-        assert fi.corrupt_result(str(path))
-        assert path.stat().st_size <= 6
-
-    def test_bitflip(self, tmp_path):
-        path = self._payload(tmp_path)
-        before = path.read_bytes()
-        fi = ServiceFaultInjector(ServiceFaultPlan(result_corrupt=1.0, result_corrupt_mode="bitflip"))
-        assert fi.corrupt_result(str(path))
-        after = path.read_bytes()
-        assert len(after) == len(before)
-        assert sum(a != b for a, b in zip(after, before)) == 1
 
 
 # -- durable readers under corruption -----------------------------------------
@@ -206,110 +120,87 @@ class TestArtifactCacheCorruption:
         assert np.array_equal(vec, np.arange(16.0))
 
 
-# -- the service under injected faults ----------------------------------------
+# -- the service on damaged files ---------------------------------------------
 
 
-class TestWorkerCrashAndReap:
-    def test_crashed_worker_job_is_reaped_and_resumed(self, tmp_path, h2):
-        fi = ServiceFaultInjector(ServiceFaultPlan(worker_crash=1.0))
-        with FCIService(tmp_path / "svc", max_workers=1, service_faults=fi) as svc:
-            job = svc.submit(spec_for(h2))
-            # the worker dies at its first checkpoint save: the thread exits,
-            # the record is stuck RUNNING, and no outcome ever arrives
-            assert _wait_for(lambda: not svc.scheduler.worker_alive(0))
-            assert svc.get(job.key).state == JobState.RUNNING
-            with pytest.raises(TimeoutError):
-                svc.wait(job.key, timeout=0.2)
-
-            out = svc.reap()
-            assert out["reaped"] == [job.key]
-            assert out["respawned"] == 1
-            rec = svc.get(job.key)
-            assert rec.state == JobState.PREEMPTED
-            assert "worker died" in rec.error
-            assert svc.scheduler.worker_alive(0)
-
-            # heal the weather and resume: the checkpoint carries the job home
-            svc.service_faults = None
-            svc.resume(job.key)
-            assert abs(svc.result(job.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
-            stats = svc.stats()
-            assert stats["worker_crashes"] >= 1
-            assert stats["worker_respawns"] >= 1
-            assert stats["recovery"]["reaped"] == 1
-
-    def test_reap_without_casualties_is_a_noop(self, tmp_path, h2):
-        with FCIService(tmp_path / "svc", max_workers=1) as svc:
-            job = svc.submit(spec_for(h2))
-            svc.wait(job.key, timeout=300)
-            out = svc.reap()
-            assert out == {"reaped": [], "respawned": 0}
+def _solved_workdir(tmp_path, mol):
+    """A workdir holding one completed job of ``mol``; returns (dir, key)."""
+    workdir = tmp_path / "svc"
+    with FCIService(workdir, max_workers=1) as svc:
+        job = svc.submit(spec_for(mol))
+        assert abs(svc.result(job.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
+    return workdir, job.key
 
 
 class TestTornJournals:
     def test_restart_skips_torn_journal_and_counts_it(self, tmp_path, h2):
-        fi = ServiceFaultInjector(ServiceFaultPlan(journal_torn_write=1.0))
-        svc = FCIService(tmp_path / "svc", max_workers=1, service_faults=fi, autostart=False)
-        job = svc.submit(spec_for(h2))
-        svc.stop()
-        # every journal write tore: the file on disk is half a JSON blob
-        with open(svc._journal_path(job.key)) as f:
-            with pytest.raises(json.JSONDecodeError):
-                json.load(f)
-        assert fi.counts()["faults.injected.journal_torn_write"] >= 1
+        workdir, key = _solved_workdir(tmp_path, h2)
+        journal = workdir / "jobs" / f"{key}.json"
+        blob = journal.read_bytes()
+        journal.write_bytes(blob[: len(blob) // 2])  # a crash mid-write
 
-        svc2 = FCIService(tmp_path / "svc", max_workers=1, autostart=False)
-        try:
-            assert svc2.recovery["skipped_journals"] == 1
-            assert svc2.recovery["readopted"] == 0
+        with FCIService(workdir, max_workers=1) as svc:
+            assert svc.recovery == {"readopted": 0, "skipped_journals": 1}
             with pytest.raises(KeyError):
-                svc2.get(job.key)  # never adopted from garbage
-            # the job is simply resubmitted - same spec, same key
-            assert svc2.submit(spec_for(h2)).key == job.key
-        finally:
-            svc2.stop()
+                svc.get(key)  # never adopted from garbage
+            # the job is simply resubmitted - same spec, same key - and its
+            # intact result is still served without a solve
+            again = svc.submit(spec_for(h2))
+            assert again.key == key and again.cache_hit
+            assert svc.stats()["solves_executed"] == 0
 
     def test_intact_journals_unaffected(self, tmp_path, h2):
-        svc = FCIService(tmp_path / "svc", max_workers=1, autostart=False)
-        job = svc.submit(spec_for(h2))
-        svc.stop()
-        svc2 = FCIService(tmp_path / "svc", max_workers=1, autostart=False)
-        try:
-            assert svc2.recovery["skipped_journals"] == 0
-            assert svc2.get(job.key).state == JobState.PREEMPTED  # re-adopted
-            assert svc2.recovery["readopted"] == 1
-        finally:
-            svc2.stop()
+        workdir, key = _solved_workdir(tmp_path, h2)
+        with FCIService(workdir, max_workers=1) as svc:
+            assert svc.recovery == {"readopted": 0, "skipped_journals": 0}
+            assert svc.get(key).state == JobState.COMPLETED
 
 
 class TestResultRot:
-    def test_corrupted_result_is_cache_miss_on_restart(self, tmp_path, h2):
-        fi = ServiceFaultInjector(
-            ServiceFaultPlan(result_corrupt=1.0, result_corrupt_mode="truncate")
-        )
-        with FCIService(tmp_path / "svc", max_workers=1, service_faults=fi) as svc:
-            job = svc.submit(spec_for(h2))
-            result = svc.result(job.key, timeout=300)
-            assert abs(result["energy"] - GOLDEN_H2) < 1e-8  # memory tier intact
+    @pytest.mark.parametrize("damage", ["truncate", "bitflip"])
+    def test_rotten_result_is_a_counted_miss_then_a_resolve(self, tmp_path, h2, damage):
+        workdir, key = _solved_workdir(tmp_path, h2)
+        path = workdir / "results" / f"{key}.npz"
+        blob = bytearray(path.read_bytes())
+        if damage == "truncate":
+            blob = blob[: len(blob) // 2]
+        else:
+            with np.load(path) as z:
+                offset = blob.find(z["vector"].tobytes())
+            assert offset > 0
+            blob[offset + 8] ^= 0x40  # one bit inside the stored CI vector
+        path.write_bytes(bytes(blob))
 
-        # restart: the disk copy is rot; the cache must miss, count, re-solve
-        with FCIService(tmp_path / "svc", max_workers=1) as svc2:
-            assert svc2.cache.get_result(job.key) is None
-            assert svc2.cache.counts["result_corrupt"] == 1
-            resub = svc2.submit(spec_for(h2))
-            assert resub.key == job.key
+        with FCIService(workdir, max_workers=1) as svc:
+            resub = svc.submit(spec_for(h2))
+            assert resub.key == key
             assert not resub.cache_hit
-            assert abs(svc2.result(job.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
+            assert svc.cache.counts["result_corrupt"] == 1
+            assert abs(svc.result(key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
+            assert svc.stats()["solves_executed"] == 1
 
-    def test_telemetry_blackout_does_not_kill_the_solve(self, tmp_path, h2):
-        fi = ServiceFaultInjector(ServiceFaultPlan(telemetry_io_error=1.0))
-        with FCIService(tmp_path / "svc", max_workers=1, service_faults=fi) as svc:
+
+class TestTelemetryStream:
+    @pytest.mark.parametrize("blocker", ["directory", "full-disk"])
+    def test_unwritable_stream_does_not_kill_the_solve(self, tmp_path, h2, blocker):
+        workdir = tmp_path / "svc"
+        key = spec_for(h2).job_key
+        stream = workdir / "telemetry" / f"{key}.jsonl"
+        stream.parent.mkdir(parents=True)
+        if blocker == "directory":
+            stream.mkdir()  # open() fails
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full on this system")
+            stream.symlink_to("/dev/full")  # every write fails with ENOSPC
+
+        with FCIService(workdir, max_workers=1) as svc:
             job = svc.submit(spec_for(h2))
             result = svc.result(job.key, timeout=300)
             assert abs(result["energy"] - GOLDEN_H2) < 1e-8
-            assert svc.executor.telemetry_io_errors > 0
-            assert svc.iterations(job.key)  # in-memory events still flowed
-            assert fi.counts()["faults.injected.telemetry_io_error"] >= 1
+            events = svc.iterations(job.key)
+            assert events  # the in-memory events still flowed
+            assert svc.stats()["telemetry_io_errors"] == len(events)
 
 
 # -- JobRecord lifecycle audit ------------------------------------------------
@@ -323,9 +214,11 @@ class TestLifecycleRaces:
             assert svc.cancel(job.key) == JobState.COMPLETED  # no transition, no raise
             assert svc.get(job.key).state == JobState.COMPLETED
 
-    def test_double_resume_is_idempotent(self, tmp_path, h2):
-        svc = FCIService(tmp_path / "svc", max_workers=1, autostart=False)
-        try:
+    def test_double_resume_is_idempotent(self, tmp_path, h2, water):
+        gate = Gate()
+        with FCIService(tmp_path / "svc", max_workers=1, checkpoint_faults=gate) as svc:
+            svc.submit(spec_for(water))  # holds the one thread
+            assert gate.entered.wait(60)
             job = svc.submit(spec_for(h2))
             svc.cancel(job.key)
             assert svc.get(job.key).state == JobState.CANCELLED
@@ -334,25 +227,6 @@ class TestLifecycleRaces:
             second = svc.resume(job.key)  # already on its way: a no-op
             assert second is first
             assert second.state == JobState.QUEUED
-            assert len(svc.queue) == 1  # not enqueued twice
-        finally:
-            svc.stop()
-
-    def test_late_outcome_loses_to_reap(self, tmp_path, h2):
-        """A worker's result racing a reap/preempt must not clobber the
-        record's terminal state (and must be counted, not raised)."""
-        svc = FCIService(tmp_path / "svc", max_workers=1, autostart=False)
-        try:
-            job = svc.submit(spec_for(h2))
-            rec = svc._begin(job.key, worker_id=0)
-            assert rec.state == JobState.RUNNING
-            rec.transition(JobState.PREEMPTED)  # the reap got there first
-            svc._finish(rec, payload={"energy": -1.0})  # the late result arrives
-            assert rec.state == JobState.PREEMPTED  # terminal state wins
-            assert svc.late_finishes == 1
-        finally:
-            svc.stop()
-
-    def test_worker_crashed_is_catchable_exception(self):
-        assert issubclass(WorkerCrashed, Exception)
-        assert not issubclass(WorkerCrashed, OSError)
+            gate.release.set()
+            assert abs(svc.result(job.key, timeout=300)["energy"] - GOLDEN_H2) < 1e-8
+            assert first.attempts == 1  # not run twice
